@@ -8,8 +8,9 @@ metadata JSON whose config block reproduces the run when fed back through
 ``--config``.
 
 Exit codes: 0 on success, 2 for configuration problems (unknown keys, bad
-values, missing seed), 1 for runtime failures.  ``theorem-verify`` also
-exits 1 when a check fails, since reporting that is its purpose.
+values, missing seed, settings an experiment rejects with ``ValueError``),
+1 for runtime failures.  ``theorem-verify`` also exits 1 when a check fails,
+since reporting that is its purpose.
 """
 
 from __future__ import annotations
@@ -77,14 +78,13 @@ def _parse_float_list(text: str) -> tuple:
 
 
 def _parse_axis(text: str) -> tuple:
-    """Parse ``name=v1,v2,...`` into (name, values)."""
+    """Parse ``name=v1,v2,...`` into (name, values); counts must be integers."""
     name, _, rest = text.partition("=")
     name = name.strip()
-    values = _parse_float_list(rest)
+    integer = name in ("n", "d", "evaluators")
+    values = (_parse_int_list if integer else _parse_float_list)(rest)
     if not name or not values:
         raise ValueError(f"expected name=v1,v2,..., got {text!r}")
-    if name in ("n", "d", "evaluators"):
-        values = tuple(int(v) for v in values)
     return name, values
 
 
@@ -132,7 +132,6 @@ OPTIONS = {
         Option("delta", _parse_float, None, "tail exponent override"),
         Option("gamma", _parse_float, None, "bias-coin probability (coin mode)"),
         Option("coin_mode", _parse_bool, "false", "independent bias coins instead of one fixed biased evaluator"),
-        Option("require_delta_axis", _parse_bool, "true", "insist one axis is delta"),
     ),
     "theorem-verify": _COMMON
     + (
@@ -170,8 +169,13 @@ def read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
         block = payload.get("config", payload)
+        if not isinstance(block, dict):
+            raise ConfigError(f"{path}: the config block must be a JSON object")
         return {str(k): str(v) for k, v in block.items()}
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -273,18 +277,15 @@ def _cmd_calibration(cfg: dict) -> int:
 
 
 def _cmd_efficiency(cfg: dict) -> int:
-    try:
-        results = run_efficiency_sweep(
-            tau_values=cfg["tau"],
-            sigma_values=cfg["sigma"],
-            n=cfg["n"],
-            delta=cfg["delta"],
-            runs=cfg["runs"],
-            seed=cfg["seed"],
-            workers=cfg["workers"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = run_efficiency_sweep(
+        tau_values=cfg["tau"],
+        sigma_values=cfg["sigma"],
+        n=cfg["n"],
+        delta=cfg["delta"],
+        runs=cfg["runs"],
+        seed=cfg["seed"],
+        workers=cfg["workers"],
+    )
     grid = GridSpec(
         axes=(("tau", cfg["tau"]), ("sigma", cfg["sigma"])),
         fixed={"n": cfg["n"], "delta": cfg["delta"]},
@@ -316,17 +317,10 @@ def _cmd_bias_grid(cfg: dict) -> int:
     for key in ("n", "d", "sigma", "alpha", "lambda", "beta", "delta", "gamma"):
         if key in cfg:
             fixed[key] = cfg[key]
-    try:
-        grid = GridSpec(axes=(cfg["axis1"], cfg["axis2"]), fixed=fixed, runs=cfg["runs"])
-        results = run_bias_grid(
-            grid,
-            seed=cfg["seed"],
-            workers=cfg["workers"],
-            coin_mode=cfg["coin_mode"],
-            require_delta_axis=cfg["require_delta_axis"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = GridSpec(axes=(cfg["axis1"], cfg["axis2"]), fixed=fixed, runs=cfg["runs"])
+    results = run_bias_grid(
+        grid, seed=cfg["seed"], workers=cfg["workers"], coin_mode=cfg["coin_mode"]
+    )
     csv_path = _outpath(cfg, "bias_grid.csv")
     write_results_csv(results, list(grid.axis_names), csv_path)
     write_metadata_json(
@@ -347,21 +341,18 @@ def _cmd_bias_grid(cfg: dict) -> int:
 
 
 def _cmd_theorem_verify(cfg: dict) -> int:
-    try:
-        report = run_theorem_verify(
-            n_values=cfg["n"],
-            delta_values=cfg["delta"],
-            gamma=cfg["gamma"],
-            runs=cfg["runs"],
-            seed=cfg["seed"],
-            workers=cfg["workers"],
-            threshold_n=cfg["threshold_n"],
-            tail_group=cfg["tail_group"],
-            tail_pools=cfg["tail_pools"],
-            tail_samples=cfg["tail_samples"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = run_theorem_verify(
+        n_values=cfg["n"],
+        delta_values=cfg["delta"],
+        gamma=cfg["gamma"],
+        runs=cfg["runs"],
+        seed=cfg["seed"],
+        workers=cfg["workers"],
+        threshold_n=cfg["threshold_n"],
+        tail_group=cfg["tail_group"],
+        tail_pools=cfg["tail_pools"],
+        tail_samples=cfg["tail_samples"],
+    )
     rows = report_rows(report, cfg["seed"])
     files = {
         "part_a": (["n", "delta", "beta", "gamma"], "theorem_part_a.csv"),
@@ -432,27 +423,18 @@ def _cmd_pool_dump(cfg: dict) -> int:
 
     scheme = cfg.get("scheme")
     if scheme is not None:
-        try:
-            if scheme == "holistic":
-                plan = allocate_holistic(cfg["n"], cfg["d"], cfg["evaluators"], rng)
-            elif scheme == "segmented":
-                plan = allocate_segmented(cfg["n"], cfg["d"], cfg["evaluators"], rng)
-            elif scheme == "blocked":
-                if "rows_per_eval" not in cfg or "cols_per_eval" not in cfg:
-                    raise ConfigError(
-                        "blocked plans need rows_per_eval and cols_per_eval"
-                    )
-                plan = allocate_blocked(
-                    cfg["n"],
-                    cfg["d"],
-                    cfg["rows_per_eval"],
-                    cfg["cols_per_eval"],
-                    rng,
-                )
-            else:
-                raise ConfigError(f"unknown scheme {scheme!r}")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if scheme == "holistic":
+            plan = allocate_holistic(cfg["n"], cfg["d"], cfg["evaluators"], rng)
+        elif scheme == "segmented":
+            plan = allocate_segmented(cfg["n"], cfg["d"], cfg["evaluators"], rng)
+        elif scheme == "blocked":
+            if "rows_per_eval" not in cfg or "cols_per_eval" not in cfg:
+                raise ConfigError("blocked plans need rows_per_eval and cols_per_eval")
+            plan = allocate_blocked(
+                cfg["n"], cfg["d"], cfg["rows_per_eval"], cfg["cols_per_eval"], rng
+            )
+        else:
+            raise ConfigError(f"unknown scheme {scheme!r}")
         plan_path = _outpath(cfg, "plan.csv")
         plan.to_csv(plan_path)
         print(f"wrote {plan_path}")
@@ -493,16 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_options(args.command, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _RUNNERS[args.command](cfg)
-    except ConfigError as exc:
+        return _RUNNERS[args.command](resolve_options(args.command, args))
+    except (ConfigError, ValueError) as exc:
+        # the library rejects bad settings with ValueError: a config problem
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -23,11 +23,6 @@ from scipy.special import ndtr, ndtri
 _U_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
-def std_normal_cdf(z):
-    """Standard normal CDF, vectorized, accurate to ~1e-15 in absolute terms."""
-    return ndtr(z)
-
-
 def power_law_inv_cdf(u, delta: float):
     """Invert the power-law CDF ``F(t) = 1 - t**-(1 + delta)`` on [1, inf).
 

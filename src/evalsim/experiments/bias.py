@@ -43,22 +43,18 @@ def run_bias_grid(
     workers: int = 1,
     chunk_size: int = BIAS_CHUNK,
     coin_mode: bool = False,
-    require_delta_axis: bool = True,
 ) -> list:
     """Run the paired comparison over a two-axis grid.
 
-    Grids follow the reference presentation of one tail-weight axis (delta)
-    against one other parameter; pass ``require_delta_axis=False`` to sweep
-    any two parameters.  With ``coin_mode`` False the committee is the fixed
-    one-biased, one-unbiased pair; with True each evaluator is independently
-    biased with probability ``gamma``, which must then be supplied by the
-    grid.  Returns three rows per point: holistic accuracy, segmented
-    accuracy, and their paired difference (segmented minus holistic).
+    With ``coin_mode`` False the committee is the fixed one-biased,
+    one-unbiased pair; with True each evaluator is independently biased with
+    probability ``gamma``, which must then be supplied by the grid.  Returns
+    three rows per point: holistic accuracy, segmented accuracy, and their
+    paired difference (segmented minus holistic), in the order the worker
+    names them.
     """
     if len(grid.axes) != 2:
         raise ValueError("bias grids sweep exactly two parameters")
-    if require_delta_axis and "delta" not in grid.axis_names:
-        raise ValueError("one grid axis must be delta (pass require_delta_axis=False to override)")
     if grid.runs is not None:
         runs = grid.runs
 
@@ -77,7 +73,7 @@ def run_bias_grid(
         merged["marginal"] = ("power_law", {"delta": merged["delta"]})
         worker_points.append(merged)
 
-    sums = run_points(
+    moments = run_points(
         bias_worker,
         worker_points,
         runs,
@@ -88,15 +84,10 @@ def run_bias_grid(
     )
 
     results = []
-    for point, acc in zip(points, sums):
-        count = int(acc["count"])
+    for point, by_scheme in zip(points, moments):
         shared = {name: point[name] for name in grid.axis_names}
-        for scheme, key in (
-            ("holistic", "hol"),
-            ("segmented", "seg"),
-            ("difference", "diff"),
-        ):
-            mean, se = mean_and_se(acc[f"sum_{key}"], acc[f"sumsq_{key}"], count)
+        for scheme, sums in by_scheme.items():
+            mean, se = mean_and_se(*sums)
             results.append(
                 ExperimentResult(
                     params=shared,

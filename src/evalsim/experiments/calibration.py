@@ -55,7 +55,7 @@ def run_calibration_sweep(
         {"n": n, "num_bins": num_bins, "marginal": marginal_spec}
         for n in n_values
     ]
-    sums = run_points(
+    moments = run_points(
         calibration_worker,
         points,
         runs,
@@ -66,8 +66,8 @@ def run_calibration_sweep(
     )
 
     results = []
-    for n, acc in zip(n_values, sums):
-        mean, se = mean_and_se(acc["sum"], acc["sumsq"], int(acc["count"]))
+    for n, sums in zip(n_values, moments):
+        mean, se = mean_and_se(*sums["err"])
         results.append(
             ExperimentResult(
                 params={"n": n},

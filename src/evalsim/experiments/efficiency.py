@@ -52,7 +52,7 @@ def run_efficiency_sweep(
         {**point, "marginal": ("power_law", {"delta": point["delta"]})}
         for point in points
     ]
-    sums = run_points(
+    moments = run_points(
         efficiency_worker,
         worker_points,
         runs,
@@ -63,8 +63,8 @@ def run_efficiency_sweep(
     )
 
     results = []
-    for point, acc in zip(points, sums):
-        mean, se = mean_and_se(acc["sum"], acc["sumsq"], int(acc["count"]))
+    for point, sums in zip(points, moments):
+        mean, se = mean_and_se(*sums["acc"])
         shared = {name: point[name] for name in ("tau", "sigma")}
         results.append(
             ExperimentResult(

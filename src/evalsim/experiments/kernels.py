@@ -24,7 +24,7 @@ from scipy.special import ndtr
 from ..distributions import PowerLaw, TruncatedNormal, _U_BELOW_ONE, power_law_inv_cdf
 from ..evaluators import screening_cutoff
 from ..metrics import percentile_bin
-from ..population import round_half_up
+from ..population import MAX_TIE_REDRAWS, round_half_up, tied_best_error
 
 
 def marginal_from_spec(spec):
@@ -82,6 +82,23 @@ def _tie_adjusted_hits(estimates: np.ndarray, best: np.ndarray) -> np.ndarray:
     return hit / ties
 
 
+def _redraw_tied_rows(values: np.ndarray, draw, marginal) -> None:
+    """Redraw, in place, every run whose true best applicant is tied.
+
+    ``values`` is ``(batch, n)`` or ``(batch, n, d)``, ranked by row total;
+    ``draw(k)`` returns ``k`` fresh runs.  Only the tied runs are redrawn,
+    at most ``MAX_TIE_REDRAWS`` times.
+    """
+    for attempt in range(MAX_TIE_REDRAWS + 1):
+        total = values if values.ndim == 2 else values.sum(axis=2)
+        tied = (total == total.max(axis=1)[:, None]).sum(axis=1) > 1
+        if not tied.any():
+            return
+        if attempt == MAX_TIE_REDRAWS:
+            raise tied_best_error(marginal)
+        values[tied] = draw(int(tied.sum()))
+
+
 # ---------------------------------------------------------------------------
 # calibration: local quantile bins versus population bins
 
@@ -95,12 +112,7 @@ def calibration_worker(params: dict, rng: np.random.Generator, size: int) -> dic
     ranks = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
     local = -(-num_bins * ranks // n)
     truth = percentile_bin(marginal.cdf(x), num_bins)
-    err = np.abs(local - truth).mean(axis=1)
-    return {
-        "sum": float(err.sum()),
-        "sumsq": float((err * err).sum()),
-        "count": float(size),
-    }
+    return {"err": np.abs(local - truth).mean(axis=1)}
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +157,11 @@ def draw_efficiency_batch(
 ):
     """Draw pools (redrawing any run whose true best is tied) and ownership."""
     values = draw_correlated_values(rng, size, n, 2, sigma, marginal)
-    while True:
-        total = values[:, :, 0] + values[:, :, 1]
-        top = total.max(axis=1)
-        bad = (total == top[:, None]).sum(axis=1) > 1
-        if not bad.any():
-            break
-        values[bad] = draw_correlated_values(
-            rng, int(bad.sum()), n, 2, sigma, marginal
-        )
+    _redraw_tied_rows(
+        values,
+        lambda k: draw_correlated_values(rng, k, n, 2, sigma, marginal),
+        marginal,
+    )
     rows0 = random_subset_mask(rng, size, n, n // 2)
     return values, rows0
 
@@ -167,12 +175,7 @@ def efficiency_worker(params: dict, rng: np.random.Generator, size: int) -> dict
         raise ValueError("the two-screener committee needs an even pool")
 
     values, rows0 = draw_efficiency_batch(rng, size, n, sigma, marginal)
-    acc = efficiency_accuracies(values, rows0, tau)
-    return {
-        "sum": float(acc.sum()),
-        "sumsq": float((acc * acc).sum()),
-        "count": float(size),
-    }
+    return {"acc": efficiency_accuracies(values, rows0, tau)}
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +241,11 @@ def draw_bias_batch(
     if n % 2 or d % 2:
         raise ValueError("two-evaluator committees need even n and d")
     values = draw_correlated_values(rng, size, n, d, sigma, marginal)
-    while True:
-        total = values.sum(axis=2)
-        top = total.max(axis=1)
-        bad = (total == top[:, None]).sum(axis=1) > 1
-        if not bad.any():
-            break
-        values[bad] = draw_correlated_values(
-            rng, int(bad.sum()), n, d, sigma, marginal
-        )
+    _redraw_tied_rows(
+        values,
+        lambda k: draw_correlated_values(rng, k, n, d, sigma, marginal),
+        marginal,
+    )
     disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
     protected = random_subset_mask(rng, size, d, round_half_up(lam * d))
     hol_rows0 = random_subset_mask(rng, size, n, n // 2)
@@ -279,16 +278,7 @@ def bias_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
         None if gamma is None else float(gamma),
     )
     acc_h, acc_s = bias_scheme_accuracies(*batch, beta)
-    diff = acc_s - acc_h
-    return {
-        "sum_hol": float(acc_h.sum()),
-        "sumsq_hol": float((acc_h * acc_h).sum()),
-        "sum_seg": float(acc_s.sum()),
-        "sumsq_seg": float((acc_s * acc_s).sum()),
-        "sum_diff": float(diff.sum()),
-        "sumsq_diff": float((diff * diff).sum()),
-        "count": float(size),
-    }
+    return {"holistic": acc_h, "segmented": acc_s, "difference": acc_s - acc_h}
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +340,11 @@ def draw_theorem_batch(
     if n % 2:
         raise ValueError("the theorem setting needs an even pool")
     values = power_law_inv_cdf(rng.random((size, n)), delta)
-    while True:
-        top = values.max(axis=1)
-        bad = (values == top[:, None]).sum(axis=1) > 1
-        if not bad.any():
-            break
-        values[bad] = power_law_inv_cdf(rng.random((int(bad.sum()), n)), delta)
+    _redraw_tied_rows(
+        values,
+        lambda k: power_law_inv_cdf(rng.random((k, n)), delta),
+        PowerLaw(delta),
+    )
     disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
     protected2 = random_subset_mask(rng, size, 2, round_half_up(lam * 2))
     hol_rows0 = random_subset_mask(rng, size, n, n // 2)
@@ -378,22 +367,13 @@ def theorem_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
         float(params["gamma"]),
     )
     err_h, err_s, best_is_dis = theorem_error_pairs(*batch, beta)
-    diff = err_h - err_s
-    eh_dis = err_h * best_is_dis
-    es_dis = err_s * best_is_dis
     return {
-        "sum_hol": float(err_h.sum()),
-        "sumsq_hol": float((err_h * err_h).sum()),
-        "sum_seg": float(err_s.sum()),
-        "sumsq_seg": float((err_s * err_s).sum()),
-        "sum_diff": float(diff.sum()),
-        "sumsq_diff": float((diff * diff).sum()),
-        "sum_hol_dis": float(eh_dis.sum()),
-        "sumsq_hol_dis": float((eh_dis * eh_dis).sum()),
-        "sum_seg_dis": float(es_dis.sum()),
-        "sumsq_seg_dis": float((es_dis * es_dis).sum()),
-        "sum_dis": float(best_is_dis.sum()),
-        "count": float(size),
+        "hol": err_h,
+        "seg": err_s,
+        "diff": err_h - err_s,
+        "hol_dis": err_h * best_is_dis,
+        "seg_dis": err_s * best_is_dis,
+        "dis": best_is_dis,
     }
 
 
@@ -406,5 +386,4 @@ def tail_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
     delta = float(params["delta"])
     dis_best = power_law_inv_cdf(rng.random((size, m)), delta).max(axis=1)
     adv_best = power_law_inv_cdf(rng.random((size, m)), delta).max(axis=1)
-    below = dis_best < 2.0 * adv_best
-    return {"sum": float(below.sum()), "count": float(size)}
+    return {"below": dis_best < 2.0 * adv_best}

@@ -2,10 +2,13 @@
 
 Runs at each grid point are cut into fixed-size chunks.  Each chunk draws
 from a stream derived only from (master seed, experiment tag, point index,
-chunk index) and returns a dict of partial sums; partials are reduced in
-chunk order.  Because neither the derivation nor the reduction order depends
-on scheduling, a sweep yields bitwise-identical results whether it runs
-sequentially or on a process pool of any size.
+chunk index).  A worker returns named per-run arrays, for example
+``{"hol": err_h, "seg": err_s}``; the runner reduces each array to its sum,
+sum of squares and run count in the process that ran the chunk, so only a
+few floats cross the pool, and adds the chunks in chunk order.  Because
+neither the derivation nor the reduction order depends on scheduling, a
+sweep yields bitwise-identical results whether it runs sequentially or on a
+process pool of any size.
 
 Chunk size is part of the stream layout: changing it regroups the draws and
 therefore changes individual estimates (never their distribution).  Keep it
@@ -32,9 +35,13 @@ def chunk_sizes(runs: int, chunk_size: int) -> list:
 
 
 def _run_one(task):
+    """Run one chunk and reduce each per-run array to ``(sum, sumsq, runs)``."""
     worker, params, seed, prefix, point_index, chunk_index, size = task
     rng = derive_stream(seed, *prefix, point_index, chunk_index)
-    return point_index, chunk_index, worker(params, rng, size)
+    arrays = worker(params, rng, size)
+    return point_index, {
+        name: (float(x.sum()), float((x * x).sum()), size) for name, x in arrays.items()
+    }
 
 
 def run_points(
@@ -46,12 +53,14 @@ def run_points(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
 ) -> list:
-    """Evaluate ``worker`` over all points and reduce chunk partials.
+    """Evaluate ``worker`` over all points and reduce its per-run arrays.
 
-    ``worker(params, rng, size)`` must return a dict of float partial sums
-    for ``size`` runs and must be picklable (a module-level function) when
-    ``workers > 1``.  ``stream_tag`` is an int or tuple of ints prefixed to
-    every stream path.  Returns one summed dict per point, in point order.
+    ``worker(params, rng, size)`` must return a dict of 1-d arrays, each
+    holding one value per run, and must be picklable (a module-level
+    function) when ``workers > 1``.  ``stream_tag`` is an int or tuple of ints
+    prefixed to every stream path.  Returns one dict per point, in point
+    order, mapping each array name to ``(sum, sumsq, runs)`` over all chunks,
+    ready for ``mean_and_se(*moments)``.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -68,17 +77,13 @@ def run_points(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_run_one, tasks, chunksize=1))
 
-    partials = {}
-    for point_index, chunk_index, part in outputs:
-        partials.setdefault(point_index, []).append((chunk_index, part))
-
-    reduced = []
-    for point_index in range(len(points)):
-        acc = {}
-        for _, part in sorted(partials[point_index]):
-            for key, value in part.items():
-                acc[key] = acc.get(key, 0.0) + value
-        reduced.append(acc)
+    # both maps yield in task order, so each point's chunks arrive in order
+    reduced = [{} for _ in points]
+    for point_index, part in outputs:
+        acc = reduced[point_index]
+        for name, (total, total_sq, count) in part.items():
+            acc_total, acc_sq, acc_count = acc.get(name, (0.0, 0.0, 0))
+            acc[name] = (acc_total + total, acc_sq + total_sq, acc_count + count)
     return reduced
 
 

@@ -19,7 +19,6 @@ PARAM_NAMES = (
     "delta",
     "tau",
     "evaluators",
-    "scheme",
 )
 
 

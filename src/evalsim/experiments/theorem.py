@@ -105,16 +105,18 @@ class PairEstimate:
     runs: int
 
 
-def _conditional_gap(sum_ei: float, sumsq_ei: float, sum_i: float, count: int):
+def _conditional_gap(err_dis: tuple, b: float):
     """Delta-method estimate of mean(err) - mean(err | best dis) / 2.
 
-    Errors vanish whenever the true best applicant is advantaged (reports
-    never raise a disadvantaged score or touch an advantaged one), so
-    mean(err) equals mean(err * indicator) and the gap reduces to a function
-    of two correlated sample means.
+    ``err_dis`` holds the ``(sum, sumsq, runs)`` of err * indicator and ``b``
+    is the fraction of runs whose best applicant is disadvantaged.  Errors
+    vanish whenever the true best applicant is advantaged (reports never
+    raise a disadvantaged score or touch an advantaged one), so mean(err)
+    equals mean(err * indicator) and the gap reduces to a function of two
+    correlated sample means.
     """
+    sum_ei, sumsq_ei, count = err_dis
     a = sum_ei / count
-    b = sum_i / count
     if not 0.0 < b < 1.0:
         return 0.0, 0.0
     gap = a * (1.0 - 1.0 / (2.0 * b))
@@ -128,16 +130,13 @@ def _conditional_gap(sum_ei: float, sumsq_ei: float, sum_i: float, count: int):
 
 
 def _pair_from_sums(sums: dict) -> PairEstimate:
-    count = int(sums["count"])
-    err_hol, se_hol = mean_and_se(sums["sum_hol"], sums["sumsq_hol"], count)
-    err_seg, se_seg = mean_and_se(sums["sum_seg"], sums["sumsq_seg"], count)
-    diff, se_diff = mean_and_se(sums["sum_diff"], sums["sumsq_diff"], count)
-    gap_hol, gap_hol_se = _conditional_gap(
-        sums["sum_hol_dis"], sums["sumsq_hol_dis"], sums["sum_dis"], count
-    )
-    gap_seg, gap_seg_se = _conditional_gap(
-        sums["sum_seg_dis"], sums["sumsq_seg_dis"], sums["sum_dis"], count
-    )
+    err_hol, se_hol = mean_and_se(*sums["hol"])
+    err_seg, se_seg = mean_and_se(*sums["seg"])
+    diff, se_diff = mean_and_se(*sums["diff"])
+    sum_dis, _, count = sums["dis"]
+    p_best_dis = sum_dis / count
+    gap_hol, gap_hol_se = _conditional_gap(sums["hol_dis"], p_best_dis)
+    gap_seg, gap_seg_se = _conditional_gap(sums["seg_dis"], p_best_dis)
     return PairEstimate(
         err_hol=err_hol,
         se_hol=se_hol,
@@ -145,7 +144,7 @@ def _pair_from_sums(sums: dict) -> PairEstimate:
         se_seg=se_seg,
         diff=diff,
         se_diff=se_diff,
-        p_best_dis=sums["sum_dis"] / count,
+        p_best_dis=p_best_dis,
         gap_hol=gap_hol,
         gap_hol_se=gap_hol_se,
         gap_seg=gap_seg,
@@ -185,7 +184,7 @@ def run_error_pairs(
             float(point["beta"]),
             float(point["lambda"]),
         )
-    sums = run_points(
+    moments = run_points(
         theorem_worker,
         points,
         runs,
@@ -194,7 +193,7 @@ def run_error_pairs(
         chunk_size,
         workers,
     )
-    return [_pair_from_sums(s) for s in sums]
+    return [_pair_from_sums(sums) for sums in moments]
 
 
 def tail_probability(
@@ -209,7 +208,7 @@ def tail_probability(
     """Monte Carlo P(best of one group < 2 * best of the other) and its SE."""
     if n_per_group < 1:
         raise ValueError("group size must be positive")
-    sums = run_points(
+    below, _, count = run_points(
         tail_worker,
         [{"n_per_group": n_per_group, "delta": delta}],
         pools,
@@ -217,9 +216,8 @@ def tail_probability(
         stream_tag,
         chunk_size,
         workers,
-    )[0]
-    count = sums["count"]
-    p = sums["sum"] / count
+    )[0]["below"]
+    p = below / count
     se = math.sqrt(max(0.0, p * (1.0 - p)) / count)
     return p, se
 

@@ -18,6 +18,18 @@ import numpy as np
 
 from .distributions import sample_correlated_matrix
 
+# A tie for the best applicant has probability zero under a continuous
+# marginal, so a pool still tied after this many redraws means the marginal
+# is numerically constant, as a power law with a huge delta is.
+MAX_TIE_REDRAWS = 10
+
+
+def tied_best_error(marginal) -> ValueError:
+    return ValueError(
+        f"the best applicant stayed tied through {MAX_TIE_REDRAWS} redraws:"
+        f" {marginal} gives numerically constant values (is delta too large?)"
+    )
+
 
 def round_half_up(x: float) -> int:
     """Round to the nearest integer with halves going up.
@@ -86,7 +98,7 @@ def build_pool(
     ``round_half_up(lam * d)`` attributes are flagged protected, both chosen
     uniformly at random.  If the maximal row mean is attained by more than
     one applicant (possible only through floating-point coincidence), the
-    entire pool is redrawn.
+    entire pool is redrawn, at most ``MAX_TIE_REDRAWS`` times.
     """
     if n < 2:
         raise ValueError("a pool needs at least 2 applicants")
@@ -100,7 +112,7 @@ def build_pool(
     k_dis = round_half_up(alpha * n)
     k_prot = round_half_up(lam * d)
 
-    while True:
+    for _ in range(MAX_TIE_REDRAWS + 1):
         values = sample_correlated_matrix(n, d, sigma, marginal, rng)
         disadvantaged = np.zeros(n, dtype=bool)
         disadvantaged[:k_dis] = True
@@ -114,6 +126,7 @@ def build_pool(
         row_means = values.mean(axis=1)
         if np.count_nonzero(row_means == row_means.max()) == 1:
             return AttributeMatrix(values, disadvantaged, protected)
+    raise tied_best_error(marginal)
 
 
 def pool_to_csv(pool: AttributeMatrix, path) -> None:

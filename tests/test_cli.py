@@ -1,15 +1,35 @@
 """End-to-end command-line behavior: options, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evalsim import __version__
-from evalsim.cli import OUTPUT_DIR_ENV, main, read_config_file, sig4
+from evalsim import __version__, cli
+from evalsim.cli import OPTIONS, OUTPUT_DIR_ENV, main, read_config_file, sig4
+from evalsim.experiments.results import PARAM_NAMES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_process(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter, so a hang fails instead of blocking."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "evalsim.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +68,16 @@ def test_missing_config_file(capsys, tmp_path):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+def test_malformed_json_config(capsys, tmp_path):
+    cfg = tmp_path / "meta.json"
+    cfg.write_text('{"config": {"seed": "3",}')
+    assert run_cli("calibration", "--config", str(cfg)) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+    cfg.write_text('{"config": ["seed=3"]}')
+    assert run_cli("calibration", "--config", str(cfg)) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\n\nseed = 4\nruns= 10\n")
@@ -80,6 +110,42 @@ def test_output_dir_env_fallback(monkeypatch, tmp_path):
     assert (flag_dir / "calibration.csv").exists()
 
 
+_FLOATS = st.floats(allow_nan=False)
+
+
+@st.composite
+def _axes(draw):
+    name = draw(st.sampled_from(PARAM_NAMES))
+    integer = name in ("n", "d", "evaluators")
+    return name, tuple(draw(st.lists(st.integers() if integer else _FLOATS, min_size=1)))
+
+
+_VALUES = {
+    cli._parse_int: st.integers(),
+    cli._parse_float: _FLOATS,
+    cli._parse_str: st.text(st.characters(blacklist_categories=("Cs",))),
+    cli._parse_bool: st.booleans(),
+    cli._parse_int_list: st.lists(st.integers()).map(tuple),
+    cli._parse_float_list: st.lists(_FLOATS).map(tuple),
+    cli._parse_axis: _axes(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_metadata_config_round_trips(command, data):
+    # a metadata JSON's config block, fed back through --config, resolves
+    # to the very values that produced it
+    values = {opt.name: data.draw(_VALUES[opt.parse], label=opt.name) for opt in OPTIONS[command]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "metadata.json")
+        with open(path, "w") as fh:
+            json.dump({"config": cli._config_strings(values)}, fh)
+        args = cli.build_parser().parse_args([command, "--config", path])
+        assert cli.resolve_options(command, args) == values
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
@@ -96,6 +162,12 @@ def test_outdir_collision_is_a_runtime_error(capsys, tmp_path):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_calibration_rejects_one_bin(capsys, tmp_path):
+    code = run_cli("calibration", "--seed", "3", "--num-bins", "1", "--outdir", str(tmp_path))
+    assert code == 2
+    assert "num_bins" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +290,43 @@ def test_bias_grid_rejects_unknown_axis(capsys, tmp_path):
     assert "voltage" in capsys.readouterr().err
 
 
-def test_bias_grid_requires_delta_axis(capsys, tmp_path):
-    args = (
+def test_bias_grid_sweeps_any_two_parameters(capsys, tmp_path):
+    code = run_cli(
         "bias-grid", "--seed", "3", "--runs", "16",
         "--axis1", "alpha=0.5,1.0", "--axis2", "sigma=0,1",
         "--n", "4", "--d", "4", "--outdir", str(tmp_path),
     )
-    assert run_cli(*args) == 2
-    assert "delta" in capsys.readouterr().err
-    assert run_cli(*args, "--require-delta-axis", "false") == 0
+    assert code == 0
+    lines = (tmp_path / "bias_grid.csv").read_text().splitlines()
+    assert lines[0] == "alpha,sigma,scheme,estimate,std_error,runs,seed"
+    # metadata from before the delta-axis rule was dropped no longer resolves
+    meta = tmp_path / "bias_grid_metadata.json"
+    payload = json.loads(meta.read_text())
+    payload["config"]["require_delta_axis"] = "true"
+    meta.write_text(json.dumps(payload))
+    assert run_cli("bias-grid", "--config", str(meta)) == 2
+    assert "require_delta_axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["n=4,2.5", "d=2.0", "evaluators=2,3.5"])
+def test_integer_axes_reject_fractions(capsys, tmp_path, axis):
+    code = run_cli(
+        "bias-grid", "--seed", "3", "--runs", "16",
+        "--axis1", "delta=1", "--axis2", axis, "--outdir", str(tmp_path),
+    )
+    assert code == 2
+    assert "bad value for 'axis2'" in capsys.readouterr().err
+    assert not (tmp_path / "bias_grid.csv").exists()
+
+
+def test_bias_grid_constant_marginal_exits(tmp_path):
+    done = run_cli_process(
+        "bias-grid", "--seed", "1", "--runs", "16",
+        "--axis1", "delta=1e300", "--axis2", "sigma=0.5",
+        "--n", "4", "--d", "4", "--outdir", str(tmp_path),
+    )
+    assert done.returncode == 2
+    assert "delta=1e+300" in done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +402,18 @@ def test_pool_dump_rejects_unknown_scheme(capsys, tmp_path):
     )
     assert code == 2
     assert "diagonal" in capsys.readouterr().err
+
+
+def test_pool_dump_rejects_bad_alpha(capsys, tmp_path):
+    code = run_cli("pool-dump", "--seed", "11", "--alpha", "2", "--outdir", str(tmp_path))
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+def test_pool_dump_constant_marginal_exits(tmp_path):
+    done = run_cli_process("pool-dump", "--seed", "1", "--delta", "1e300", "--outdir", str(tmp_path))
+    assert done.returncode == 2
+    assert "delta=1e+300" in done.stderr
 
 
 def test_pool_dump_rejects_indivisible_committee(capsys, tmp_path):

@@ -16,6 +16,7 @@ from evalsim.experiments.results import (
     write_metadata_json,
     write_results_csv,
 )
+from evalsim.rng import derive_stream
 
 CAL_POINT = {"n": 10, "num_bins": 5, "marginal": ("power_law", {"delta": 1.0})}
 
@@ -50,7 +51,18 @@ def test_run_points_is_worker_count_invariant():
         calibration_worker, points, 300, 9, (7, 3), chunk_size=64, workers=2
     )
     assert serial == pooled
-    assert [s["count"] for s in serial] == [300.0, 300.0]
+    assert [s["err"][2] for s in serial] == [300, 300]
+
+
+def test_run_points_reduces_per_run_arrays_in_chunk_order():
+    # the worker's per-run arrays, summed chunk by chunk from 0.0
+    (out,) = run_points(calibration_worker, [CAL_POINT], 150, 9, (7, 3), chunk_size=64)
+    total = total_sq = 0.0
+    for chunk_index, size in enumerate((64, 64, 22)):
+        err = calibration_worker(CAL_POINT, derive_stream(9, 7, 3, 0, chunk_index), size)["err"]
+        total += float(err.sum())
+        total_sq += float((err * err).sum())
+    assert out == {"err": (total, total_sq, 150)}
 
 
 def test_run_points_layout_is_part_of_the_stream():
@@ -262,10 +274,7 @@ def test_bias_grid_validation():
     with pytest.raises(ValueError):
         run_bias_grid(GridSpec(axes=(("sigma", (0.5,)),)), seed=9, runs=64)
     no_delta = GridSpec(axes=(("sigma", (0.5,)), ("beta", (0.0,))), fixed={"n": 4, "d": 4})
-    with pytest.raises(ValueError):
-        run_bias_grid(no_delta, seed=9, runs=64)
-    rows = run_bias_grid(no_delta, seed=9, runs=64, require_delta_axis=False)
-    assert len(rows) == 3
+    assert len(run_bias_grid(no_delta, seed=9, runs=64)) == 3
     three = GridSpec(
         axes=(("delta", (1.0,)), ("sigma", (0.5,))),
         fixed={"n": 4, "d": 4, "evaluators": 3},

@@ -19,6 +19,7 @@ from evalsim.evaluators import (
     report_screened,
 )
 from evalsim.experiments.kernels import (
+    _redraw_tied_rows,
     bias_scheme_accuracies,
     calibration_worker,
     draw_bias_batch,
@@ -35,7 +36,7 @@ from evalsim.experiments.kernels import (
 )
 from evalsim.evaluators import local_quantile_bins, screening_cutoff
 from evalsim.metrics import mean_bin_error, top1_accuracy
-from evalsim.population import AttributeMatrix
+from evalsim.population import MAX_TIE_REDRAWS, AttributeMatrix
 from evalsim.rng import derive_stream
 
 POWER_LAW = ("power_law", {"delta": 1.0})
@@ -95,6 +96,34 @@ def test_draw_correlated_values_full_correlation_is_exact():
     assert np.all(values >= 1.0)
 
 
+def test_redraw_tied_rows_replaces_only_tied_runs():
+    values = np.array([[1.0, 2.0, 2.0], [3.0, 1.0, 2.0]])
+    _redraw_tied_rows(values, lambda k: np.tile([5.0, 1.0, 1.0], (k, 1)), PowerLaw(1.0))
+    assert np.array_equal(values, [[5.0, 1.0, 1.0], [3.0, 1.0, 2.0]])
+    # (batch, n, d) values are ranked by row total
+    cube = np.array([[[1.0, 2.0], [2.0, 1.0], [0.0, 1.0]]])
+    fresh = [[9.0, 9.0], [1.0, 1.0], [1.0, 1.0]]
+    _redraw_tied_rows(cube, lambda k: np.tile(fresh, (k, 1, 1)), PowerLaw(1.0))
+    assert np.array_equal(cube[0], fresh)
+
+
+def test_redraw_tied_rows_is_bounded():
+    calls = []
+
+    def constant(k):
+        calls.append(k)
+        return np.ones((k, 3))
+
+    with pytest.raises(ValueError, match="delta=1e"):
+        _redraw_tied_rows(np.ones((2, 3)), constant, PowerLaw(1e300))
+    assert calls == [2] * MAX_TIE_REDRAWS
+    # a huge delta makes every power-law draw 1.0, so every run ties
+    with pytest.raises(ValueError, match="delta=1e"):
+        draw_theorem_batch(derive_stream(52, 8), 8, 4, 1e300, 0.5, 1.0, 0.5)
+    with pytest.raises(ValueError, match="delta=1e"):
+        draw_bias_batch(derive_stream(52, 8), 8, 4, 2, 0.5, 0.5, 0.5, PowerLaw(1e300), None)
+
+
 # ---------------------------------------------------------------------------
 # calibration kernel
 
@@ -108,9 +137,7 @@ def test_calibration_worker_matches_object_route():
     errors = np.array(
         [mean_bin_error(local_quantile_bins(row, 5), marginal.cdf(row), 5) for row in x]
     )
-    assert out["count"] == 200.0
-    assert out["sum"] == errors.sum()
-    assert out["sumsq"] == (errors * errors).sum()
+    assert np.array_equal(out["err"], errors)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +176,7 @@ def test_efficiency_worker_full_budget_is_perfect():
     params = {"n": 10, "sigma": 0.3, "tau": 1.0, "marginal": POWER_LAW}
     out = efficiency_worker(params, derive_stream(46, 8), 300)
     # tau = 1 screens nobody: the committee sees everything and cannot miss
-    assert out["sum"] == 300.0
-    assert out["sumsq"] == 300.0
+    assert np.array_equal(out["acc"], np.ones(300))
     with pytest.raises(ValueError):
         efficiency_worker({**params, "n": 9}, derive_stream(46, 8), 10)
 
@@ -273,12 +299,13 @@ def test_theorem_errors_only_hit_disadvantaged_bests():
 def test_theorem_worker_sums_are_consistent():
     params = {"n": 4, "delta": 1.0, "lambda": 1.0, "gamma": 0.5, "beta": 0.0}
     out = theorem_worker(params, derive_stream(51, 8), 400)
-    assert out["count"] == 400.0
-    assert 0.0 <= out["sum_hol"] <= 400.0
-    assert 0.0 <= out["sum_seg"] <= 400.0
-    assert out["sum_diff"] == pytest.approx(out["sum_hol"] - out["sum_seg"], abs=1e-9)
-    # errors can strike only disadvantaged bests, so the conditional sums match
-    assert out["sum_hol_dis"] == out["sum_hol"]
-    assert out["sum_seg_dis"] == out["sum_seg"]
+    assert all(x.shape == (400,) for x in out.values())
+    assert np.all((0.0 <= out["hol"]) & (out["hol"] <= 1.0))
+    assert np.all((0.0 <= out["seg"]) & (out["seg"] <= 1.0))
+    assert np.array_equal(out["diff"], out["hol"] - out["seg"])
+    # errors can strike only disadvantaged bests, so the conditional errors match
+    assert np.array_equal(out["hol_dis"], out["hol"])
+    assert np.array_equal(out["seg_dis"], out["seg"])
+    assert out["dis"].dtype == bool
     with pytest.raises(ValueError):
         draw_theorem_batch(derive_stream(51, 8), 8, 5, 1.0, 0.5, 1.0, 0.5)

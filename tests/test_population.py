@@ -101,6 +101,12 @@ def test_build_pool_validation():
         build_pool(4, 2, 0.5, 0.5, -0.1, law, rng)
 
 
+def test_build_pool_gives_up_on_a_constant_marginal():
+    # every power-law draw is 1.0 at a huge delta, so every pool is tied
+    with pytest.raises(ValueError, match="delta=1e"):
+        build_pool(4, 2, 0.5, 0.5, 0.5, PowerLaw(1e300), derive_stream(1, 6))
+
+
 def test_attribute_matrix_shape_validation():
     values = np.ones((3, 2))
     good_dis = np.zeros(3, dtype=bool)
