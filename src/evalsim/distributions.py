@@ -74,8 +74,9 @@ class PowerLaw:
 class TruncatedNormal:
     """Normal(mean, scale) conditioned on the interval [low, high].
 
-    An alternative light-tailed marginal.  Sampling is by rejection from the
-    parent normal, which is exact; cdf and inv_cdf are closed-form.
+    An alternative light-tailed marginal.  cdf and inv_cdf are closed-form,
+    and sampling is by inverse transform, so it takes no loop.  An interval
+    whose mass rounds to zero is rejected at construction.
     """
 
     mean: float
@@ -88,6 +89,10 @@ class TruncatedNormal:
             raise ValueError("scale must be positive")
         if not self.low < self.high:
             raise ValueError("low must be strictly below high")
+        if self._mass()[1] == 0.0:
+            raise ValueError(
+                f"[{self.low}, {self.high}] has no normal mass in double precision"
+            )
 
     @property
     def support_min(self) -> float:
@@ -116,16 +121,8 @@ class TruncatedNormal:
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):
-        shape = () if size is None else size
-        out = np.empty(shape, dtype=float)
-        flat = out.reshape(-1)
-        pending = np.arange(flat.size)
-        while pending.size:
-            draw = self.mean + self.scale * rng.standard_normal(pending.size)
-            ok = (draw >= self.low) & (draw <= self.high)
-            flat[pending[ok]] = draw[ok]
-            pending = pending[~ok]
-        return float(out) if out.ndim == 0 else out
+        """Draw by inverse-transform from ``rng``."""
+        return self.inv_cdf(rng.random(size))
 
 
 @dataclass(frozen=True)

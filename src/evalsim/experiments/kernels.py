@@ -10,6 +10,12 @@ same ``where(discounted, beta * x, x)`` expression and summed along the same
 axis as the object layer precisely so that equality is exact rather than
 approximate.
 
+The theorem draw does not draw whole pools: in its fully correlated
+two-attribute setting an estimate is a per-class constant times the value,
+so ``draw_theorem_batch`` samples only the best value in each of four
+classes.  Its scorer is unchanged; on the class maxima of a full pool it
+returns that pool's errors bit for bit.
+
 Sweeps run millions of pools on one core, so everything is vectorized over
 the batch axis, and the chunked runner keeps per-chunk memory modest.
 """
@@ -301,6 +307,10 @@ def theorem_error_pairs(
     applicant (sigma = 1).  ``protected2 (B, 2)`` flags protected attributes,
     ``seg_first`` is True where evaluator 0 owns attribute 0 under the
     segmented scheme.  Returns ``(err_hol, err_seg, best_is_dis)``.
+
+    The columns may be whole pools or the four class maxima of
+    ``draw_theorem_batch``: an estimate is a per-class positive constant
+    times the value, so only a class's best applicant can be picked.
     """
     batch, n = values.shape
     best = np.argmax(values, axis=1)
@@ -327,27 +337,61 @@ def theorem_error_pairs(
     return err_h, err_s, best_is_dis
 
 
+def max_of_draws(rng: np.random.Generator, counts, delta: float) -> np.ndarray:
+    """Maximum of ``counts`` i.i.d. power-law draws, elementwise.
+
+    The maximum of k i.i.d. draws has CDF ``F(t)**k``, so it is
+    ``F^-1(U**(1/k))`` for a single uniform U (David & Nagaraja, *Order
+    Statistics*, sec. 2.1): one uniform per maximum, whatever k.  Where k is 0
+    the result is 0.0, below the support minimum 1, so an empty class is
+    never the best and never ties the top.
+    """
+    k = np.asarray(counts)
+    u = rng.random(k.shape) ** (1.0 / np.maximum(k, 1))
+    return np.where(k > 0, power_law_inv_cdf(np.minimum(u, _U_BELOW_ONE), delta), 0.0)
+
+
+# Class patterns of the theorem draw's four columns: (disadvantaged, owner 0),
+# (disadvantaged, owner 1), (advantaged, owner 0), (advantaged, owner 1).
+_CLASS_DISADVANTAGED = np.array([True, True, False, False])
+_CLASS_OWNER0 = np.array([True, False, True, False])
+
+
+def theorem_class_sizes(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """Applicants per class, ``(size, 4)``, in the order of the class patterns.
+
+    Half of the ``n`` applicants are disadvantaged and evaluator 0 owns a
+    uniformly random half, so its disadvantaged share is hypergeometric.
+    """
+    half = n // 2
+    dis0 = rng.hypergeometric(half, half, half, size)
+    return np.stack([dis0, half - dis0, half - dis0, dis0], axis=1)
+
+
 def draw_theorem_batch(
     rng: np.random.Generator,
     size: int,
     n: int,
     delta: float,
-    alpha: float,
     lam: float,
     gamma: float,
 ):
-    """Draw one chunk of the theorem experiment in a fixed order."""
+    """Draw one chunk of the theorem experiment in a fixed order.
+
+    A run is drawn as its four class sizes and the best value in each class,
+    so its cost does not grow with ``n``.
+    """
     if n % 2:
         raise ValueError("the theorem setting needs an even pool")
-    values = power_law_inv_cdf(rng.random((size, n)), delta)
-    _redraw_tied_rows(
-        values,
-        lambda k: power_law_inv_cdf(rng.random((k, n)), delta),
-        PowerLaw(delta),
-    )
-    disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
+
+    def draw(k):
+        return max_of_draws(rng, theorem_class_sizes(rng, k, n), delta)
+
+    values = draw(size)
+    _redraw_tied_rows(values, draw, PowerLaw(delta))
+    disadvantaged = np.broadcast_to(_CLASS_DISADVANTAGED, values.shape)
+    hol_rows0 = np.broadcast_to(_CLASS_OWNER0, values.shape)
     protected2 = random_subset_mask(rng, size, 2, round_half_up(lam * 2))
-    hol_rows0 = random_subset_mask(rng, size, n, n // 2)
     seg_first = rng.random(size) < 0.5
     coin0 = rng.random(size) < gamma
     coin1 = rng.random(size) < gamma
@@ -362,7 +406,6 @@ def theorem_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
         size,
         n,
         float(params["delta"]),
-        float(params.get("alpha", 0.5)),
         float(params["lambda"]),
         float(params["gamma"]),
     )
@@ -382,8 +425,8 @@ def theorem_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
 
 
 def tail_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
-    m = int(params["n_per_group"])
+    counts = np.full(size, int(params["n_per_group"]))
     delta = float(params["delta"])
-    dis_best = power_law_inv_cdf(rng.random((size, m)), delta).max(axis=1)
-    adv_best = power_law_inv_cdf(rng.random((size, m)), delta).max(axis=1)
+    dis_best = max_of_draws(rng, counts, delta)
+    adv_best = max_of_draws(rng, counts, delta)
     return {"below": dis_best < 2.0 * adv_best}

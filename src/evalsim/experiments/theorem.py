@@ -38,17 +38,11 @@ from .results import ExperimentResult
 from .kernels import tail_worker, theorem_worker
 
 THEOREM_CHUNK = 8192
-TAIL_CHUNK = 256
 
 # Sub-stream tags for the individual checks.  The formula check draws its
 # tail oracle from a stream of its own so the two estimates entering the
 # comparison are independent.
 _PART_A, _FORMULA, _THRESHOLD, _TAIL, _FORMULA_TAIL = 1, 2, 3, 4, 5
-
-
-def _tail_chunk(n_per_group: int) -> int:
-    """Chunk size keeping tail-oracle batches near a fixed element budget."""
-    return max(TAIL_CHUNK, 65536 // max(1, n_per_group))
 
 
 def threshold_delta() -> float:
@@ -202,7 +196,7 @@ def tail_probability(
     pools: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = TAIL_CHUNK,
+    chunk_size: int = THEOREM_CHUNK,
     stream_tag=STREAM_TAIL,
 ):
     """Monte Carlo P(best of one group < 2 * best of the other) and its SE."""
@@ -367,7 +361,7 @@ def run_formula_check(
             tail_samples,
             seed,
             workers,
-            chunk_size=_tail_chunk(m),
+            chunk_size,
             stream_tag=(STREAM_THEOREM, _FORMULA_TAIL, index),
         )
         p_above = 1.0 - p_below
@@ -437,7 +431,7 @@ def run_tail_check(
     pools: int = 10_000,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = TAIL_CHUNK,
+    chunk_size: int = THEOREM_CHUNK,
 ) -> tuple:
     """Check the simulated tail probability against its quadrature value."""
     checks = []

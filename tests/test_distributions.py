@@ -92,7 +92,7 @@ def test_truncated_normal_round_trip_and_bounds():
     rng = derive_stream(102, 1)
     sample = tn.sample(rng, 50_000)
     assert np.all((sample >= 0.0) & (sample <= 5.0))
-    # rejection sampling agrees with the closed-form cdf (Kolmogorov bound)
+    # inverse-transform sampling agrees with the closed-form cdf (Kolmogorov bound)
     ks = np.abs(np.sort(tn.cdf(sample)) - np.arange(1, sample.size + 1) / sample.size).max()
     assert ks <= 1.95 / math.sqrt(sample.size)
 
@@ -102,6 +102,17 @@ def test_truncated_normal_validation():
         TruncatedNormal(0.0, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         TruncatedNormal(0.0, 1.0, 2.0, 1.0)
+
+
+def test_truncated_normal_without_mass_is_rejected():
+    # the interval's normal mass rounds to 0.0; sampling it used to spin forever
+    with pytest.raises(ValueError, match="mass"):
+        TruncatedNormal(0.0, 1.0, 40.0, 41.0)
+    # a far but representable interval samples in one pass, inside its bounds
+    tn = TruncatedNormal(0.0, 1.0, -8.0, -7.0)
+    sample = tn.sample(derive_stream(103, 1), 1000)
+    assert np.all((sample >= -8.0) & (sample <= -7.0))
+    assert isinstance(tn.sample(derive_stream(103, 1)), float)
 
 
 def test_correlation_spec_covariance_and_spearman():

@@ -5,13 +5,17 @@ once through build-a-pool / report / merge / top1_accuracy.  Agreement is
 asserted with exact float equality, not tolerances — the kernels are written
 to evaluate the same expressions in the same order.  Committee sizes use a
 power-of-two number of attributes so ranking by row sum and by row mean are
-exactly interchangeable.
+exactly interchangeable.  The theorem kernel draws class maxima instead of
+whole pools; the full-pool draw kept here is the oracle it is checked against.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from evalsim.distributions import PowerLaw
+from evalsim.distributions import PowerLaw, power_law_inv_cdf
 from evalsim.evaluators import (
     EvaluatorProfile,
     merge_scores,
@@ -30,13 +34,16 @@ from evalsim.experiments.kernels import (
     efficiency_cells,
     efficiency_worker,
     marginal_from_spec,
+    max_of_draws,
     random_subset_mask,
+    tail_worker,
+    theorem_class_sizes,
     theorem_error_pairs,
     theorem_worker,
 )
 from evalsim.evaluators import local_quantile_bins, screening_cutoff
 from evalsim.metrics import mean_bin_error, top1_accuracy
-from evalsim.population import MAX_TIE_REDRAWS, AttributeMatrix
+from evalsim.population import MAX_TIE_REDRAWS, AttributeMatrix, round_half_up
 from evalsim.rng import derive_stream
 
 POWER_LAW = ("power_law", {"delta": 1.0})
@@ -119,7 +126,7 @@ def test_redraw_tied_rows_is_bounded():
     assert calls == [2] * MAX_TIE_REDRAWS
     # a huge delta makes every power-law draw 1.0, so every run ties
     with pytest.raises(ValueError, match="delta=1e"):
-        draw_theorem_batch(derive_stream(52, 8), 8, 4, 1e300, 0.5, 1.0, 0.5)
+        draw_theorem_batch(derive_stream(52, 8), 8, 4, 1e300, 1.0, 0.5)
     with pytest.raises(ValueError, match="delta=1e"):
         draw_bias_batch(derive_stream(52, 8), 8, 4, 2, 0.5, 0.5, 0.5, PowerLaw(1e300), None)
 
@@ -241,6 +248,48 @@ def test_bias_batch_fixed_committee_and_validation():
 # theorem kernel
 
 
+def _draw_full_pool_theorem_batch(rng, size, n, delta, lam, gamma):
+    """Every applicant of every run: the oracle for the class-maxima draw.
+
+    Same layout as ``draw_theorem_batch`` but with ``(size, n)`` values and
+    per-applicant group and ownership masks; half the pool is disadvantaged.
+    """
+    values = power_law_inv_cdf(rng.random((size, n)), delta)
+    _redraw_tied_rows(
+        values, lambda k: power_law_inv_cdf(rng.random((k, n)), delta), PowerLaw(delta)
+    )
+    disadvantaged = random_subset_mask(rng, size, n, n // 2)
+    protected2 = random_subset_mask(rng, size, 2, round_half_up(lam * 2))
+    hol_rows0 = random_subset_mask(rng, size, n, n // 2)
+    seg_first = rng.random(size) < 0.5
+    coin0 = rng.random(size) < gamma
+    coin1 = rng.random(size) < gamma
+    return values, disadvantaged, protected2, hol_rows0, seg_first, coin0, coin1
+
+
+def _class_maxima(batch_arrays):
+    """Reduce a full-pool batch to the four class maxima ``draw_theorem_batch`` samples."""
+    values, disadvantaged, protected2, hol_rows0, seg_first, coin0, coin1 = batch_arrays
+    class_dis = [True, True, False, False]
+    class_owner0 = [True, False, True, False]
+    maxima = np.stack(
+        [
+            np.where((disadvantaged == dis) & (hol_rows0 == own0), values, 0.0).max(axis=1)
+            for dis, own0 in zip(class_dis, class_owner0)
+        ],
+        axis=1,
+    )
+    return (
+        maxima,
+        np.broadcast_to(class_dis, maxima.shape),
+        protected2,
+        np.broadcast_to(class_owner0, maxima.shape),
+        seg_first,
+        coin0,
+        coin1,
+    )
+
+
 def _theorem_object_route(batch_arrays, beta):
     values, disadvantaged, protected2, hol_rows0, seg_first, coin0, coin1 = batch_arrays
     batch, n = values.shape
@@ -276,7 +325,7 @@ def _theorem_object_route(batch_arrays, beta):
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 def test_theorem_kernel_matches_object_route(beta, lam):
     rng = derive_stream(49, 8)
-    batch_arrays = draw_theorem_batch(rng, 64, 4, 1.0, 0.5, lam, 0.5)
+    batch_arrays = _draw_full_pool_theorem_batch(rng, 64, 4, 1.0, lam, 0.5)
     fast_h, fast_s, best_is_dis = theorem_error_pairs(*batch_arrays, beta)
     slow_h, slow_s = _theorem_object_route(batch_arrays, beta)
     assert np.array_equal(fast_h, slow_h)
@@ -290,7 +339,7 @@ def test_theorem_kernel_matches_object_route(beta, lam):
 def test_theorem_errors_only_hit_disadvantaged_bests():
     # discounts only lower scores, so an advantaged best applicant never loses
     rng = derive_stream(50, 8)
-    batch_arrays = draw_theorem_batch(rng, 512, 6, 0.5, 0.5, 1.0, 0.5)
+    batch_arrays = draw_theorem_batch(rng, 512, 6, 0.5, 1.0, 0.5)
     err_h, err_s, best_is_dis = theorem_error_pairs(*batch_arrays, 0.0)
     assert np.all(err_h[~best_is_dis] == 0.0)
     assert np.all(err_s[~best_is_dis] == 0.0)
@@ -308,4 +357,61 @@ def test_theorem_worker_sums_are_consistent():
     assert np.array_equal(out["seg_dis"], out["seg"])
     assert out["dis"].dtype == bool
     with pytest.raises(ValueError):
-        draw_theorem_batch(derive_stream(51, 8), 8, 5, 1.0, 0.5, 1.0, 0.5)
+        draw_theorem_batch(derive_stream(51, 8), 8, 5, 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 4, 20])
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+def test_class_maxima_score_like_the_full_pool(n, lam, beta):
+    # an estimate is a per-class constant times the value, so only each
+    # class's best applicant can be picked: scoring the maxima is exact
+    rng = derive_stream(53, 8)
+    full = _draw_full_pool_theorem_batch(rng, 2048, n, 0.5, lam, 0.5)
+    maxima = _class_maxima(full)
+    for got, want in zip(theorem_error_pairs(*maxima, beta), theorem_error_pairs(*full, beta)):
+        assert np.array_equal(got, want)
+    # the production draw labels its columns with the same class patterns
+    drawn = draw_theorem_batch(derive_stream(53, 9), 8, n, 0.5, lam, 0.5)
+    for i in (1, 3):
+        assert np.array_equal(drawn[i], maxima[i][:8])
+
+
+@pytest.mark.parametrize("k", [1, 7, 250])
+def test_max_of_draws_follows_the_max_cdf(k):
+    law = PowerLaw(0.5)
+    sample = max_of_draws(derive_stream(54, 8, k), np.full(20_000, k), law.delta)
+    assert stats.kstest(sample, lambda t: law.cdf(t) ** k).pvalue > 0.001
+
+
+def test_max_of_draws_empty_classes():
+    counts = np.array([[0, 3], [1, 0], [0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = max_of_draws(derive_stream(55, 8), counts, 1.0)
+    assert top.shape == (3, 2)
+    assert np.array_equal(top == 0.0, counts == 0)
+    assert np.all(top[counts > 0] >= 1.0)
+
+
+def test_theorem_class_sizes_partition_the_pool():
+    n, size = 20, 100_000
+    counts = theorem_class_sizes(derive_stream(56, 8), size, n)
+    assert counts.shape == (size, 4) and counts.min() >= 0
+    assert np.all(counts.sum(axis=1) == n)
+    assert np.all(counts[:, 0] + counts[:, 1] == n // 2)  # disadvantaged
+    assert np.all(counts[:, 0] + counts[:, 2] == n // 2)  # owned by evaluator 0
+    # evaluator 0's disadvantaged share: n/2 draws from n/2 + n/2
+    law = stats.hypergeom(n, n // 2, n // 2)
+    assert abs(counts[:, 0].mean() - law.mean()) <= 3.0 * law.std() / np.sqrt(size)
+
+
+def test_tail_worker_single_draw_matches_the_full_draw():
+    # U ** (1/1) == U, so at one applicant per group the maximum is the draw
+    params = {"n_per_group": 1, "delta": 0.7}
+    rng = derive_stream(57, 8)
+    dis_best = power_law_inv_cdf(rng.random((500, 1)), 0.7).max(axis=1)
+    adv_best = power_law_inv_cdf(rng.random((500, 1)), 0.7).max(axis=1)
+    out = tail_worker(params, derive_stream(57, 8), 500)
+    assert np.array_equal(out["below"], dis_best < 2.0 * adv_best)
+    assert np.array_equal(max_of_draws(derive_stream(57, 8), np.ones(500, dtype=int), 0.7), dis_best)

@@ -176,6 +176,29 @@ def test_tail_check_small():
     assert check.passed
 
 
+def test_checks_hold_in_the_asymptotic_regime():
+    # a run costs the same at any pool size, so the checks reach n = 10**6,
+    # where the tail probability sits at its large-pool limit
+    positive, negative = run_threshold_check(
+        delta_values=(0.3, 0.9), n=10**6, runs=100_000, seed=5
+    )
+    assert positive.passed and negative.passed
+    assert positive.pair.runs == 100_000
+
+    checks = run_formula_check(
+        n_values=(10**6,),
+        delta_values=(0.3, 1.0),
+        gamma=0.5,
+        runs=200_000,
+        seed=5,
+        tail_samples=200_000,
+    )
+    for check in checks:
+        assert check.passed and check.symmetry_hol_ok and check.symmetry_seg_ok
+        assert check.p_above_quad == pytest.approx(tail_above_limit(check.delta), abs=1e-6)
+        assert abs(check.p_above - check.p_above_quad) <= 4.0 * check.p_above_se
+
+
 def test_theorem_verify_report_shape():
     report = run_theorem_verify(
         n_values=(2,),
