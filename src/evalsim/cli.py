@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import __version__
 from .allocation import allocate_blocked, allocate_holistic, allocate_segmented
 from .distributions import PowerLaw
-from .experiments.bias import BIAS_DEFAULTS, run_bias_grid
+from .experiments.bias import run_bias_grid
 from .experiments.calibration import run_calibration_sweep
 from .experiments.efficiency import run_efficiency_sweep
 from .experiments.results import GridSpec, write_metadata_json, write_results_csv
@@ -46,27 +46,6 @@ def sig4(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # option parsing: one table per subcommand, shared string->value parsers
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -97,65 +76,64 @@ class Option:
 
 
 _COMMON = (
-    Option("seed", _parse_int, None, "master seed (required)"),
-    Option("outdir", _parse_str, None, f"output directory (default ${OUTPUT_DIR_ENV} or .)"),
-    Option("workers", _parse_int, "1", "worker processes"),
+    Option("seed", int, None, "master seed (required)"),
+    Option("outdir", str, None, f"output directory (default ${OUTPUT_DIR_ENV} or .)"),
+    Option("workers", int, "1", "worker processes"),
 )
 
 OPTIONS = {
     "calibration": _COMMON
     + (
-        Option("runs", _parse_int, "1000", "pools per pool size"),
+        Option("runs", int, "1000", "pools per pool size"),
         Option("n_values", _parse_int_list, "5,10,20,50,100,200,500,1000", "pool sizes"),
-        Option("num_bins", _parse_int, "5", "quantile bins"),
-        Option("delta", _parse_float, "1.0", "power-law tail exponent"),
+        Option("num_bins", int, "5", "quantile bins"),
+        Option("delta", float, "1.0", "power-law tail exponent"),
     ),
     "efficiency": _COMMON
     + (
-        Option("runs", _parse_int, "1000", "pools per grid point"),
-        Option("n", _parse_int, "200", "pool size"),
-        Option("delta", _parse_float, "1.0", "power-law tail exponent"),
+        Option("runs", int, "1000", "pools per grid point"),
+        Option("n", int, "200", "pool size"),
+        Option("delta", float, "1.0", "power-law tail exponent"),
         Option("tau", _parse_float_list, "0.05,0.1,0.2,0.5,1.0", "screening depths"),
         Option("sigma", _parse_float_list, "0,0.5,0.9,1", "attribute correlations"),
     ),
     "bias-grid": _COMMON
     + (
-        Option("runs", _parse_int, "50000", "pools per grid point"),
+        Option("runs", int, "50000", "pools per grid point"),
         Option("axis1", _parse_axis, "delta=0.2,0.6,1.0,1.5,2.0", "first grid axis, name=v1,v2,..."),
         Option("axis2", _parse_axis, "sigma=0,0.5,0.9", "second grid axis"),
-        Option("n", _parse_int, None, "pool size override"),
-        Option("d", _parse_int, None, "attribute count override"),
-        Option("sigma", _parse_float, None, "correlation override"),
-        Option("alpha", _parse_float, None, "disadvantaged fraction override"),
-        Option("lambda", _parse_float, None, "protected fraction override"),
-        Option("beta", _parse_float, None, "discount floor override"),
-        Option("delta", _parse_float, None, "tail exponent override"),
-        Option("gamma", _parse_float, None, "bias-coin probability (coin mode)"),
-        Option("coin_mode", _parse_bool, "false", "independent bias coins instead of one fixed biased evaluator"),
+        Option("n", int, None, "pool size override"),
+        Option("d", int, None, "attribute count override"),
+        Option("sigma", float, None, "correlation override"),
+        Option("alpha", float, None, "disadvantaged fraction override"),
+        Option("lambda", float, None, "protected fraction override"),
+        Option("beta", float, None, "discount floor override"),
+        Option("delta", float, None, "tail exponent override"),
+        Option("gamma", float, None, "probability each evaluator is biased (independent coins)"),
     ),
     "theorem-verify": _COMMON
     + (
         Option("n", _parse_int_list, "2,20", "pool sizes for the paired checks"),
         Option("delta", _parse_float_list, "0.3,1.0", "tail exponents"),
-        Option("gamma", _parse_float, "0.5", "bias-coin probability"),
-        Option("runs", _parse_int, "100000", "paired runs per grid point"),
-        Option("threshold_n", _parse_int, "1000", "pool size for the sign check"),
-        Option("tail_group", _parse_int, "10000", "group size for the tail check"),
-        Option("tail_pools", _parse_int, "10000", "pools for the tail check"),
-        Option("tail_samples", _parse_int, "1000000", "samples for the tail oracle"),
+        Option("gamma", float, "0.5", "bias-coin probability"),
+        Option("runs", int, "100000", "paired runs per grid point"),
+        Option("threshold_n", int, "1000", "pool size for the sign check"),
+        Option("tail_group", int, "10000", "group size for the tail check"),
+        Option("tail_pools", int, "10000", "pools for the tail check"),
+        Option("tail_samples", int, "1000000", "samples for the tail oracle"),
     ),
     "pool-dump": _COMMON
     + (
-        Option("n", _parse_int, "20", "pool size"),
-        Option("d", _parse_int, "20", "attribute count"),
-        Option("sigma", _parse_float, "0.5", "attribute correlation"),
-        Option("alpha", _parse_float, "0.5", "disadvantaged fraction"),
-        Option("lambda", _parse_float, "1.0", "protected fraction"),
-        Option("delta", _parse_float, "1.0", "power-law tail exponent"),
-        Option("scheme", _parse_str, None, "also write a plan: holistic, segmented, or blocked"),
-        Option("evaluators", _parse_int, "2", "committee size for holistic or segmented plans"),
-        Option("rows_per_eval", _parse_int, None, "rows per evaluator (blocked plans)"),
-        Option("cols_per_eval", _parse_int, None, "columns per evaluator (blocked plans)"),
+        Option("n", int, "20", "pool size"),
+        Option("d", int, "20", "attribute count"),
+        Option("sigma", float, "0.5", "attribute correlation"),
+        Option("alpha", float, "0.5", "disadvantaged fraction"),
+        Option("lambda", float, "1.0", "protected fraction"),
+        Option("delta", float, "1.0", "power-law tail exponent"),
+        Option("scheme", str, None, "also write a plan: holistic, segmented, or blocked"),
+        Option("evaluators", int, "2", "committee size for holistic or segmented plans"),
+        Option("rows_per_eval", int, None, "rows per evaluator (blocked plans)"),
+        Option("cols_per_eval", int, None, "columns per evaluator (blocked plans)"),
     ),
 }
 
@@ -230,8 +208,6 @@ def _config_strings(resolved: dict) -> dict:
                 out[key] = f"{name}=" + ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
             else:
                 out[key] = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, bool):
-            out[key] = "true" if value else "false"
         elif isinstance(value, float):
             out[key] = repr(value)
         else:
@@ -244,6 +220,33 @@ def _outpath(cfg: dict, filename: str) -> str:
     return os.path.join(cfg["outdir"], filename)
 
 
+def _write_outputs(cfg: dict, experiment: str, prefix: str, tables: dict, grid=None) -> None:
+    """Write each ``{filename: (param_names, rows)}`` table, then the metadata."""
+    for filename, (param_names, rows) in tables.items():
+        path = _outpath(cfg, filename)
+        write_results_csv(rows, param_names, path)
+        print(f"wrote {path}")
+    write_metadata_json(
+        _outpath(cfg, f"{prefix}_metadata.json"),
+        experiment,
+        cfg["seed"],
+        _config_strings(cfg),
+        __version__,
+        grid=grid,
+    )
+
+
+def _print_rows(results, scheme: str, label: str) -> None:
+    """One summary line per ``scheme`` row: its point, estimate and error."""
+    for res in results:
+        if res.scheme != scheme:
+            continue
+        point = " ".join(
+            f"{k}={v if isinstance(v, int) else sig4(v)}" for k, v in res.params.items()
+        )
+        print(f"{point}: {label} {sig4(res.estimate)} (se {sig4(res.std_error)})")
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 
@@ -253,26 +256,13 @@ def _cmd_calibration(cfg: dict) -> int:
         n_values=cfg["n_values"],
         num_bins=cfg["num_bins"],
         runs=cfg["runs"],
-        marginal_spec=("power_law", {"delta": cfg["delta"]}),
+        marginal=PowerLaw(cfg["delta"]),
         seed=cfg["seed"],
         workers=cfg["workers"],
     )
-    csv_path = _outpath(cfg, "calibration.csv")
-    write_results_csv(sweep.results, ["n"], csv_path)
-    write_metadata_json(
-        _outpath(cfg, "calibration_metadata.json"),
-        "calibration",
-        cfg["seed"],
-        _config_strings(cfg),
-        __version__,
-    )
-    for res in sweep.results:
-        print(
-            f"n={res.params['n']}: mean bin error {sig4(res.estimate)}"
-            f" (se {sig4(res.std_error)})"
-        )
+    _print_rows(sweep.results, "binner", "mean bin error")
     print(f"log-log slope: {sig4(sweep.loglog_slope)}")
-    print(f"wrote {csv_path}")
+    _write_outputs(cfg, "calibration", "calibration", {"calibration.csv": (["n"], sweep.results)})
     return 0
 
 
@@ -291,24 +281,9 @@ def _cmd_efficiency(cfg: dict) -> int:
         fixed={"n": cfg["n"], "delta": cfg["delta"]},
         runs=cfg["runs"],
     )
-    csv_path = _outpath(cfg, "efficiency.csv")
-    write_results_csv(results, ["tau", "sigma"], csv_path)
-    write_metadata_json(
-        _outpath(cfg, "efficiency_metadata.json"),
-        "efficiency",
-        cfg["seed"],
-        _config_strings(cfg),
-        __version__,
-        grid=grid,
-    )
-    for res in results:
-        if res.scheme != "holistic":
-            continue
-        print(
-            f"tau={sig4(res.params['tau'])} sigma={sig4(res.params['sigma'])}:"
-            f" accuracy {sig4(res.estimate)} (se {sig4(res.std_error)})"
-        )
-    print(f"wrote {csv_path}")
+    _print_rows(results, "holistic", "accuracy")
+    tables = {"efficiency.csv": (["tau", "sigma"], results)}
+    _write_outputs(cfg, "efficiency", "efficiency", tables, grid)
     return 0
 
 
@@ -318,25 +293,10 @@ def _cmd_bias_grid(cfg: dict) -> int:
         if key in cfg:
             fixed[key] = cfg[key]
     grid = GridSpec(axes=(cfg["axis1"], cfg["axis2"]), fixed=fixed, runs=cfg["runs"])
-    results = run_bias_grid(
-        grid, seed=cfg["seed"], workers=cfg["workers"], coin_mode=cfg["coin_mode"]
-    )
-    csv_path = _outpath(cfg, "bias_grid.csv")
-    write_results_csv(results, list(grid.axis_names), csv_path)
-    write_metadata_json(
-        _outpath(cfg, "bias_grid_metadata.json"),
-        "bias-grid",
-        cfg["seed"],
-        _config_strings(cfg),
-        __version__,
-        grid=grid,
-    )
-    for res in results:
-        if res.scheme != "difference":
-            continue
-        labels = " ".join(f"{k}={sig4(v)}" for k, v in res.params.items())
-        print(f"{labels}: seg-hol {sig4(res.estimate)} (se {sig4(res.std_error)})")
-    print(f"wrote {csv_path}")
+    results = run_bias_grid(grid, seed=cfg["seed"], workers=cfg["workers"])
+    _print_rows(results, "difference", "seg-hol")
+    tables = {"bias_grid.csv": (grid.axis_names, results)}
+    _write_outputs(cfg, "bias-grid", "bias_grid", tables, grid)
     return 0
 
 
@@ -354,21 +314,13 @@ def _cmd_theorem_verify(cfg: dict) -> int:
         tail_samples=cfg["tail_samples"],
     )
     rows = report_rows(report, cfg["seed"])
-    files = {
-        "part_a": (["n", "delta", "beta", "gamma"], "theorem_part_a.csv"),
-        "formula": (["n", "delta", "gamma"], "theorem_formula.csv"),
-        "threshold": (["n", "delta", "gamma"], "theorem_threshold.csv"),
-        "tail": (["n", "delta"], "theorem_tail.csv"),
+    tables = {
+        "theorem_part_a.csv": (["n", "delta", "beta", "gamma"], rows["part_a"]),
+        "theorem_formula.csv": (["n", "delta", "gamma"], rows["formula"]),
+        "theorem_threshold.csv": (["n", "delta", "gamma"], rows["threshold"]),
+        "theorem_tail.csv": (["n", "delta"], rows["tail"]),
     }
-    for family, (names, filename) in files.items():
-        write_results_csv(rows[family], names, _outpath(cfg, filename))
-    write_metadata_json(
-        _outpath(cfg, "theorem_metadata.json"),
-        "theorem-verify",
-        cfg["seed"],
-        _config_strings(cfg),
-        __version__,
-    )
+    _write_outputs(cfg, "theorem-verify", "theorem", tables)
 
     for c in report.part_a:
         print(
@@ -439,13 +391,7 @@ def _cmd_pool_dump(cfg: dict) -> int:
         plan.to_csv(plan_path)
         print(f"wrote {plan_path}")
 
-    write_metadata_json(
-        _outpath(cfg, "pool_metadata.json"),
-        "pool-dump",
-        cfg["seed"],
-        _config_strings(cfg),
-        __version__,
-    )
+    _write_outputs(cfg, "pool-dump", "pool", {})
     return 0
 
 

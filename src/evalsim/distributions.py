@@ -98,16 +98,24 @@ class TruncatedNormal:
     def support_min(self) -> float:
         return self.low
 
+    @property
+    def _sign(self) -> float:
+        # ndtr rounds toward 1.0 above the mean; there ``-ndtr(-z)``, which
+        # differs from it by the constant 1, keeps full relative precision
+        return -1.0 if self.low > self.mean else 1.0
+
     def _mass(self):
-        zlo = (self.low - self.mean) / self.scale
-        zhi = (self.high - self.mean) / self.scale
-        return ndtr(zlo), ndtr(zhi) - ndtr(zlo)
+        s = self._sign
+        lo = s * ndtr(s * (self.low - self.mean) / self.scale)
+        hi = s * ndtr(s * (self.high - self.mean) / self.scale)
+        return lo, hi - lo
 
     def cdf(self, t):
         arr = np.asarray(t, dtype=float)
         lo, mass = self._mass()
+        s = self._sign
         z = (np.clip(arr, self.low, self.high) - self.mean) / self.scale
-        out = (ndtr(z) - lo) / mass
+        out = (s * ndtr(s * z) - lo) / mass
         out = np.clip(out, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
@@ -116,7 +124,8 @@ class TruncatedNormal:
         if np.any(arr < 0.0) or np.any(arr >= 1.0):
             raise ValueError("u must lie in [0, 1)")
         lo, mass = self._mass()
-        out = self.mean + self.scale * ndtri(lo + arr * mass)
+        s = self._sign
+        out = self.mean + self.scale * s * ndtri(s * (lo + arr * mass))
         out = np.clip(out, self.low, self.high)
         return float(out) if out.ndim == 0 else out
 

@@ -13,12 +13,14 @@ attribute carries independent signal.
 
 from __future__ import annotations
 
+from ..distributions import PowerLaw
 from ..rng import STREAM_BIAS_GRID
 from .kernels import bias_worker
-from .parallel import mean_and_se, run_points
-from .results import ExperimentResult, GridSpec
+from .parallel import run_points
+from .results import GridSpec, rows_from_moments
 
 BIAS_CHUNK = 2048
+BIAS_RUNS = 50_000  # runs per point when the grid does not set them
 
 # The reference committee: a pool of 20 applicants described by 20
 # attributes, moderately correlated, half the applicants disadvantaged,
@@ -36,41 +38,48 @@ BIAS_DEFAULTS = {
 }
 
 
+def _validate_point(point: dict) -> None:
+    """Reject settings outside the ranges the object layer accepts."""
+    for name in ("n", "d"):
+        if point[name] < 2:
+            raise ValueError(f"{name} must be at least 2, got {point[name]!r}")
+    for name in ("sigma", "alpha", "lambda"):
+        if not 0.0 <= point[name] <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {point[name]!r}")
+    if not 0.0 <= point["beta"] < 1.0:
+        raise ValueError(f"beta must lie in [0, 1), got {point['beta']!r}")
+    if "gamma" in point and not 0.0 < point["gamma"] < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {point['gamma']!r}")
+    if point["evaluators"] != 2:
+        raise ValueError("the paired kernel models committees of exactly two")
+
+
 def run_bias_grid(
     grid: GridSpec,
     seed: int = 0,
-    runs: int = 50_000,
     workers: int = 1,
     chunk_size: int = BIAS_CHUNK,
-    coin_mode: bool = False,
 ) -> list:
     """Run the paired comparison over a two-axis grid.
 
-    With ``coin_mode`` False the committee is the fixed one-biased,
-    one-unbiased pair; with True each evaluator is independently biased with
-    probability ``gamma``, which must then be supplied by the grid.  Returns
-    three rows per point: holistic accuracy, segmented accuracy, and their
-    paired difference (segmented minus holistic), in the order the worker
-    names them.
+    ``grid.runs`` runs go to each point (``BIAS_RUNS`` when it is None).  A
+    grid that sets ``gamma``, as an axis or a fixed value, biases each
+    evaluator independently with that probability; otherwise the committee
+    is the fixed one-biased, one-unbiased pair.  Returns three rows per
+    point: holistic accuracy, segmented accuracy, and their paired
+    difference (segmented minus holistic), in the order the worker names
+    them.
     """
     if len(grid.axes) != 2:
         raise ValueError("bias grids sweep exactly two parameters")
-    if grid.runs is not None:
-        runs = grid.runs
+    runs = BIAS_RUNS if grid.runs is None else grid.runs
 
     points = grid.points()
     worker_points = []
     for point in points:
-        merged = dict(BIAS_DEFAULTS)
-        merged.update(point)
-        if merged["evaluators"] != 2:
-            raise ValueError("the paired kernel models committees of exactly two")
-        if coin_mode:
-            if "gamma" not in merged:
-                raise ValueError("coin_mode needs gamma in the grid")
-        else:
-            merged.pop("gamma", None)
-        merged["marginal"] = ("power_law", {"delta": merged["delta"]})
+        merged = {**BIAS_DEFAULTS, **point}
+        _validate_point(merged)
+        merged["marginal"] = PowerLaw(merged["delta"])
         worker_points.append(merged)
 
     moments = run_points(
@@ -82,20 +91,5 @@ def run_bias_grid(
         chunk_size,
         workers,
     )
-
-    results = []
-    for point, by_scheme in zip(points, moments):
-        shared = {name: point[name] for name in grid.axis_names}
-        for scheme, sums in by_scheme.items():
-            mean, se = mean_and_se(*sums)
-            results.append(
-                ExperimentResult(
-                    params=shared,
-                    scheme=scheme,
-                    estimate=mean,
-                    std_error=se,
-                    runs=runs,
-                    seed=seed,
-                )
-            )
-    return results
+    labels = [{name: point[name] for name in grid.axis_names} for point in points]
+    return rows_from_moments(labels, moments, runs, seed)

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..distributions import PowerLaw
 from ..rng import STREAM_CALIBRATION
 from .kernels import calibration_worker
-from .parallel import mean_and_se, run_points
-from .results import ExperimentResult
+from .parallel import run_points
+from .results import rows_from_moments
 
 CALIBRATION_CHUNK = 4096
 DEFAULT_POOL_SIZES = (5, 10, 20, 50, 100, 200, 500, 1000)
-DEFAULT_MARGINAL = ("power_law", {"delta": 1.0})
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def run_calibration_sweep(
     n_values=DEFAULT_POOL_SIZES,
     num_bins: int = 5,
     runs: int = 1000,
-    marginal_spec=DEFAULT_MARGINAL,
+    marginal=PowerLaw(1.0),
     seed: int = 0,
     workers: int = 1,
     chunk_size: int = CALIBRATION_CHUNK,
@@ -52,7 +52,7 @@ def run_calibration_sweep(
         raise ValueError("every pool size must be at least num_bins")
 
     points = [
-        {"n": n, "num_bins": num_bins, "marginal": marginal_spec}
+        {"n": n, "num_bins": num_bins, "marginal": marginal}
         for n in n_values
     ]
     moments = run_points(
@@ -65,19 +65,7 @@ def run_calibration_sweep(
         workers,
     )
 
-    results = []
-    for n, sums in zip(n_values, moments):
-        mean, se = mean_and_se(*sums["err"])
-        results.append(
-            ExperimentResult(
-                params={"n": n},
-                scheme="binner",
-                estimate=mean,
-                std_error=se,
-                runs=runs,
-                seed=seed,
-            )
-        )
+    results = rows_from_moments([{"n": n} for n in n_values], moments, runs, seed)
 
     means = np.array([r.estimate for r in results])
     slope = float(np.polyfit(np.log(n_values), np.log(means), 1)[0])

@@ -10,10 +10,11 @@ discards the true best.
 
 from __future__ import annotations
 
+from ..distributions import PowerLaw
 from ..rng import STREAM_EFFICIENCY
 from .kernels import efficiency_cells, efficiency_worker
-from .parallel import mean_and_se, run_points
-from .results import ExperimentResult, GridSpec
+from .parallel import run_points
+from .results import ExperimentResult, GridSpec, rows_from_moments
 
 EFFICIENCY_CHUNK = 2048
 
@@ -49,7 +50,7 @@ def run_efficiency_sweep(
     )
     points = grid.points()
     worker_points = [
-        {**point, "marginal": ("power_law", {"delta": point["delta"]})}
+        {**point, "marginal": PowerLaw(point["delta"])}
         for point in points
     ]
     moments = run_points(
@@ -61,29 +62,10 @@ def run_efficiency_sweep(
         chunk_size,
         workers,
     )
+    labels = [{name: point[name] for name in ("tau", "sigma")} for point in points]
 
     results = []
-    for point, sums in zip(points, moments):
-        mean, se = mean_and_se(*sums["acc"])
-        shared = {name: point[name] for name in ("tau", "sigma")}
-        results.append(
-            ExperimentResult(
-                params=shared,
-                scheme="holistic",
-                estimate=mean,
-                std_error=se,
-                runs=runs,
-                seed=seed,
-            )
-        )
-        results.append(
-            ExperimentResult(
-                params=shared,
-                scheme="workload",
-                estimate=float(efficiency_cells(n, point["tau"])),
-                std_error=0.0,
-                runs=runs,
-                seed=seed,
-            )
-        )
+    for point, row in zip(points, rows_from_moments(labels, moments, runs, seed)):
+        cells = float(efficiency_cells(n, point["tau"]))
+        results += [row, ExperimentResult(row.params, "workload", cells, 0.0, runs, seed)]
     return results

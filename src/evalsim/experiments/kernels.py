@@ -16,6 +16,10 @@ so ``draw_theorem_batch`` samples only the best value in each of four
 classes.  Its scorer is unchanged; on the class maxima of a full pool it
 returns that pool's errors bit for bit.
 
+Workers take their marginal as an object in ``params["marginal"]``; the
+marginals are frozen module-level dataclasses, so they pickle intact to pool
+workers.
+
 Sweeps run millions of pools on one core, so everything is vectorized over
 the batch axis, and the chunked runner keeps per-chunk memory modest.
 """
@@ -27,24 +31,10 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from ..distributions import PowerLaw, TruncatedNormal, _U_BELOW_ONE, power_law_inv_cdf
+from ..distributions import PowerLaw, _U_BELOW_ONE, power_law_inv_cdf
 from ..evaluators import screening_cutoff
 from ..metrics import percentile_bin
 from ..population import MAX_TIE_REDRAWS, round_half_up, tied_best_error
-
-
-def marginal_from_spec(spec):
-    """Build a marginal from a picklable ``(kind, kwargs)`` pair.
-
-    Workers may run in separate processes, so experiment parameter dicts
-    carry this serializable form instead of distribution objects.
-    """
-    kind, kwargs = spec
-    if kind == "power_law":
-        return PowerLaw(**kwargs)
-    if kind == "truncated_normal":
-        return TruncatedNormal(**kwargs)
-    raise ValueError(f"unknown marginal kind {kind!r}")
 
 
 def random_subset_mask(
@@ -112,13 +102,13 @@ def _redraw_tied_rows(values: np.ndarray, draw, marginal) -> None:
 def calibration_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
     n = int(params["n"])
     num_bins = int(params["num_bins"])
-    marginal = marginal_from_spec(params["marginal"])
+    marginal = params["marginal"]
 
     x = marginal.sample(rng, (size, n))
     ranks = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
     local = -(-num_bins * ranks // n)
     truth = percentile_bin(marginal.cdf(x), num_bins)
-    return {"err": np.abs(local - truth).mean(axis=1)}
+    return {"binner": np.abs(local - truth).mean(axis=1)}
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +166,12 @@ def efficiency_worker(params: dict, rng: np.random.Generator, size: int) -> dict
     n = int(params["n"])
     sigma = float(params["sigma"])
     tau = float(params["tau"])
-    marginal = marginal_from_spec(params["marginal"])
+    marginal = params["marginal"]
     if n % 2:
         raise ValueError("the two-screener committee needs an even pool")
 
     values, rows0 = draw_efficiency_batch(rng, size, n, sigma, marginal)
-    return {"acc": efficiency_accuracies(values, rows0, tau)}
+    return {"holistic": efficiency_accuracies(values, rows0, tau)}
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +260,7 @@ def bias_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
     d = int(params["d"])
     beta = float(params["beta"])
     gamma = params.get("gamma")
-    marginal = marginal_from_spec(params["marginal"])
+    marginal = params["marginal"]
 
     batch = draw_bias_batch(
         rng,

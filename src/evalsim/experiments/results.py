@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
+from .parallel import mean_and_se
+
 # The closed vocabulary of sweep parameter names.  Keeping it fixed makes
 # result tables self-describing and catches typos in config files early.
 PARAM_NAMES = (
@@ -55,8 +57,8 @@ class GridSpec:
     ``axes`` is an ordered tuple of ``(name, values)`` pairs; ``fixed`` holds
     parameters shared by every point.  Axis order defines both the CSV column
     order and the deterministic point index used for stream derivation.
-    ``runs`` optionally records the per-point run count; drivers fall back to
-    their own default when it is None.
+    ``runs`` is the per-point run count; ``run_bias_grid`` uses its
+    ``BIAS_RUNS`` when it is None.
     """
 
     axes: tuple
@@ -104,6 +106,20 @@ class GridSpec:
             params.update(zip(names, combo))
             out.append(params)
         return out
+
+
+def rows_from_moments(labels, moments, runs: int, seed: int) -> list:
+    """Result rows from the per-point moments that ``run_points`` returns.
+
+    ``labels`` holds each point's params as its rows carry them.  Each point
+    gives one row per named array, in the worker's order, and the array name
+    becomes the row's ``scheme``.
+    """
+    return [
+        ExperimentResult(params, scheme, *mean_and_se(*sums), runs, seed)
+        for params, by_scheme in zip(labels, moments)
+        for scheme, sums in by_scheme.items()
+    ]
 
 
 def _format_value(value) -> str:

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: options, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -121,10 +123,9 @@ def _axes(draw):
 
 
 _VALUES = {
-    cli._parse_int: st.integers(),
-    cli._parse_float: _FLOATS,
-    cli._parse_str: st.text(st.characters(blacklist_categories=("Cs",))),
-    cli._parse_bool: st.booleans(),
+    int: st.integers(),
+    float: _FLOATS,
+    str: st.text(st.characters(blacklist_categories=("Cs",))),
     cli._parse_int_list: st.lists(st.integers()).map(tuple),
     cli._parse_float_list: st.lists(_FLOATS).map(tuple),
     cli._parse_axis: _axes(),
@@ -144,6 +145,43 @@ def test_metadata_config_round_trips(command, data):
             json.dump({"config": cli._config_strings(values)}, fh)
         args = cli.build_parser().parse_args([command, "--config", path])
         assert cli.resolve_options(command, args) == values
+
+
+def _rejects(parse, text) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+_PARSED = [
+    (command, opt)
+    for command in sorted(OPTIONS)
+    for opt in OPTIONS[command]
+    if opt.parse is not str
+]
+
+
+@pytest.mark.parametrize("command, opt", _PARSED, ids=[f"{c}-{o.name}" for c, o in _PARSED])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_rejected_values_exit_2(command, opt, data):
+    text = data.draw(
+        st.text(st.characters(blacklist_categories=("Cs",))).filter(
+            lambda t: _rejects(opt.parse, t)
+        )
+    )
+    flag = opt.name.replace("_", "-")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        # the flag comes last so it wins over the --seed every run needs, and
+        # the --flag=value form keeps a leading "-" from reading as a flag
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--seed", "1", "--outdir", tmp, f"--{flag}={text}"])
+        assert code == 2
+        assert f"bad value for {opt.name!r}" in err.getvalue()
+        assert os.listdir(tmp) == []
 
 
 def test_version_flag(capsys):
@@ -299,13 +337,15 @@ def test_bias_grid_sweeps_any_two_parameters(capsys, tmp_path):
     assert code == 0
     lines = (tmp_path / "bias_grid.csv").read_text().splitlines()
     assert lines[0] == "alpha,sigma,scheme,estimate,std_error,runs,seed"
-    # metadata from before the delta-axis rule was dropped no longer resolves
+    # metadata carrying a since-removed option no longer resolves
     meta = tmp_path / "bias_grid_metadata.json"
-    payload = json.loads(meta.read_text())
-    payload["config"]["require_delta_axis"] = "true"
-    meta.write_text(json.dumps(payload))
-    assert run_cli("bias-grid", "--config", str(meta)) == 2
-    assert "require_delta_axis" in capsys.readouterr().err
+    for stale in ("require_delta_axis", "coin_mode"):
+        payload = json.loads(meta.read_text())
+        payload["config"][stale] = "true"
+        stale_meta = tmp_path / f"{stale}.json"
+        stale_meta.write_text(json.dumps(payload))
+        assert run_cli("bias-grid", "--config", str(stale_meta)) == 2
+        assert stale in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis", ["n=4,2.5", "d=2.0", "evaluators=2,3.5"])
@@ -316,6 +356,20 @@ def test_integer_axes_reject_fractions(capsys, tmp_path, axis):
     )
     assert code == 2
     assert "bad value for 'axis2'" in capsys.readouterr().err
+    assert not (tmp_path / "bias_grid.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "axis", ["sigma=0.5,nan", "sigma=1.5", "beta=5", "beta=-1", "gamma=2", "gamma=nan"]
+)
+def test_bias_grid_rejects_out_of_range_points(capsys, tmp_path, axis):
+    code = run_cli(
+        "bias-grid", "--seed", "1", "--runs", "16",
+        "--axis1", "delta=1", "--axis2", axis, "--n", "4", "--d", "4",
+        "--outdir", str(tmp_path),
+    )
+    assert code == 2
+    assert f"{axis.partition('=')[0]} must lie in" in capsys.readouterr().err
     assert not (tmp_path / "bias_grid.csv").exists()
 
 
@@ -356,6 +410,32 @@ def test_theorem_verify_reduced_scale(capsys, tmp_path):
     assert formula[0] == "n,delta,gamma,scheme,estimate,std_error,runs,seed"
     assert formula[1].split(",")[3] == "difference"
     assert formula[2].split(",")[3] == "predicted"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("calibration", "--runs", "20", "--n-values", "5,10"),
+        ("efficiency", "--runs", "20", "--n", "10", "--tau", "0.5", "--sigma", "0"),
+        (
+            "bias-grid", "--runs", "16", "--axis1", "delta=1", "--axis2", "sigma=0",
+            "--n", "4", "--d", "4",
+        ),
+        (
+            "theorem-verify", "--n", "2", "--delta", "1.0", "--runs", "200",
+            "--threshold-n", "20", "--tail-group", "10", "--tail-pools", "200",
+            "--tail-samples", "1000",
+        ),
+        ("pool-dump", "--n", "6", "--d", "4", "--scheme", "holistic"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_csv_written_is_reported_once(capsys, tmp_path, argv):
+    # theorem-verify may fail its checks at this scale; it still writes its tables
+    assert run_cli(*argv, "--seed", "3", "--outdir", str(tmp_path)) in (0, 1)
+    out = capsys.readouterr().out.splitlines()
+    reported = sorted(line[len("wrote "):] for line in out if line.startswith("wrote "))
+    assert reported == sorted(str(p) for p in tmp_path.glob("*.csv"))
 
 
 def test_theorem_verify_rejects_odd_pool(capsys, tmp_path):

@@ -115,6 +115,21 @@ def test_truncated_normal_without_mass_is_rejected():
     assert isinstance(tn.sample(derive_stream(103, 1)), float)
 
 
+def test_truncated_normal_keeps_precision_above_the_mean():
+    # ndtr rounds toward 1 in the upper tail; the interval above the mean
+    # must sample as finely as its mirror image below it
+    upper = TruncatedNormal(0.0, 1.0, 8.0, 9.0)
+    mirror = TruncatedNormal(0.0, 1.0, -9.0, -8.0)
+    for tn in (upper, mirror):
+        sample = tn.sample(np.random.default_rng(0), 100_000)
+        assert np.unique(sample).size >= 99_000
+        assert np.all((sample >= tn.low) & (sample <= tn.high))
+    t = np.linspace(8.0, 9.0, 1001)
+    assert np.abs(upper.cdf(t) + mirror.cdf(-t) - 1.0).max() <= 1e-12
+    with pytest.raises(ValueError, match="mass"):
+        TruncatedNormal(0.0, 1.0, 40.0, 41.0)
+
+
 def test_correlation_spec_covariance_and_spearman():
     spec = CorrelationSpec(sigma=0.5, dims=3)
     cov = spec.covariance()

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from evalsim.distributions import PowerLaw, TruncatedNormal
+from evalsim.experiments import bias
 from evalsim.experiments.bias import run_bias_grid
 from evalsim.experiments.calibration import run_calibration_sweep
 from evalsim.experiments.efficiency import run_efficiency_sweep
@@ -18,7 +20,7 @@ from evalsim.experiments.results import (
 )
 from evalsim.rng import derive_stream
 
-CAL_POINT = {"n": 10, "num_bins": 5, "marginal": ("power_law", {"delta": 1.0})}
+CAL_POINT = {"n": 10, "num_bins": 5, "marginal": PowerLaw(1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +53,7 @@ def test_run_points_is_worker_count_invariant():
         calibration_worker, points, 300, 9, (7, 3), chunk_size=64, workers=2
     )
     assert serial == pooled
-    assert [s["err"][2] for s in serial] == [300, 300]
+    assert [s["binner"][2] for s in serial] == [300, 300]
 
 
 def test_run_points_reduces_per_run_arrays_in_chunk_order():
@@ -59,10 +61,10 @@ def test_run_points_reduces_per_run_arrays_in_chunk_order():
     (out,) = run_points(calibration_worker, [CAL_POINT], 150, 9, (7, 3), chunk_size=64)
     total = total_sq = 0.0
     for chunk_index, size in enumerate((64, 64, 22)):
-        err = calibration_worker(CAL_POINT, derive_stream(9, 7, 3, 0, chunk_index), size)["err"]
+        err = calibration_worker(CAL_POINT, derive_stream(9, 7, 3, 0, chunk_index), size)["binner"]
         total += float(err.sum())
         total_sq += float((err * err).sum())
-    assert out == {"err": (total, total_sq, 150)}
+    assert out == {"binner": (total, total_sq, 150)}
 
 
 def test_run_points_layout_is_part_of_the_stream():
@@ -173,6 +175,16 @@ def test_calibration_sweep_shrinks_with_pool_size():
     assert all(r.scheme == "binner" and r.runs == 400 for r in sweep.results)
 
 
+def test_calibration_sweep_takes_any_marginal():
+    law = TruncatedNormal(0.0, 1.0, 8.0, 9.0)
+    sweep = run_calibration_sweep(n_values=(5, 50), runs=400, marginal=law, seed=9)
+    # both marginals sample by inverse transform from the same uniforms, and
+    # the error depends only on ranks and true percentiles, so the rows equal
+    # the power law's unless the cdf loses precision in the upper tail
+    default = run_calibration_sweep(n_values=(5, 50), runs=400, seed=9)
+    assert [r.estimate for r in sweep.results] == [r.estimate for r in default.results]
+
+
 def test_calibration_sweep_validation():
     with pytest.raises(ValueError):
         run_calibration_sweep(n_values=(50,), runs=10)
@@ -229,7 +241,7 @@ def _small_grid(**kwargs):
 
 
 def test_bias_grid_rows_are_paired():
-    rows = run_bias_grid(_small_grid(), seed=9, runs=512)
+    rows = run_bias_grid(_small_grid(runs=512), seed=9)
     assert len(rows) == 12
     by_point = {}
     for row in rows:
@@ -241,13 +253,16 @@ def test_bias_grid_rows_are_paired():
         assert schemes["difference"].estimate == pytest.approx(gap, abs=1e-12)
 
 
-def test_bias_grid_reproduces_and_honors_grid_runs():
-    rows = run_bias_grid(_small_grid(runs=256), seed=9, runs=999_999)
+def test_bias_grid_reproduces_and_honors_grid_runs(monkeypatch):
+    rows = run_bias_grid(_small_grid(runs=256), seed=9)
     assert all(r.runs == 256 for r in rows)
     again = run_bias_grid(_small_grid(runs=256), seed=9)
     assert rows == again
     shifted = run_bias_grid(_small_grid(runs=256), seed=10)
     assert rows != shifted
+    # a grid without a run count gets the driver's constant
+    monkeypatch.setattr(bias, "BIAS_RUNS", 64)
+    assert all(r.runs == 64 for r in run_bias_grid(_small_grid(), seed=9))
 
 
 def test_bias_grid_worker_count_invariance():
@@ -256,28 +271,60 @@ def test_bias_grid_worker_count_invariance():
     assert one == two
 
 
-def test_bias_grid_coin_mode_needs_gamma():
-    grid = GridSpec(
-        axes=(("delta", (1.0,)), ("sigma", (0.5,))),
-        fixed={"n": 4, "d": 4, "gamma": 0.5},
-        runs=64,
-    )
-    rows = run_bias_grid(grid, seed=9, coin_mode=True)
-    assert len(rows) == 3
+def test_bias_grid_gamma_selects_coin_mode():
+    # without gamma, evaluator 0 is always biased; with a tiny gamma nobody
+    # ever is, so both schemes see the truth and always pick the best
+    def grid(second_axis, **fixed):
+        return GridSpec(
+            axes=(("delta", (1.0,)), second_axis), fixed={"n": 4, "d": 4, **fixed}, runs=64
+        )
 
-    bare = GridSpec(axes=(("delta", (1.0,)), ("sigma", (0.5,))), fixed={"n": 4, "d": 4})
-    with pytest.raises(ValueError):
-        run_bias_grid(bare, seed=9, runs=64, coin_mode=True)
+    pair = run_bias_grid(grid(("sigma", (0.5,))), seed=9)
+    assert pair[0].scheme == "holistic" and pair[0].estimate < 1.0
+    coins = run_bias_grid(grid(("sigma", (0.5,)), gamma=1e-12), seed=9)
+    assert [r.scheme for r in coins] == ["holistic", "segmented", "difference"]
+    assert [r.estimate for r in coins] == [1.0, 1.0, 0.0]
+    # gamma as an axis selects coin mode the same way
+    axis = run_bias_grid(grid(("gamma", (1e-12,))), seed=9)
+    assert [r.estimate for r in axis] == [1.0, 1.0, 0.0]
 
 
 def test_bias_grid_validation():
     with pytest.raises(ValueError):
-        run_bias_grid(GridSpec(axes=(("sigma", (0.5,)),)), seed=9, runs=64)
-    no_delta = GridSpec(axes=(("sigma", (0.5,)), ("beta", (0.0,))), fixed={"n": 4, "d": 4})
-    assert len(run_bias_grid(no_delta, seed=9, runs=64)) == 3
+        run_bias_grid(GridSpec(axes=(("sigma", (0.5,)),), runs=64), seed=9)
+    no_delta = GridSpec(
+        axes=(("sigma", (0.5,)), ("beta", (0.0,))), fixed={"n": 4, "d": 4}, runs=64
+    )
+    assert len(run_bias_grid(no_delta, seed=9)) == 3
     three = GridSpec(
         axes=(("delta", (1.0,)), ("sigma", (0.5,))),
         fixed={"n": 4, "d": 4, "evaluators": 3},
+        runs=64,
     )
     with pytest.raises(ValueError):
-        run_bias_grid(three, seed=9, runs=64)
+        run_bias_grid(three, seed=9)
+
+
+@pytest.mark.parametrize(
+    "name, values",
+    [
+        ("n", (4, 0)),
+        ("d", (-2,)),
+        ("sigma", (0.5, float("nan"))),
+        ("sigma", (1.5,)),
+        ("alpha", (-0.1,)),
+        ("lambda", (2.0,)),
+        ("beta", (1.0,)),
+        ("beta", (5.0,)),
+        ("beta", (-1.0,)),
+        ("gamma", (0.0,)),
+        ("gamma", (1.0,)),
+        ("gamma", (2.0,)),
+        ("gamma", (float("nan"),)),
+    ],
+)
+def test_bias_grid_rejects_out_of_range_points(name, values):
+    fixed = {key: 4 for key in ("n", "d") if key != name}
+    grid = GridSpec(axes=(("delta", (1.0,)), (name, values)), fixed=fixed, runs=16)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        run_bias_grid(grid, seed=9)

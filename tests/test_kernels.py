@@ -33,7 +33,6 @@ from evalsim.experiments.kernels import (
     efficiency_accuracies,
     efficiency_cells,
     efficiency_worker,
-    marginal_from_spec,
     max_of_draws,
     random_subset_mask,
     tail_worker,
@@ -46,7 +45,7 @@ from evalsim.metrics import mean_bin_error, top1_accuracy
 from evalsim.population import MAX_TIE_REDRAWS, AttributeMatrix, round_half_up
 from evalsim.rng import derive_stream
 
-POWER_LAW = ("power_law", {"delta": 1.0})
+POWER_LAW = PowerLaw(1.0)
 
 
 def _no_groups(n, d):
@@ -55,15 +54,6 @@ def _no_groups(n, d):
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def test_marginal_from_spec_round_trip():
-    law = marginal_from_spec(POWER_LAW)
-    assert isinstance(law, PowerLaw) and law.delta == 1.0
-    tn = marginal_from_spec(("truncated_normal", {"mean": 0.0, "scale": 1.0, "low": -1.0, "high": 2.0}))
-    assert tn.low == -1.0
-    with pytest.raises(ValueError):
-        marginal_from_spec(("cauchy", {}))
 
 
 def test_random_subset_mask_sizes_and_edges():
@@ -144,7 +134,7 @@ def test_calibration_worker_matches_object_route():
     errors = np.array(
         [mean_bin_error(local_quantile_bins(row, 5), marginal.cdf(row), 5) for row in x]
     )
-    assert np.array_equal(out["err"], errors)
+    assert np.array_equal(out["binner"], errors)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +173,7 @@ def test_efficiency_worker_full_budget_is_perfect():
     params = {"n": 10, "sigma": 0.3, "tau": 1.0, "marginal": POWER_LAW}
     out = efficiency_worker(params, derive_stream(46, 8), 300)
     # tau = 1 screens nobody: the committee sees everything and cannot miss
-    assert np.array_equal(out["acc"], np.ones(300))
+    assert np.array_equal(out["holistic"], np.ones(300))
     with pytest.raises(ValueError):
         efficiency_worker({**params, "n": 9}, derive_stream(46, 8), 10)
 
