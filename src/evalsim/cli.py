@@ -26,9 +26,14 @@ from .allocation import allocate_blocked, allocate_holistic, allocate_segmented
 from .distributions import PowerLaw
 from .experiments.bias import run_bias_grid
 from .experiments.calibration import run_calibration_sweep
-from .experiments.efficiency import run_efficiency_sweep
+from .experiments.efficiency import efficiency_grid, run_efficiency_sweep
 from .experiments.results import GridSpec, write_metadata_json, write_results_csv
-from .experiments.theorem import report_rows, run_theorem_verify
+from .experiments.theorem import (
+    run_formula_check,
+    run_part_a,
+    run_tail_check,
+    run_threshold_check,
+)
 from .population import build_pool, pool_to_csv
 from .rng import STREAM_POOL, derive_stream
 
@@ -48,23 +53,29 @@ def sig4(x: float) -> str:
 # option parsing: one table per subcommand, shared string->value parsers
 
 
+def _parse_list(parse, text: str) -> tuple:
+    values = tuple(parse(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError(f"expected v1,v2,..., got {text!r}")
+    return values
+
+
 def _parse_int_list(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return _parse_list(int, text)
 
 
 def _parse_float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    return _parse_list(float, text)
 
 
 def _parse_axis(text: str) -> tuple:
     """Parse ``name=v1,v2,...`` into (name, values); counts must be integers."""
     name, _, rest = text.partition("=")
     name = name.strip()
-    integer = name in ("n", "d", "evaluators")
-    values = (_parse_int_list if integer else _parse_float_list)(rest)
-    if not name or not values:
+    if not name or not rest.replace(",", "").strip():
         raise ValueError(f"expected name=v1,v2,..., got {text!r}")
-    return name, values
+    integer = name in ("n", "d", "evaluators")
+    return name, (_parse_int_list if integer else _parse_float_list)(rest)
 
 
 @dataclass(frozen=True)
@@ -189,6 +200,9 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     resolved = {}
     for key, text in raw.items():
         try:
+            if not isinstance(text, str):
+                # argparse reads --key=-- as an empty list of arguments
+                raise ValueError("expected a value, got '--'")
             resolved[key] = options[key].parse(text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
@@ -267,23 +281,17 @@ def _cmd_calibration(cfg: dict) -> int:
 
 
 def _cmd_efficiency(cfg: dict) -> int:
-    results = run_efficiency_sweep(
-        tau_values=cfg["tau"],
-        sigma_values=cfg["sigma"],
-        n=cfg["n"],
-        delta=cfg["delta"],
-        runs=cfg["runs"],
-        seed=cfg["seed"],
-        workers=cfg["workers"],
-    )
-    grid = GridSpec(
-        axes=(("tau", cfg["tau"]), ("sigma", cfg["sigma"])),
-        fixed={"n": cfg["n"], "delta": cfg["delta"]},
-        runs=cfg["runs"],
-    )
+    settings = {
+        "tau_values": cfg["tau"],
+        "sigma_values": cfg["sigma"],
+        "n": cfg["n"],
+        "delta": cfg["delta"],
+        "runs": cfg["runs"],
+    }
+    results = run_efficiency_sweep(**settings, seed=cfg["seed"], workers=cfg["workers"])
     _print_rows(results, "holistic", "accuracy")
     tables = {"efficiency.csv": (["tau", "sigma"], results)}
-    _write_outputs(cfg, "efficiency", "efficiency", tables, grid)
+    _write_outputs(cfg, "efficiency", "efficiency", tables, efficiency_grid(**settings))
     return 0
 
 
@@ -301,35 +309,38 @@ def _cmd_bias_grid(cfg: dict) -> int:
 
 
 def _cmd_theorem_verify(cfg: dict) -> int:
-    report = run_theorem_verify(
-        n_values=cfg["n"],
-        delta_values=cfg["delta"],
-        gamma=cfg["gamma"],
-        runs=cfg["runs"],
-        seed=cfg["seed"],
-        workers=cfg["workers"],
-        threshold_n=cfg["threshold_n"],
-        tail_group=cfg["tail_group"],
-        tail_pools=cfg["tail_pools"],
-        tail_samples=cfg["tail_samples"],
+    common = {"seed": cfg["seed"], "workers": cfg["workers"]}
+    paired = {"delta_values": cfg["delta"], "runs": cfg["runs"], **common}
+    part_a = run_part_a(n_values=cfg["n"], **paired)
+    formula = run_formula_check(
+        n_values=cfg["n"], gamma=cfg["gamma"], tail_samples=cfg["tail_samples"], **paired
     )
-    rows = report_rows(report, cfg["seed"])
+    # the threshold check reuses --delta at a large fixed pool, and the tail
+    # check reuses it at tail_group applicants per group
+    threshold = run_threshold_check(n=cfg["threshold_n"], gamma=cfg["gamma"], **paired)
+    tail = run_tail_check(
+        delta_values=cfg["delta"], n_per_group=cfg["tail_group"], pools=cfg["tail_pools"], **common
+    )
+    families = {
+        "theorem_part_a.csv": (["n", "delta", "beta", "gamma"], part_a),
+        "theorem_formula.csv": (["n", "delta", "gamma"], formula),
+        "theorem_threshold.csv": (["n", "delta", "gamma"], threshold),
+        "theorem_tail.csv": (["n", "delta"], tail),
+    }
     tables = {
-        "theorem_part_a.csv": (["n", "delta", "beta", "gamma"], rows["part_a"]),
-        "theorem_formula.csv": (["n", "delta", "gamma"], rows["formula"]),
-        "theorem_threshold.csv": (["n", "delta", "gamma"], rows["threshold"]),
-        "theorem_tail.csv": (["n", "delta"], rows["tail"]),
+        name: (param_names, [row for c in checks for row in c.rows(cfg["seed"])])
+        for name, (param_names, checks) in families.items()
     }
     _write_outputs(cfg, "theorem-verify", "theorem", tables)
 
-    for c in report.part_a:
+    for c in part_a:
         print(
             f"part_a n={c.n} delta={sig4(c.delta)} beta={sig4(c.beta)}"
             f" gamma={sig4(c.gamma)}: err_hol {sig4(c.pair.err_hol)}"
             f" err_seg {sig4(c.pair.err_seg)}"
             f" {'PASS' if c.passed else 'FAIL'}"
         )
-    for c in report.formula:
+    for c in formula:
         sym = c.symmetry_hol_ok and c.symmetry_seg_ok
         print(
             f"formula n={c.n} delta={sig4(c.delta)}: diff {sig4(c.pair.diff)}"
@@ -338,20 +349,23 @@ def _cmd_theorem_verify(cfg: dict) -> int:
             f" {'PASS' if c.passed else 'FAIL'}"
             f" symmetry {'PASS' if sym else 'FAIL'}"
         )
-    for c in report.threshold:
+    for c in threshold:
         side = "positive" if c.expect_positive else "negative"
         print(
             f"threshold n={c.n} delta={sig4(c.delta)}: diff {sig4(c.pair.diff)}"
             f" (se {sig4(c.pair.se_diff)}), expected {side}"
             f" {'PASS' if c.passed else 'FAIL'}"
         )
-    for c in report.tail:
+    for c in tail:
         print(
             f"tail m={c.n_per_group} delta={sig4(c.delta)}: below {sig4(c.p_below)}"
             f" predicted {sig4(c.predicted_below)} limit {sig4(c.limit_below)}"
             f" {'PASS' if c.passed else 'FAIL'}"
         )
-    if report.all_passed:
+    verdicts = [c.passed for c in part_a + threshold + tail] + [
+        c.passed and c.symmetry_hol_ok and c.symmetry_seg_ok for c in formula
+    ]
+    if all(verdicts):
         print("ALL CHECKS PASSED")
         return 0
     print("SOME CHECKS FAILED")
@@ -369,10 +383,8 @@ def _cmd_pool_dump(cfg: dict) -> int:
         PowerLaw(cfg["delta"]),
         rng,
     )
-    pool_path = _outpath(cfg, "pool.csv")
-    pool_to_csv(pool, pool_path)
-    print(f"wrote {pool_path}")
-
+    # the plan draws after the pool, and both are checked before anything is written
+    plan = None
     scheme = cfg.get("scheme")
     if scheme is not None:
         if scheme == "holistic":
@@ -387,6 +399,11 @@ def _cmd_pool_dump(cfg: dict) -> int:
             )
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
+
+    pool_path = _outpath(cfg, "pool.csv")
+    pool_to_csv(pool, pool_path)
+    print(f"wrote {pool_path}")
+    if plan is not None:
         plan_path = _outpath(cfg, "plan.csv")
         plan.to_csv(plan_path)
         print(f"wrote {plan_path}")

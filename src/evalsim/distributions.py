@@ -29,8 +29,8 @@ def power_law_inv_cdf(u, delta: float):
     Accepts scalars or arrays in ``[0, 1)`` and returns values of matching
     shape.  ``u = 0`` maps to the support minimum 1.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("u must lie in [0, 1)")
@@ -43,14 +43,15 @@ class PowerLaw:
     """Heavy-tailed marginal with survival ``P[Z >= t] = t**-(1 + delta)``.
 
     Supported on ``[1, inf)``; smaller ``delta`` means a heavier tail.  The
-    mean is finite only for ``delta > 0``, which is required.
+    mean is finite only for ``delta > 0``, which is required; an infinite
+    ``delta`` would make every draw 1.0, so it is rejected too.
     """
 
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
     @property
     def support_min(self) -> float:
@@ -132,35 +133,6 @@ class TruncatedNormal:
     def sample(self, rng: np.random.Generator, size=None):
         """Draw by inverse-transform from ``rng``."""
         return self.inv_cdf(rng.random(size))
-
-
-@dataclass(frozen=True)
-class CorrelationSpec:
-    """Equicorrelation structure for ``dims`` latent normal scores.
-
-    The latent covariance is ``(1 - sigma) * I + sigma * J`` with ``J`` the
-    all-ones matrix.  ``sigma`` is restricted to [0, 1]: that is the range
-    realizable for every ``dims`` at once, and the one-factor sampler below
-    relies on it.
-    """
-
-    sigma: float
-    dims: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError("sigma must lie in [0, 1]")
-        if self.dims < 1:
-            raise ValueError("dims must be at least 1")
-
-    def covariance(self) -> np.ndarray:
-        cov = np.full((self.dims, self.dims), self.sigma)
-        np.fill_diagonal(cov, 1.0)
-        return cov
-
-    def spearman_rho(self) -> float:
-        """Population Spearman correlation implied by latent ``sigma``."""
-        return (6.0 / math.pi) * math.asin(self.sigma / 2.0)
 
 
 def sample_correlated_matrix(

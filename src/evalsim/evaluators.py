@@ -32,8 +32,7 @@ class EvaluatorProfile:
     """Behavioral model of a single evaluator.
 
     ``is_biased`` holds the realized coin for kind ``"biased"``: the discount
-    is applied only when it is True.  ``gamma`` optionally records the coin
-    probability the profile was drawn with.
+    is applied only when it is True.
     """
 
     kind: str
@@ -41,7 +40,6 @@ class EvaluatorProfile:
     tau: float | None = None
     num_bins: int | None = None
     is_biased: bool = False
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.kind not in EVALUATOR_KINDS:
@@ -55,13 +53,6 @@ class EvaluatorProfile:
         if self.kind == "quantile_binner":
             if self.num_bins is None or self.num_bins < 2:
                 raise ValueError("binners need num_bins >= 2")
-
-
-def draw_bias_coin(gamma: float, rng: np.random.Generator) -> bool:
-    """Flip one evaluator's bias coin: True with probability ``gamma``."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    return bool(rng.random() < gamma)
 
 
 @dataclass
@@ -132,7 +123,7 @@ def report(profile: EvaluatorProfile, rows, cols, pool: AttributeMatrix) -> Scor
     """Dispatch a numeric-score evaluator profile onto its block.
 
     A biased profile whose coin came up False reports truthfully.  Binners
-    report labels rather than scores and have their own entry point.
+    report labels rather than scores: see :func:`local_quantile_bins`.
     """
     if profile.kind == "truthful":
         return report_truthful(rows, cols, pool)
@@ -162,21 +153,6 @@ def local_quantile_bins(values: np.ndarray, num_bins: int) -> np.ndarray:
     ranks = np.empty(m, dtype=np.int64)
     ranks[order] = np.arange(1, m + 1)
     return -(-num_bins * ranks // m)
-
-
-def report_quantile_binned(
-    rows, col, pool: AttributeMatrix, num_bins: int = 5
-) -> np.ndarray:
-    """Bin labels the binning evaluator reports for its ``m`` applicants.
-
-    The evaluator owns the single attribute ``col``; ``rows`` lists the
-    applicants it sees, and the returned labels align with ``rows``.
-    """
-    col = np.asarray(col)
-    if col.ndim != 0:
-        raise ValueError("a quantile binner owns exactly one attribute")
-    rows = np.asarray(rows)
-    return local_quantile_bins(pool.values[rows, int(col)], num_bins)
 
 
 def screening_cutoff(tau: float, m: int) -> int:

@@ -19,6 +19,23 @@ from .results import ExperimentResult, GridSpec, rows_from_moments
 EFFICIENCY_CHUNK = 2048
 
 
+def efficiency_grid(tau_values, sigma_values, n: int, delta: float, runs: int) -> GridSpec:
+    """The (tau, sigma) grid of a sweep, with ``n`` and ``delta`` fixed."""
+    if n < 2 or n % 2:
+        raise ValueError("the two-screener committee needs an even pool of >= 2")
+    tau_values = tuple(float(t) for t in tau_values)
+    sigma_values = tuple(float(s) for s in sigma_values)
+    if any(not 0.0 < t <= 1.0 for t in tau_values):
+        raise ValueError("tau must lie in (0, 1]")
+    if any(not 0.0 <= s <= 1.0 for s in sigma_values):
+        raise ValueError("sigma must lie in [0, 1]")
+    return GridSpec(
+        axes=(("tau", tau_values), ("sigma", sigma_values)),
+        fixed={"n": n, "delta": delta},
+        runs=runs,
+    )
+
+
 def run_efficiency_sweep(
     tau_values,
     sigma_values,
@@ -35,20 +52,7 @@ def run_efficiency_sweep(
     top-choice accuracy and scheme ``"workload"`` the cells evaluated per run
     (deterministic given tau, so its standard error is 0).
     """
-    if n < 2 or n % 2:
-        raise ValueError("the two-screener committee needs an even pool of >= 2")
-    tau_values = tuple(float(t) for t in tau_values)
-    sigma_values = tuple(float(s) for s in sigma_values)
-    if any(not 0.0 < t <= 1.0 for t in tau_values):
-        raise ValueError("tau must lie in (0, 1]")
-    if any(not 0.0 <= s <= 1.0 for s in sigma_values):
-        raise ValueError("sigma must lie in [0, 1]")
-    grid = GridSpec(
-        axes=(("tau", tau_values), ("sigma", sigma_values)),
-        fixed={"n": n, "delta": delta},
-        runs=runs,
-    )
-    points = grid.points()
+    points = efficiency_grid(tau_values, sigma_values, n, delta, runs).points()
     worker_points = [
         {**point, "marginal": PowerLaw(point["delta"])}
         for point in points

@@ -404,8 +404,6 @@ def theorem_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
         "hol": err_h,
         "seg": err_s,
         "diff": err_h - err_s,
-        "hol_dis": err_h * best_is_dis,
-        "seg_dis": err_s * best_is_dis,
         "dis": best_is_dis,
     }
 

@@ -18,10 +18,10 @@ tails favor holistic review.  When only half the attributes are protected
 
 This module estimates the gaps by paired Monte Carlo, computes p both by
 simulation and by quadrature, and packages the comparisons as pass/fail
-checks.  It also verifies the symmetry identity behind the closed form: an
-error can only occur when the true best applicant is disadvantaged, which
-happens with probability 1/2, so the unconditional error must equal half the
-error conditioned on that event.
+checks that render their own result rows.  It also verifies the symmetry
+identity behind the closed form: an error can only occur when the true best
+applicant is disadvantaged, which happens with probability 1/2, so the
+unconditional error must equal half the error conditioned on that event.
 """
 
 from __future__ import annotations
@@ -98,18 +98,27 @@ class PairEstimate:
     gap_seg_se: float
     runs: int
 
+    def rows(self, params: dict, seed: int, schemes=("holistic", "segmented", "difference")):
+        """Result rows at ``params`` for the named estimates, in that order."""
+        values = {
+            "holistic": (self.err_hol, self.se_hol),
+            "segmented": (self.err_seg, self.se_seg),
+            "difference": (self.diff, self.se_diff),
+        }
+        return [ExperimentResult(params, s, *values[s], self.runs, seed) for s in schemes]
 
-def _conditional_gap(err_dis: tuple, b: float):
+
+def _conditional_gap(err: tuple, b: float):
     """Delta-method estimate of mean(err) - mean(err | best dis) / 2.
 
-    ``err_dis`` holds the ``(sum, sumsq, runs)`` of err * indicator and ``b``
+    ``err`` holds the ``(sum, sumsq, runs)`` of the per-run errors and ``b``
     is the fraction of runs whose best applicant is disadvantaged.  Errors
     vanish whenever the true best applicant is advantaged (reports never
-    raise a disadvantaged score or touch an advantaged one), so mean(err)
-    equals mean(err * indicator) and the gap reduces to a function of two
+    raise a disadvantaged score or touch an advantaged one), so err equals
+    err * indicator run by run and the gap reduces to a function of two
     correlated sample means.
     """
-    sum_ei, sumsq_ei, count = err_dis
+    sum_ei, sumsq_ei, count = err
     a = sum_ei / count
     if not 0.0 < b < 1.0:
         return 0.0, 0.0
@@ -129,8 +138,8 @@ def _pair_from_sums(sums: dict) -> PairEstimate:
     diff, se_diff = mean_and_se(*sums["diff"])
     sum_dis, _, count = sums["dis"]
     p_best_dis = sum_dis / count
-    gap_hol, gap_hol_se = _conditional_gap(sums["hol_dis"], p_best_dis)
-    gap_seg, gap_seg_se = _conditional_gap(sums["seg_dis"], p_best_dis)
+    gap_hol, gap_hol_se = _conditional_gap(sums["hol"], p_best_dis)
+    gap_seg, gap_seg_se = _conditional_gap(sums["seg"], p_best_dis)
     return PairEstimate(
         err_hol=err_hol,
         se_hol=se_hol,
@@ -231,6 +240,10 @@ class PartACheck:
     pair: PairEstimate
     passed: bool
 
+    def rows(self, seed: int) -> list:
+        params = {"n": self.n, "delta": self.delta, "beta": self.beta, "gamma": self.gamma}
+        return self.pair.rows(params, seed)
+
 
 @dataclass(frozen=True)
 class FormulaCheck:
@@ -250,6 +263,14 @@ class FormulaCheck:
     symmetry_hol_ok: bool
     symmetry_seg_ok: bool
 
+    def rows(self, seed: int) -> list:
+        params = {"n": self.n, "delta": self.delta, "gamma": self.gamma}
+        predicted_se = 2.0 * self.gamma * (1.0 - self.gamma) * self.p_above_se
+        predicted = ExperimentResult(
+            params, "predicted", self.predicted, predicted_se, self.tail_samples, seed
+        )
+        return [*self.pair.rows(params, seed, ("difference",)), predicted]
+
 
 @dataclass(frozen=True)
 class ThresholdCheck:
@@ -261,6 +282,10 @@ class ThresholdCheck:
     pair: PairEstimate
     expect_positive: bool
     passed: bool
+
+    def rows(self, seed: int) -> list:
+        params = {"n": self.n, "delta": self.delta, "gamma": self.gamma}
+        return self.pair.rows(params, seed, ("difference",))
 
 
 @dataclass(frozen=True)
@@ -276,22 +301,12 @@ class TailCheck:
     limit_below: float
     passed: bool
 
-
-@dataclass(frozen=True)
-class TheoremReport:
-    part_a: tuple
-    formula: tuple
-    threshold: tuple
-    tail: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            all(c.passed for c in self.part_a)
-            and all(c.passed and c.symmetry_hol_ok and c.symmetry_seg_ok for c in self.formula)
-            and all(c.passed for c in self.threshold)
-            and all(c.passed for c in self.tail)
-        )
+    def rows(self, seed: int) -> list:
+        params = {"n": self.n_per_group, "delta": self.delta}
+        return [
+            ExperimentResult(params, "below", self.p_below, self.se, self.pools, seed),
+            ExperimentResult(params, "predicted", self.predicted_below, 0.0, self.pools, seed),
+        ]
 
 
 def run_part_a(
@@ -459,99 +474,3 @@ def run_tail_check(
             )
         )
     return tuple(checks)
-
-
-def run_theorem_verify(
-    n_values=(2, 20),
-    delta_values=(0.3, 1.0),
-    gamma: float = 0.5,
-    runs: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-    threshold_n: int = 1000,
-    tail_group: int = 10_000,
-    tail_pools: int = 10_000,
-    tail_samples: int = 1_000_000,
-) -> TheoremReport:
-    """Run every packaged check over the requested pool sizes and exponents.
-
-    ``n_values`` and ``delta_values`` drive the paired-error grids (the
-    half-protected inequality and the closed-form comparison); the threshold
-    check reuses ``delta_values`` at a large fixed pool, and the tail check
-    reuses them at ``tail_group`` applicants per group.
-    """
-    return TheoremReport(
-        part_a=run_part_a(
-            delta_values=delta_values,
-            n_values=n_values,
-            runs=runs,
-            seed=seed,
-            workers=workers,
-        ),
-        formula=run_formula_check(
-            n_values=n_values,
-            delta_values=delta_values,
-            gamma=gamma,
-            runs=runs,
-            seed=seed,
-            workers=workers,
-            tail_samples=tail_samples,
-        ),
-        threshold=run_threshold_check(
-            delta_values=delta_values,
-            n=threshold_n,
-            gamma=gamma,
-            runs=runs,
-            seed=seed,
-            workers=workers,
-        ),
-        tail=run_tail_check(
-            delta_values=delta_values,
-            n_per_group=tail_group,
-            pools=tail_pools,
-            seed=seed,
-            workers=workers,
-        ),
-    )
-
-
-def report_rows(report: TheoremReport, seed: int) -> dict:
-    """Flatten a report into result rows, one table per check family."""
-    part_a = []
-    for c in report.part_a:
-        params = {"n": c.n, "delta": c.delta, "beta": c.beta, "gamma": c.gamma}
-        part_a.append(
-            ExperimentResult(params, "holistic", c.pair.err_hol, c.pair.se_hol, c.pair.runs, seed)
-        )
-        part_a.append(
-            ExperimentResult(params, "segmented", c.pair.err_seg, c.pair.se_seg, c.pair.runs, seed)
-        )
-        part_a.append(
-            ExperimentResult(params, "difference", c.pair.diff, c.pair.se_diff, c.pair.runs, seed)
-        )
-    formula = []
-    for c in report.formula:
-        params = {"n": c.n, "delta": c.delta, "gamma": c.gamma}
-        predicted_se = 2.0 * c.gamma * (1.0 - c.gamma) * c.p_above_se
-        formula.append(
-            ExperimentResult(params, "difference", c.pair.diff, c.pair.se_diff, c.pair.runs, seed)
-        )
-        formula.append(
-            ExperimentResult(params, "predicted", c.predicted, predicted_se, c.tail_samples, seed)
-        )
-    threshold = []
-    for c in report.threshold:
-        params = {"n": c.n, "delta": c.delta, "gamma": c.gamma}
-        threshold.append(
-            ExperimentResult(params, "difference", c.pair.diff, c.pair.se_diff, c.pair.runs, seed)
-        )
-    tail = []
-    for c in report.tail:
-        params = {"n": c.n_per_group, "delta": c.delta}
-        tail.append(
-            ExperimentResult(params, "below", c.p_below, c.se, c.pools, seed)
-        )
-        tail.append(
-            ExperimentResult(params, "predicted", c.predicted_below, 0.0, c.pools, seed)
-        )
-    return {"part_a": part_a, "formula": formula, "threshold": threshold, "tail": tail}

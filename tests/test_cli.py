@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: options, outputs, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from evalsim import __version__, cli
 from evalsim.cli import OPTIONS, OUTPUT_DIR_ENV, main, read_config_file, sig4
+from evalsim.experiments import theorem
 from evalsim.experiments.results import PARAM_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -126,8 +128,8 @@ _VALUES = {
     int: st.integers(),
     float: _FLOATS,
     str: st.text(st.characters(blacklist_categories=("Cs",))),
-    cli._parse_int_list: st.lists(st.integers()).map(tuple),
-    cli._parse_float_list: st.lists(_FLOATS).map(tuple),
+    cli._parse_int_list: st.lists(st.integers(), min_size=1).map(tuple),
+    cli._parse_float_list: st.lists(_FLOATS, min_size=1).map(tuple),
     cli._parse_axis: _axes(),
 }
 
@@ -184,6 +186,16 @@ def test_rejected_values_exit_2(command, opt, data):
         assert os.listdir(tmp) == []
 
 
+@pytest.mark.parametrize("command, opt", _PARSED, ids=[f"{c}-{o.name}" for c, o in _PARSED])
+def test_double_dash_value_exits_2(capsys, tmp_path, command, opt):
+    # argparse hands the parser an empty list, not text, for --flag=--
+    flag = opt.name.replace("_", "-")
+    code = run_cli(command, "--seed", "1", "--outdir", str(tmp_path), f"--{flag}=--")
+    assert code == 2
+    assert f"bad value for {opt.name!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
@@ -206,6 +218,15 @@ def test_calibration_rejects_one_bin(capsys, tmp_path):
     code = run_cli("calibration", "--seed", "3", "--num-bins", "1", "--outdir", str(tmp_path))
     assert code == 2
     assert "num_bins" in capsys.readouterr().err
+
+
+def test_calibration_rejects_an_infinite_exponent(capsys, tmp_path):
+    # every draw would be 1.0, so every pool would tie
+    code = run_cli("calibration", "--seed", "1", "--runs", "10", "--delta", "inf",
+                   "--outdir", str(tmp_path))
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +433,60 @@ def test_theorem_verify_reduced_scale(capsys, tmp_path):
     assert formula[2].split(",")[3] == "predicted"
 
 
+_VERDICT_FLAGS = {
+    "run_part_a": ("passed",),
+    "run_formula_check": ("passed", "symmetry_hol_ok", "symmetry_seg_ok"),
+    "run_threshold_check": ("passed",),
+    "run_tail_check": ("passed",),
+}
+
+
+@pytest.fixture(scope="module")
+def passing_checks():
+    """Each check family at a tiny scale, with every verdict forced to pass."""
+    runs = {
+        "run_part_a": theorem.run_part_a(
+            beta_values=(0.0,), gamma_values=(0.5,), delta_values=(1.0,), n_values=(2,),
+            runs=100, seed=3,
+        ),
+        "run_formula_check": theorem.run_formula_check(
+            n_values=(2,), delta_values=(1.0,), runs=100, seed=3, tail_samples=100
+        ),
+        "run_threshold_check": theorem.run_threshold_check(
+            delta_values=(0.3,), n=20, runs=100, seed=3
+        ),
+        "run_tail_check": theorem.run_tail_check(
+            delta_values=(1.0,), n_per_group=10, pools=100, seed=3
+        ),
+    }
+    return {
+        name: tuple(
+            dataclasses.replace(c, **dict.fromkeys(_VERDICT_FLAGS[name], True)) for c in checks
+        )
+        for name, checks in runs.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "family, flag",
+    [(None, None)] + [(name, "passed") for name in _VERDICT_FLAGS]
+    + [("run_formula_check", "symmetry_hol_ok"), ("run_formula_check", "symmetry_seg_ok")],
+)
+def test_theorem_verify_verdict(monkeypatch, capsys, tmp_path, passing_checks, family, flag):
+    # one failing check in any family, or one failed symmetry check, fails the run
+    for name, checks in passing_checks.items():
+        if name == family:
+            checks = (dataclasses.replace(checks[0], **{flag: False}),) + checks[1:]
+        monkeypatch.setattr(cli, name, lambda checks=checks, **_: checks)
+    code = run_cli("theorem-verify", "--seed", "3", "--outdir", str(tmp_path))
+    out = capsys.readouterr().out
+    if family is None:
+        assert code == 0 and "ALL CHECKS PASSED" in out
+    else:
+        assert code == 1 and "SOME CHECKS FAILED" in out
+    assert len(list(tmp_path.glob("theorem_*.csv"))) == 4
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -436,6 +511,16 @@ def test_each_csv_written_is_reported_once(capsys, tmp_path, argv):
     out = capsys.readouterr().out.splitlines()
     reported = sorted(line[len("wrote "):] for line in out if line.startswith("wrote "))
     assert reported == sorted(str(p) for p in tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flags", [("--n", ","), ("--delta", ",")])
+def test_theorem_verify_rejects_an_empty_list(capsys, tmp_path, flags):
+    # with nothing to check, the run used to report that every check passed
+    code = run_cli("theorem-verify", "--seed", "1", "--runs", "100", *flags,
+                   "--outdir", str(tmp_path))
+    assert code == 2
+    assert f"bad value for {flags[0][2:]!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_theorem_verify_rejects_odd_pool(capsys, tmp_path):
@@ -474,6 +559,7 @@ def test_pool_dump_blocked_needs_dimensions(capsys, tmp_path):
     )
     assert code == 2
     assert "rows_per_eval" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_pool_dump_rejects_unknown_scheme(capsys, tmp_path):
@@ -482,6 +568,7 @@ def test_pool_dump_rejects_unknown_scheme(capsys, tmp_path):
     )
     assert code == 2
     assert "diagonal" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_pool_dump_rejects_bad_alpha(capsys, tmp_path):
@@ -503,6 +590,7 @@ def test_pool_dump_rejects_indivisible_committee(capsys, tmp_path):
     )
     assert code == 2
     assert "divide" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from evalsim.distributions import (
-    CorrelationSpec,
     PowerLaw,
     TruncatedNormal,
     power_law_inv_cdf,
@@ -49,6 +48,14 @@ def test_power_law_inv_cdf_domain_errors():
         power_law_inv_cdf(0.5, 0.0)
     with pytest.raises(ValueError):
         PowerLaw(-0.2)
+
+
+def test_power_law_rejects_an_infinite_exponent():
+    # every draw of an infinite exponent is 1.0, a constant that ties every pool
+    with pytest.raises(ValueError, match="finite"):
+        PowerLaw(math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        power_law_inv_cdf(0.5, math.inf)
 
 
 @given(
@@ -128,25 +135,6 @@ def test_truncated_normal_keeps_precision_above_the_mean():
     assert np.abs(upper.cdf(t) + mirror.cdf(-t) - 1.0).max() <= 1e-12
     with pytest.raises(ValueError, match="mass"):
         TruncatedNormal(0.0, 1.0, 40.0, 41.0)
-
-
-def test_correlation_spec_covariance_and_spearman():
-    spec = CorrelationSpec(sigma=0.5, dims=3)
-    cov = spec.covariance()
-    assert cov.shape == (3, 3)
-    assert np.all(np.diag(cov) == 1.0)
-    assert cov[0, 1] == cov[2, 0] == 0.5
-    assert spec.spearman_rho() == pytest.approx(SPEARMAN_SIGMA_HALF, rel=1e-14)
-    assert CorrelationSpec(1.0, 2).spearman_rho() == pytest.approx(1.0)
-    assert CorrelationSpec(0.0, 2).spearman_rho() == 0.0
-
-
-def test_correlation_spec_rejects_out_of_range():
-    for sigma in (-0.2, 1.2):
-        with pytest.raises(ValueError):
-            CorrelationSpec(sigma, 2)
-    with pytest.raises(ValueError):
-        CorrelationSpec(0.5, 0)
 
 
 def test_fully_correlated_rows_are_identical_floats():

@@ -7,12 +7,10 @@ from evalsim.distributions import PowerLaw, sample_correlated_matrix
 from evalsim.evaluators import (
     EvaluatorProfile,
     ScoreMatrix,
-    draw_bias_coin,
     local_quantile_bins,
     merge_scores,
     report,
     report_biased,
-    report_quantile_binned,
     report_screened,
     report_truthful,
     screening_cutoff,
@@ -47,19 +45,6 @@ def test_profile_validation():
         EvaluatorProfile("screener", tau=0.0)
     with pytest.raises(ValueError):
         EvaluatorProfile("quantile_binner", num_bins=1)
-
-
-def test_bias_coin_frequency():
-    rng = derive_stream(21, 9)
-    gamma = 0.3
-    draws = 100_000
-    hits = sum(draw_bias_coin(gamma, rng) for _ in range(draws))
-    se = np.sqrt(gamma * (1 - gamma) / draws)
-    assert abs(hits / draws - gamma) <= 3.0 * se
-    with pytest.raises(ValueError):
-        draw_bias_coin(0.0, rng)
-    with pytest.raises(ValueError):
-        draw_bias_coin(1.0, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +160,6 @@ def test_binner_agrees_with_population_bins_on_large_samples():
     local = local_quantile_bins(values, 5)
     truth = percentile_bin(law.cdf(values), 5)
     assert (local == truth).mean() >= 0.95
-
-
-def test_report_quantile_binned_matches_local_bins():
-    rng = derive_stream(24, 9)
-    values = PowerLaw(1.0).sample(rng, (6, 3))
-    pool = _pool(values)
-    rows = np.array([0, 2, 3, 5])
-    bins = report_quantile_binned(rows, 1, pool, num_bins=2)
-    assert np.array_equal(bins, local_quantile_bins(values[rows, 1], 2))
-    with pytest.raises(ValueError):
-        report_quantile_binned(rows, [0, 1], pool)
 
 
 # ---------------------------------------------------------------------------

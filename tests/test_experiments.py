@@ -9,7 +9,7 @@ from evalsim.distributions import PowerLaw, TruncatedNormal
 from evalsim.experiments import bias
 from evalsim.experiments.bias import run_bias_grid
 from evalsim.experiments.calibration import run_calibration_sweep
-from evalsim.experiments.efficiency import run_efficiency_sweep
+from evalsim.experiments.efficiency import efficiency_grid, run_efficiency_sweep
 from evalsim.experiments.kernels import calibration_worker, efficiency_cells
 from evalsim.experiments.parallel import chunk_sizes, mean_and_se, run_points
 from evalsim.experiments.results import (
@@ -226,6 +226,21 @@ def test_efficiency_sweep_validation():
         run_efficiency_sweep((0.0,), (0.5,), n=10, runs=10)
     with pytest.raises(ValueError):
         run_efficiency_sweep((0.1,), (1.5,), n=10, runs=10)
+
+
+def test_efficiency_grid_is_the_grid_the_sweep_runs():
+    grid = efficiency_grid((0.5, 1), (0,), n=10, delta=2.0, runs=20)
+    assert grid.to_json_dict() == {
+        "axes": [["tau", [0.5, 1.0]], ["sigma", [0.0]]],
+        "fixed": {"n": 10, "delta": 2.0},
+        "runs": 20,
+    }
+    rows = run_efficiency_sweep((0.5, 1), (0,), n=10, delta=2.0, runs=20, seed=1)
+    assert [r.params for r in rows if r.scheme == "holistic"] == [
+        {"tau": p["tau"], "sigma": p["sigma"]} for p in grid.points()
+    ]
+    with pytest.raises(ValueError, match="even pool"):
+        efficiency_grid((0.5,), (0.0,), n=9, delta=1.0, runs=10)
 
 
 # ---------------------------------------------------------------------------

@@ -342,9 +342,11 @@ def test_theorem_worker_sums_are_consistent():
     assert np.all((0.0 <= out["hol"]) & (out["hol"] <= 1.0))
     assert np.all((0.0 <= out["seg"]) & (out["seg"] <= 1.0))
     assert np.array_equal(out["diff"], out["hol"] - out["seg"])
-    # errors can strike only disadvantaged bests, so the conditional errors match
-    assert np.array_equal(out["hol_dis"], out["hol"])
-    assert np.array_equal(out["seg_dis"], out["seg"])
+    # errors can strike only disadvantaged bests, which is why the driver reads
+    # the conditional errors off hol and seg
+    assert not out["hol"][~out["dis"]].any()
+    assert not out["seg"][~out["dis"]].any()
+    assert out["hol"].any() and not out["dis"].all()
     assert out["dis"].dtype == bool
     with pytest.raises(ValueError):
         draw_theorem_batch(derive_stream(51, 8), 8, 5, 1.0, 1.0, 0.5)

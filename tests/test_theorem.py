@@ -13,12 +13,10 @@ from evalsim.experiments.theorem import (
     PairEstimate,
     predicted_gap,
     predicted_tail_above,
-    report_rows,
     run_error_pairs,
     run_formula_check,
     run_part_a,
     run_tail_check,
-    run_theorem_verify,
     run_threshold_check,
     tail_above_limit,
     tail_probability,
@@ -199,34 +197,50 @@ def test_checks_hold_in_the_asymptotic_regime():
         assert abs(check.p_above - check.p_above_quad) <= 4.0 * check.p_above_se
 
 
-def test_theorem_verify_report_shape():
-    report = run_theorem_verify(
-        n_values=(2,),
-        delta_values=(1.0,),
-        runs=20_000,
-        seed=5,
-        threshold_n=200,
-        tail_group=100,
-        tail_pools=5_000,
-        tail_samples=50_000,
+def test_checks_render_their_rows():
+    part_a = run_part_a(
+        beta_values=(0.0, 0.3), gamma_values=(0.5,), delta_values=(1.0,), n_values=(2,),
+        runs=2_000, seed=5,
     )
-    assert len(report.part_a) == 9  # 3 betas x 3 gammas x 1 delta x 1 n
-    assert len(report.formula) == 1
-    assert len(report.threshold) == 1
-    assert len(report.tail) == 1
-    flags = (
-        [c.passed for c in report.part_a]
-        + [c.passed and c.symmetry_hol_ok and c.symmetry_seg_ok for c in report.formula]
-        + [c.passed for c in report.threshold]
-        + [c.passed for c in report.tail]
+    (formula,) = run_formula_check(
+        n_values=(2,), delta_values=(1.0,), runs=2_000, seed=5, tail_samples=5_000
     )
-    assert report.all_passed == all(flags)
+    (threshold,) = run_threshold_check(delta_values=(0.3,), n=200, runs=2_000, seed=5)
+    (tail,) = run_tail_check(delta_values=(1.0,), n_per_group=100, pools=3_000, seed=5)
 
-    rows = report_rows(report, seed=5)
-    assert set(rows) == {"part_a", "formula", "threshold", "tail"}
-    assert len(rows["part_a"]) == 3 * 9
-    assert [r.scheme for r in rows["formula"]] == ["difference", "predicted"]
-    assert rows["formula"][1].runs == 50_000
-    assert [r.scheme for r in rows["tail"]] == ["below", "predicted"]
-    assert rows["threshold"][0].params["n"] == 200
-    assert all(r.seed == 5 for r in rows["part_a"])
+    def rendered(checks, seed=7):
+        rows = [row for c in checks for row in c.rows(seed)]
+        assert all(r.seed == seed for r in rows)
+        return [(r.scheme, list(r.params), r.estimate, r.std_error, r.runs) for r in rows]
+
+    pair_rows = []
+    for c in part_a:
+        p = c.pair
+        assert [*c.rows(7)[0].params.values()] == [c.n, c.delta, c.beta, c.gamma]
+        pair_rows += [
+            ("holistic", ["n", "delta", "beta", "gamma"], p.err_hol, p.se_hol, p.runs),
+            ("segmented", ["n", "delta", "beta", "gamma"], p.err_seg, p.se_seg, p.runs),
+            ("difference", ["n", "delta", "beta", "gamma"], p.diff, p.se_diff, p.runs),
+        ]
+    assert rendered(part_a) == pair_rows
+    assert part_a[0].pair.runs == 2_000
+
+    p = formula.pair
+    predicted_se = 2.0 * formula.gamma * (1.0 - formula.gamma) * formula.p_above_se
+    assert rendered([formula]) == [
+        ("difference", ["n", "delta", "gamma"], p.diff, p.se_diff, 2_000),
+        ("predicted", ["n", "delta", "gamma"], formula.predicted, predicted_se, 5_000),
+    ]
+    assert formula.rows(7)[0].params == {"n": 2, "delta": 1.0, "gamma": 0.5}
+
+    p = threshold.pair
+    assert rendered([threshold]) == [
+        ("difference", ["n", "delta", "gamma"], p.diff, p.se_diff, 2_000)
+    ]
+    assert threshold.rows(7)[0].params == {"n": 200, "delta": 0.3, "gamma": 0.5}
+
+    assert rendered([tail]) == [
+        ("below", ["n", "delta"], tail.p_below, tail.se, 3_000),
+        ("predicted", ["n", "delta"], tail.predicted_below, 0.0, 3_000),
+    ]
+    assert tail.rows(7)[0].params == {"n": 100, "delta": 1.0}
