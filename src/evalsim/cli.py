@@ -68,6 +68,13 @@ def _parse_float_list(text: str) -> tuple:
     return _parse_list(float, text)
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
 def _parse_axis(text: str) -> tuple:
     """Parse ``name=v1,v2,...`` into (name, values); counts must be integers."""
     name, _, rest = text.partition("=")
@@ -130,8 +137,8 @@ OPTIONS = {
         Option("runs", int, "100000", "paired runs per grid point"),
         Option("threshold_n", int, "1000", "pool size for the sign check"),
         Option("tail_group", int, "10000", "group size for the tail check"),
-        Option("tail_pools", int, "10000", "pools for the tail check"),
-        Option("tail_samples", int, "1000000", "samples for the tail oracle"),
+        Option("tail_pools", _parse_count, "10000", "pools for the tail check"),
+        Option("tail_samples", _parse_count, "1000000", "samples for the tail oracle"),
     ),
     "pool-dump": _COMMON
     + (

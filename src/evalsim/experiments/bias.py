@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..distributions import PowerLaw
 from ..rng import STREAM_BIAS_GRID
-from .kernels import bias_worker
+from .kernels import bias_draw_key, bias_worker
 from .parallel import run_points
 from .results import GridSpec, rows_from_moments
 
@@ -65,10 +65,11 @@ def run_bias_grid(
     ``grid.runs`` runs go to each point (``BIAS_RUNS`` when it is None).  A
     grid that sets ``gamma``, as an axis or a fixed value, biases each
     evaluator independently with that probability; otherwise the committee
-    is the fixed one-biased, one-unbiased pair.  Returns three rows per
-    point: holistic accuracy, segmented accuracy, and their paired
-    difference (segmented minus holistic), in the order the worker names
-    them.
+    is the fixed one-biased, one-unbiased pair.  Points that differ only in
+    ``delta`` and ``beta`` are scored on shared draws, so their rows are
+    paired.  Returns three rows per point: holistic accuracy, segmented
+    accuracy, and their paired difference (segmented minus holistic), in the
+    order the worker names them.
     """
     if len(grid.axes) != 2:
         raise ValueError("bias grids sweep exactly two parameters")
@@ -90,6 +91,7 @@ def run_bias_grid(
         STREAM_BIAS_GRID,
         chunk_size,
         workers,
+        bias_draw_key,
     )
     labels = [{name: point[name] for name in grid.axis_names} for point in points]
     return rows_from_moments(labels, moments, runs, seed)

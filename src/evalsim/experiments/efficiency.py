@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..distributions import PowerLaw
 from ..rng import STREAM_EFFICIENCY
-from .kernels import efficiency_cells, efficiency_worker
+from .kernels import efficiency_cells, efficiency_draw_key, efficiency_worker
 from .parallel import run_points
 from .results import ExperimentResult, GridSpec, rows_from_moments
 
@@ -50,7 +50,8 @@ def run_efficiency_sweep(
 
     Returns two rows per grid point: scheme ``"holistic"`` carries the
     top-choice accuracy and scheme ``"workload"`` the cells evaluated per run
-    (deterministic given tau, so its standard error is 0).
+    (deterministic given tau, so its standard error is 0).  The taus at one
+    sigma are scored on shared pools, so their rows are paired.
     """
     points = efficiency_grid(tau_values, sigma_values, n, delta, runs).points()
     worker_points = [
@@ -65,6 +66,7 @@ def run_efficiency_sweep(
         STREAM_EFFICIENCY,
         chunk_size,
         workers,
+        efficiency_draw_key,
     )
     labels = [{name: point[name] for name in ("tau", "sigma")} for point in points]
 

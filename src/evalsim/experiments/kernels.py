@@ -16,6 +16,13 @@ so ``draw_theorem_batch`` samples only the best value in each of four
 classes.  Its scorer is unchanged; on the class maxima of a full pool it
 returns that pool's errors bit for bit.
 
+A worker takes the params of one draw group (see ``parallel.run_points``)
+and returns one dict of per-run arrays per member.  Efficiency points that
+differ only in ``tau``, and bias points that differ only in ``delta`` and
+``beta``, share a group and so one draw; ``efficiency_draw_key`` and
+``bias_draw_key`` say which points those are.  Every other worker takes a
+group of one.
+
 Workers take their marginal as an object in ``params["marginal"]``; the
 marginals are frozen module-level dataclasses, so they pickle intact to pool
 workers.
@@ -58,12 +65,19 @@ def random_subset_mask(
 def draw_correlated_values(
     rng: np.random.Generator, batch: int, n: int, d: int, sigma: float, marginal
 ) -> np.ndarray:
-    """Batched version of the one-factor copula sampler: ``(batch, n, d)``."""
+    """Batched version of the one-factor copula sampler: ``(batch, n, d)``.
+
+    With ``marginal`` None it returns the copula's uniforms, to which a
+    caller can apply several marginals.  The normals become the uniforms in
+    place, so one ``(batch, n, d)`` array is alive until the inverse CDF.
+    """
     common = rng.standard_normal((batch, n))
-    noise = rng.standard_normal((batch, n, d))
-    z = math.sqrt(sigma) * common[..., None] + math.sqrt(1.0 - sigma) * noise
-    u = np.minimum(ndtr(z), _U_BELOW_ONE)
-    return marginal.inv_cdf(u)
+    z = rng.standard_normal((batch, n, d))
+    z *= math.sqrt(1.0 - sigma)
+    z += math.sqrt(sigma) * common[..., None]
+    u = ndtr(z, out=z)
+    np.minimum(u, _U_BELOW_ONE, out=u)
+    return u if marginal is None else marginal.inv_cdf(u)
 
 
 def _tie_adjusted_hits(estimates: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -78,28 +92,38 @@ def _tie_adjusted_hits(estimates: np.ndarray, best: np.ndarray) -> np.ndarray:
     return hit / ties
 
 
-def _redraw_tied_rows(values: np.ndarray, draw, marginal) -> None:
+def _best_is_tied(values: np.ndarray) -> np.ndarray:
+    """Per run, whether the best row total is attained more than once.
+
+    ``values`` is ``(batch, n)`` or ``(batch, n, d)``, ranked by row total.
+    """
+    total = values if values.ndim == 2 else values.sum(axis=2)
+    return (total == total.max(axis=1)[:, None]).sum(axis=1) > 1
+
+
+def _redraw_tied_rows(draws: np.ndarray, draw, marginals, tied=_best_is_tied) -> None:
     """Redraw, in place, every run whose true best applicant is tied.
 
-    ``values`` is ``(batch, n)`` or ``(batch, n, d)``, ranked by row total;
-    ``draw(k)`` returns ``k`` fresh runs.  Only the tied runs are redrawn,
-    at most ``MAX_TIE_REDRAWS`` times.
+    ``tied(draws)`` flags those runs; by default ``draws`` are the values
+    themselves.  ``draw(k)`` returns ``k`` fresh runs, and ``marginals`` are
+    named if the ties persist.  Only the tied runs are redrawn, at most
+    ``MAX_TIE_REDRAWS`` times.
     """
     for attempt in range(MAX_TIE_REDRAWS + 1):
-        total = values if values.ndim == 2 else values.sum(axis=2)
-        tied = (total == total.max(axis=1)[:, None]).sum(axis=1) > 1
-        if not tied.any():
+        flags = tied(draws)
+        if not flags.any():
             return
         if attempt == MAX_TIE_REDRAWS:
-            raise tied_best_error(marginal)
-        values[tied] = draw(int(tied.sum()))
+            raise tied_best_error(*marginals)
+        draws[flags] = draw(int(flags.sum()))
 
 
 # ---------------------------------------------------------------------------
 # calibration: local quantile bins versus population bins
 
 
-def calibration_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
+def calibration_worker(members, rng: np.random.Generator, size: int) -> list:
+    (params,) = members
     n = int(params["n"])
     num_bins = int(params["num_bins"])
     marginal = params["marginal"]
@@ -108,39 +132,41 @@ def calibration_worker(params: dict, rng: np.random.Generator, size: int) -> dic
     ranks = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
     local = -(-num_bins * ranks // n)
     truth = percentile_bin(marginal.cdf(x), num_bins)
-    return {"binner": np.abs(local - truth).mean(axis=1)}
+    return [{"binner": np.abs(local - truth).mean(axis=1)}]
 
 
 # ---------------------------------------------------------------------------
 # screening efficiency: two holistic screeners, two attributes
 
 
-def efficiency_accuracies(
-    values: np.ndarray, rows0: np.ndarray, tau: float
-) -> np.ndarray:
-    """Top-choice accuracy per run for the two-screener committee.
+def efficiency_accuracies(values: np.ndarray, rows0: np.ndarray, taus) -> list:
+    """Top-choice accuracy per run for the two-screener committee, per tau.
 
     ``values`` is ``(batch, n, 2)``; ``rows0`` marks the n/2 applicants owned
     by evaluator 0.  Each evaluator ranks its half by the first attribute and
     evaluates the second only for its top ``ceil(tau * n/2)``; an applicant
-    missing the second attribute is ineligible for the top pick.
+    missing the second attribute is ineligible for the top pick.  Each half
+    is sorted once, and every tau keeps a prefix of that order.
     """
     batch, n, _ = values.shape
-    k = screening_cutoff(tau, n // 2)
+    half = n // 2
     first = values[:, :, 0]
     total = values[:, :, 0] + values[:, :, 1]
 
-    surviving = np.zeros((batch, n), dtype=bool)
+    # each applicant's place in its evaluator's order: highest first
+    # attribute first, stable so ties go to the lower applicant index
+    place = np.empty((batch, n), dtype=np.intp)
     for mask in (rows0, ~rows0):
-        blocked = np.where(mask, first, -np.inf)
-        # ascending sort of the negated values: highest first attribute
-        # first, stable so ties go to the lower applicant index.
-        order = np.argsort(-blocked, axis=1, kind="stable")
-        np.put_along_axis(surviving, order[:, :k], True, axis=1)
+        owned = np.flatnonzero(mask).reshape(batch, half) % n
+        rank = np.argsort(-np.take_along_axis(first, owned, axis=1), axis=1, kind="stable")
+        order = np.take_along_axis(owned, rank, axis=1)
+        np.put_along_axis(place, order, np.arange(half), axis=1)
 
     best = np.argmax(total, axis=1)
-    est = np.where(surviving, total, -np.inf)
-    return _tie_adjusted_hits(est, best)
+    return [
+        _tie_adjusted_hits(np.where(place < screening_cutoff(tau, half), total, -np.inf), best)
+        for tau in taus
+    ]
 
 
 def efficiency_cells(n: int, tau: float) -> int:
@@ -156,22 +182,28 @@ def draw_efficiency_batch(
     _redraw_tied_rows(
         values,
         lambda k: draw_correlated_values(rng, k, n, 2, sigma, marginal),
-        marginal,
+        (marginal,),
     )
     rows0 = random_subset_mask(rng, size, n, n // 2)
     return values, rows0
 
 
-def efficiency_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
-    n = int(params["n"])
-    sigma = float(params["sigma"])
-    tau = float(params["tau"])
-    marginal = params["marginal"]
+def efficiency_draw_key(params: dict):
+    """What an efficiency draw reads: the points of one key differ only in tau."""
+    return params["n"], params["sigma"], params["marginal"]
+
+
+def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
+    shared = members[0]
+    n = int(shared["n"])
     if n % 2:
         raise ValueError("the two-screener committee needs an even pool")
 
-    values, rows0 = draw_efficiency_batch(rng, size, n, sigma, marginal)
-    return {"holistic": efficiency_accuracies(values, rows0, tau)}
+    values, rows0 = draw_efficiency_batch(
+        rng, size, n, float(shared["sigma"]), shared["marginal"]
+    )
+    taus = [float(params["tau"]) for params in members]
+    return [{"holistic": acc} for acc in efficiency_accuracies(values, rows0, taus)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +257,21 @@ def draw_bias_batch(
     sigma: float,
     alpha: float,
     lam: float,
-    marginal,
     gamma: float | None,
 ):
-    """Draw everything one bias-grid chunk needs, in a fixed order.
+    """Draw what one bias-grid chunk shares across its draw group, in a fixed order.
 
-    With ``gamma`` None the committee is the fixed one-biased, one-unbiased
-    pair (evaluator 0 biased); otherwise each evaluator's coin is an
-    independent Bernoulli(gamma).
+    Returns the copula uniforms ``u (size, n, d)``, of which a member's
+    values are ``marginal.inv_cdf(u)``, then the masks and coins that
+    ``bias_scheme_accuracies`` takes after the values.  With ``gamma`` None
+    the committee is the fixed one-biased, one-unbiased pair (evaluator 0
+    biased); otherwise each evaluator's coin is an independent
+    Bernoulli(gamma).  Ties depend on the members' marginals, so
+    ``bias_worker`` redraws them.
     """
     if n % 2 or d % 2:
         raise ValueError("two-evaluator committees need even n and d")
-    values = draw_correlated_values(rng, size, n, d, sigma, marginal)
-    _redraw_tied_rows(
-        values,
-        lambda k: draw_correlated_values(rng, k, n, d, sigma, marginal),
-        marginal,
-    )
+    u = draw_correlated_values(rng, size, n, d, sigma, None)
     disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
     protected = random_subset_mask(rng, size, d, round_half_up(lam * d))
     hol_rows0 = random_subset_mask(rng, size, n, n // 2)
@@ -252,29 +282,64 @@ def draw_bias_batch(
     else:
         coin0 = rng.random(size) < gamma
         coin1 = rng.random(size) < gamma
-    return values, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1
+    return u, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1
 
 
-def bias_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
-    n = int(params["n"])
-    d = int(params["d"])
-    beta = float(params["beta"])
-    gamma = params.get("gamma")
-    marginal = params["marginal"]
+def bias_draw_key(params: dict):
+    """What a bias draw reads: the points of one key differ only in delta and beta."""
+    return tuple(params.get(name) for name in ("n", "d", "sigma", "alpha", "lambda", "gamma"))
 
-    batch = draw_bias_batch(
+
+def bias_worker(members, rng: np.random.Generator, size: int) -> list:
+    """Score every member of a draw group on one shared draw.
+
+    Each distinct marginal's values are computed once and scored at the beta
+    of every member that has it, so one ``(size, n, d)`` values array is
+    alive at a time.  A run whose best applicant ties under any member's
+    values gets fresh uniforms, and every member is scored again.
+    """
+    shared = members[0]
+    n = int(shared["n"])
+    d = int(shared["d"])
+    sigma = float(shared["sigma"])
+    gamma = shared.get("gamma")
+    u, *labels = draw_bias_batch(
         rng,
         size,
         n,
         d,
-        float(params["sigma"]),
-        float(params["alpha"]),
-        float(params["lambda"]),
-        marginal,
+        sigma,
+        float(shared["alpha"]),
+        float(shared["lambda"]),
         None if gamma is None else float(gamma),
     )
-    acc_h, acc_s = bias_scheme_accuracies(*batch, beta)
-    return {"holistic": acc_h, "segmented": acc_s, "difference": acc_s - acc_h}
+    by_marginal = {}
+    for index, params in enumerate(members):
+        by_marginal.setdefault(params["marginal"], []).append(index)
+    scores = [None] * len(members)
+
+    def score_all(u):
+        tied = np.zeros(size, dtype=bool)
+        for marginal, indices in by_marginal.items():
+            values = marginal.inv_cdf(u)
+            tied |= _best_is_tied(values)
+            for index in indices:
+                beta = float(members[index]["beta"])
+                acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta)
+                scores[index] = {
+                    "holistic": acc_h,
+                    "segmented": acc_s,
+                    "difference": acc_s - acc_h,
+                }
+        return tied
+
+    _redraw_tied_rows(
+        u,
+        lambda k: draw_correlated_values(rng, k, n, d, sigma, None),
+        tuple(by_marginal),
+        score_all,
+    )
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +443,7 @@ def draw_theorem_batch(
         return max_of_draws(rng, theorem_class_sizes(rng, k, n), delta)
 
     values = draw(size)
-    _redraw_tied_rows(values, draw, PowerLaw(delta))
+    _redraw_tied_rows(values, draw, (PowerLaw(delta),))
     disadvantaged = np.broadcast_to(_CLASS_DISADVANTAGED, values.shape)
     hol_rows0 = np.broadcast_to(_CLASS_OWNER0, values.shape)
     protected2 = random_subset_mask(rng, size, 2, round_half_up(lam * 2))
@@ -388,7 +453,8 @@ def draw_theorem_batch(
     return values, disadvantaged, protected2, hol_rows0, seg_first, coin0, coin1
 
 
-def theorem_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
+def theorem_worker(members, rng: np.random.Generator, size: int) -> list:
+    (params,) = members
     n = int(params["n"])
     beta = float(params["beta"])
     batch = draw_theorem_batch(
@@ -400,21 +466,17 @@ def theorem_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
         float(params["gamma"]),
     )
     err_h, err_s, best_is_dis = theorem_error_pairs(*batch, beta)
-    return {
-        "hol": err_h,
-        "seg": err_s,
-        "diff": err_h - err_s,
-        "dis": best_is_dis,
-    }
+    return [{"hol": err_h, "seg": err_s, "diff": err_h - err_s, "dis": best_is_dis}]
 
 
 # ---------------------------------------------------------------------------
 # tail comparison: best of one group versus twice the best of another
 
 
-def tail_worker(params: dict, rng: np.random.Generator, size: int) -> dict:
+def tail_worker(members, rng: np.random.Generator, size: int) -> list:
+    (params,) = members
     counts = np.full(size, int(params["n_per_group"]))
     delta = float(params["delta"])
     dis_best = max_of_draws(rng, counts, delta)
     adv_best = max_of_draws(rng, counts, delta)
-    return {"below": dis_best < 2.0 * adv_best}
+    return [{"below": dis_best < 2.0 * adv_best}]

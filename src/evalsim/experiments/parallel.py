@@ -1,14 +1,18 @@
 """Chunked map-reduce over Monte Carlo runs with a fixed stream layout.
 
-Runs at each grid point are cut into fixed-size chunks.  Each chunk draws
-from a stream derived only from (master seed, experiment tag, point index,
-chunk index).  A worker returns named per-run arrays, for example
-``{"hol": err_h, "seg": err_s}``; the runner reduces each array to its sum,
-sum of squares and run count in the process that ran the chunk, so only a
-few floats cross the pool, and adds the chunks in chunk order.  Because
-neither the derivation nor the reduction order depends on scheduling, a
-sweep yields bitwise-identical results whether it runs sequentially or on a
-process pool of any size.
+Grid points that agree on every parameter their draw reads form a draw
+group; the points of a group are scored on one shared draw (common random
+numbers), and every other point is a group of one.  Groups are numbered in
+order of first appearance.  Runs are cut into fixed-size chunks, and each
+chunk of a group draws from a stream derived only from (master seed,
+experiment tag, group index, chunk index).  A worker takes the group's
+member params and returns one dict of named per-run arrays per member, for
+example ``{"hol": err_h, "seg": err_s}``; the runner reduces each array to
+its sum, sum of squares and run count in the process that ran the chunk, so
+only a few floats cross the pool, and adds the chunks in chunk order.
+Because neither the derivation nor the reduction order depends on
+scheduling, a sweep yields bitwise-identical results whether it runs
+sequentially or on a process pool of any size.
 
 Chunk size is part of the stream layout: changing it regroups the draws and
 therefore changes individual estimates (never their distribution).  Keep it
@@ -35,13 +39,13 @@ def chunk_sizes(runs: int, chunk_size: int) -> list:
 
 
 def _run_one(task):
-    """Run one chunk and reduce each per-run array to ``(sum, sumsq, runs)``."""
-    worker, params, seed, prefix, point_index, chunk_index, size = task
-    rng = derive_stream(seed, *prefix, point_index, chunk_index)
-    arrays = worker(params, rng, size)
-    return point_index, {
-        name: (float(x.sum()), float((x * x).sum()), size) for name, x in arrays.items()
-    }
+    """Run one chunk of a group; reduce each member's arrays to ``(sum, sumsq, runs)``."""
+    worker, members, seed, prefix, group_index, chunk_index, size = task
+    rng = derive_stream(seed, *prefix, group_index, chunk_index)
+    return group_index, [
+        {name: (float(x.sum()), float((x * x).sum()), size) for name, x in arrays.items()}
+        for arrays in worker(members, rng, size)
+    ]
 
 
 def run_points(
@@ -52,23 +56,32 @@ def run_points(
     stream_tag,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
+    draw_key=None,
 ) -> list:
     """Evaluate ``worker`` over all points and reduce its per-run arrays.
 
-    ``worker(params, rng, size)`` must return a dict of 1-d arrays, each
-    holding one value per run, and must be picklable (a module-level
-    function) when ``workers > 1``.  ``stream_tag`` is an int or tuple of ints
-    prefixed to every stream path.  Returns one dict per point, in point
-    order, mapping each array name to ``(sum, sumsq, runs)`` over all chunks,
-    ready for ``mean_and_se(*moments)``.
+    Points with equal ``draw_key(params)`` form one draw group; without a
+    ``draw_key`` every point is a group of one.  ``worker(members, rng,
+    size)`` takes the tuple of a group's params, in point order, and must
+    return one dict of 1-d arrays per member, each holding one value per
+    run; it must be picklable (a module-level function) when ``workers >
+    1``.  ``stream_tag`` is an int or tuple of ints prefixed to every stream
+    path.  Returns one dict per point, in point order, mapping each array
+    name to ``(sum, sumsq, runs)`` over all chunks, ready for
+    ``mean_and_se(*moments)``.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
     prefix = stream_tag if isinstance(stream_tag, tuple) else (stream_tag,)
     sizes = chunk_sizes(runs, chunk_size)
+    groups = {}  # draw key -> member point indices; dicts keep first appearance
+    for index, params in enumerate(points):
+        key = index if draw_key is None else draw_key(params)
+        groups.setdefault(key, []).append(index)
+    groups = list(groups.values())
     tasks = [
-        (worker, params, seed, prefix, pi, ci, size)
-        for pi, params in enumerate(points)
+        (worker, tuple(points[i] for i in members), seed, prefix, gi, ci, size)
+        for gi, members in enumerate(groups)
         for ci, size in enumerate(sizes)
     ]
     if workers == 1:
@@ -79,11 +92,12 @@ def run_points(
 
     # both maps yield in task order, so each point's chunks arrive in order
     reduced = [{} for _ in points]
-    for point_index, part in outputs:
-        acc = reduced[point_index]
-        for name, (total, total_sq, count) in part.items():
-            acc_total, acc_sq, acc_count = acc.get(name, (0.0, 0.0, 0))
-            acc[name] = (acc_total + total, acc_sq + total_sq, acc_count + count)
+    for group_index, parts in outputs:
+        for point_index, part in zip(groups[group_index], parts):
+            acc = reduced[point_index]
+            for name, (total, total_sq, count) in part.items():
+                acc_total, acc_sq, acc_count = acc.get(name, (0.0, 0.0, 0))
+                acc[name] = (acc_total + total, acc_sq + total_sq, acc_count + count)
     return reduced
 
 

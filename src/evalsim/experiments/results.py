@@ -56,7 +56,8 @@ class GridSpec:
 
     ``axes`` is an ordered tuple of ``(name, values)`` pairs; ``fixed`` holds
     parameters shared by every point.  Axis order defines both the CSV column
-    order and the deterministic point index used for stream derivation.
+    order and the point order, from which draw groups take their stream
+    indices (see ``parallel.run_points``).
     ``runs`` is the per-point run count; ``run_bias_grid`` uses its
     ``BIAS_RUNS`` when it is None.
     """

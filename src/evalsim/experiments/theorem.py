@@ -469,7 +469,7 @@ def run_tail_check(
                 p_below=p,
                 se=se,
                 predicted_below=predicted_below,
-                limit_below=1.0 / (1.0 + 2.0 ** -(1.0 + delta)),
+                limit_below=1.0 - tail_above_limit(delta),
                 passed=abs(p - predicted_below) <= 3.0 * se,
             )
         )

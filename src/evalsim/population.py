@@ -24,10 +24,11 @@ from .distributions import sample_correlated_matrix
 MAX_TIE_REDRAWS = 10
 
 
-def tied_best_error(marginal) -> ValueError:
+def tied_best_error(*marginals) -> ValueError:
     return ValueError(
         f"the best applicant stayed tied through {MAX_TIE_REDRAWS} redraws:"
-        f" {marginal} gives numerically constant values (is delta too large?)"
+        f" {' or '.join(map(str, marginals))} gives numerically constant values"
+        " (is delta too large?)"
     )
 
 

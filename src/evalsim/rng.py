@@ -2,7 +2,7 @@
 
 Every stochastic routine in the package receives a ``numpy.random.Generator``
 derived from a single master seed plus a structured integer path (experiment
-tag, grid point index, chunk index, ...).  Two properties follow:
+tag, draw group index, chunk index, ...).  Two properties follow:
 
 * reruns with the same seed reproduce results bit for bit, regardless of how
   many worker processes execute the chunks, and
@@ -34,7 +34,7 @@ def derive_stream(master_seed: int, *path: int) -> np.random.Generator:
         Non-negative integer chosen by the user.
     *path:
         Non-negative integers identifying the consumer, e.g.
-        ``(STREAM_BIAS_GRID, point_index, chunk_index)``.
+        ``(STREAM_BIAS_GRID, group_index, chunk_index)``.
 
     The stream depends only on ``(master_seed, path)``, never on process
     layout or call order.

@@ -126,6 +126,7 @@ def _axes(draw):
 
 _VALUES = {
     int: st.integers(),
+    cli._parse_count: st.integers(min_value=1),
     float: _FLOATS,
     str: st.text(st.characters(blacklist_categories=("Cs",))),
     cli._parse_int_list: st.lists(st.integers(), min_size=1).map(tuple),
@@ -520,6 +521,17 @@ def test_theorem_verify_rejects_an_empty_list(capsys, tmp_path, flags):
                    "--outdir", str(tmp_path))
     assert code == 2
     assert f"bad value for {flags[0][2:]!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flag", ["--tail-pools", "--tail-samples"])
+def test_theorem_verify_rejects_a_non_positive_count(capsys, tmp_path, flag):
+    # the run-count check further down named "runs", which was never set
+    code = run_cli("theorem-verify", "--seed", "1", "--runs", "100", flag, "0",
+                   "--outdir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad value for {flag[2:].replace('-', '_')!r}: must be positive, got 0" in err
     assert os.listdir(tmp_path) == []
 
 

@@ -4,13 +4,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalsim.distributions import PowerLaw, TruncatedNormal
 from evalsim.experiments import bias
 from evalsim.experiments.bias import run_bias_grid
 from evalsim.experiments.calibration import run_calibration_sweep
 from evalsim.experiments.efficiency import efficiency_grid, run_efficiency_sweep
-from evalsim.experiments.kernels import calibration_worker, efficiency_cells
+from evalsim.experiments.kernels import (
+    bias_draw_key,
+    bias_worker,
+    calibration_worker,
+    efficiency_cells,
+    efficiency_draw_key,
+    efficiency_worker,
+)
 from evalsim.experiments.parallel import chunk_sizes, mean_and_se, run_points
 from evalsim.experiments.results import (
     ExperimentResult,
@@ -61,7 +70,8 @@ def test_run_points_reduces_per_run_arrays_in_chunk_order():
     (out,) = run_points(calibration_worker, [CAL_POINT], 150, 9, (7, 3), chunk_size=64)
     total = total_sq = 0.0
     for chunk_index, size in enumerate((64, 64, 22)):
-        err = calibration_worker(CAL_POINT, derive_stream(9, 7, 3, 0, chunk_index), size)["binner"]
+        (out_chunk,) = calibration_worker((CAL_POINT,), derive_stream(9, 7, 3, 0, chunk_index), size)
+        err = out_chunk["binner"]
         total += float(err.sum())
         total_sq += float((err * err).sum())
     assert out == {"binner": (total, total_sq, 150)}
@@ -77,6 +87,106 @@ def test_run_points_layout_is_part_of_the_stream():
     assert run_points(*args, (7, 3), chunk_size=128) != base
     with pytest.raises(ValueError):
         run_points(*args, (7, 3), workers=0)
+
+
+# ---------------------------------------------------------------------------
+# draw groups
+
+
+def _efficiency_point(tau, sigma):
+    return {"n": 10, "sigma": sigma, "tau": tau, "delta": 1.0, "marginal": PowerLaw(1.0)}
+
+
+def _bias_point(delta, beta, sigma=0.5):
+    return {
+        **bias.BIAS_DEFAULTS, "n": 6, "d": 4, "sigma": sigma, "delta": delta, "beta": beta,
+        "marginal": PowerLaw(delta),
+    }
+
+
+# interleaved, so that group order (first appearance) differs from point order
+MIXED_EFFICIENCY = [
+    _efficiency_point(tau, sigma)
+    for tau, sigma in [(0.2, 0.5), (0.2, 0.0), (0.5, 0.5), (1.0, 0.0), (0.5, 1.0), (1.0, 0.5)]
+]
+MIXED_BIAS = [
+    _bias_point(delta, beta, sigma)
+    for delta, beta, sigma in [(0.5, 0.0, 0.0), (1.0, 0.0, 0.9), (2.0, 0.3, 0.0), (1.0, 0.3, 0.0)]
+]
+
+
+def test_draw_groups_are_numbered_by_first_appearance():
+    # sigma 0.5 is group 0, 0.0 group 1, 1.0 group 2; each chunk of a group
+    # draws from (seed, tag, group index, chunk index)
+    moments = run_points(
+        efficiency_worker, MIXED_EFFICIENCY, 100, 9, 7, chunk_size=64,
+        draw_key=efficiency_draw_key,
+    )
+    groups = {0: [0, 2, 5], 1: [1, 3], 2: [4]}
+    for group_index, members in groups.items():
+        expected = [{"holistic": (0.0, 0.0, 0)} for _ in members]
+        for chunk_index, size in enumerate((64, 36)):
+            rng = derive_stream(9, 7, group_index, chunk_index)
+            outputs = efficiency_worker(tuple(MIXED_EFFICIENCY[i] for i in members), rng, size)
+            for acc, out in zip(expected, outputs):
+                x = out["holistic"]
+                total, total_sq, count = acc["holistic"]
+                acc["holistic"] = (total + float(x.sum()), total_sq + float((x * x).sum()), count + size)
+        assert [moments[i] for i in members] == expected
+
+
+@pytest.mark.parametrize(
+    "worker, points, draw_key",
+    [
+        (efficiency_worker, MIXED_EFFICIENCY, efficiency_draw_key),
+        (bias_worker, MIXED_BIAS, bias_draw_key),
+    ],
+    ids=["efficiency", "bias"],
+)
+def test_mixed_groups_are_worker_count_invariant(worker, points, draw_key):
+    args = (worker, points, 300, 9, (7, 3))
+    serial = run_points(*args, chunk_size=64, draw_key=draw_key)
+    pooled = run_points(*args, chunk_size=64, workers=2, draw_key=draw_key)
+    assert serial == pooled
+    assert all(len(moments) > 0 for moments in serial)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 20).map(lambda h: 2 * h),
+    sigma=st.floats(0.0, 1.0),
+    taus=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+)
+def test_efficiency_accuracy_is_non_decreasing_in_tau(seed, n, sigma, taus):
+    # a larger tau keeps a longer prefix of the same order, run by run
+    taus = sorted(taus)
+    members = tuple(
+        {"n": n, "sigma": sigma, "tau": tau, "marginal": PowerLaw(1.0)} for tau in taus
+    )
+    accuracies = [out["holistic"] for out in efficiency_worker(members, derive_stream(seed), 64)]
+    for lower, higher in zip(accuracies, accuracies[1:]):
+        assert np.all(lower <= higher)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_efficiency_row_is_the_same_alone_or_in_its_group(sigma):
+    # the tau = 0.2 point is group 0 either way
+    alone = run_efficiency_sweep((0.2,), (sigma,), n=10, runs=300, seed=9, chunk_size=128)
+    grouped = run_efficiency_sweep((0.1, 0.2, 0.5), (sigma,), n=10, runs=300, seed=9, chunk_size=128)
+    assert [r for r in grouped if r.params["tau"] == 0.2] == alone
+
+
+@pytest.mark.parametrize("second", [("sigma", (0.0, 0.9)), ("beta", (0.0, 0.5))])
+def test_bias_row_is_the_same_alone_or_in_its_group(second):
+    # grids group by everything but delta and beta; the delta = 1 rows sit at
+    # the same group index in both grids
+    def grid(deltas):
+        return GridSpec(axes=(("delta", deltas), second), fixed={"n": 6, "d": 4}, runs=300)
+
+    alone = run_bias_grid(grid((1.0,)), seed=9, chunk_size=128)
+    grouped = run_bias_grid(grid((0.5, 1.0, 2.0)), seed=9, chunk_size=128)
+    assert [r for r in grouped if r.params["delta"] == 1.0] == alone
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from evalsim.evaluators import (
 from evalsim.experiments.kernels import (
     _redraw_tied_rows,
     bias_scheme_accuracies,
+    bias_worker,
     calibration_worker,
     draw_bias_batch,
     draw_correlated_values,
@@ -46,6 +47,10 @@ from evalsim.population import MAX_TIE_REDRAWS, AttributeMatrix, round_half_up
 from evalsim.rng import derive_stream
 
 POWER_LAW = PowerLaw(1.0)
+BIAS_POINT = {
+    "n": 6, "d": 4, "sigma": 0.5, "alpha": 0.5, "lambda": 0.5, "beta": 0.0,
+    "marginal": POWER_LAW,
+}
 
 
 def _no_groups(n, d):
@@ -95,13 +100,17 @@ def test_draw_correlated_values_full_correlation_is_exact():
 
 def test_redraw_tied_rows_replaces_only_tied_runs():
     values = np.array([[1.0, 2.0, 2.0], [3.0, 1.0, 2.0]])
-    _redraw_tied_rows(values, lambda k: np.tile([5.0, 1.0, 1.0], (k, 1)), PowerLaw(1.0))
+    _redraw_tied_rows(values, lambda k: np.tile([5.0, 1.0, 1.0], (k, 1)), (POWER_LAW,))
     assert np.array_equal(values, [[5.0, 1.0, 1.0], [3.0, 1.0, 2.0]])
     # (batch, n, d) values are ranked by row total
     cube = np.array([[[1.0, 2.0], [2.0, 1.0], [0.0, 1.0]]])
     fresh = [[9.0, 9.0], [1.0, 1.0], [1.0, 1.0]]
-    _redraw_tied_rows(cube, lambda k: np.tile(fresh, (k, 1, 1)), PowerLaw(1.0))
+    _redraw_tied_rows(cube, lambda k: np.tile(fresh, (k, 1, 1)), (POWER_LAW,))
     assert np.array_equal(cube[0], fresh)
+    # a custom test picks the runs; here the ones whose first entry is 0
+    flat = np.array([[0.0, 1.0], [2.0, 1.0]])
+    _redraw_tied_rows(flat, lambda k: np.full((k, 2), 7.0), (POWER_LAW,), lambda v: v[:, 0] == 0.0)
+    assert np.array_equal(flat, [[7.0, 7.0], [2.0, 1.0]])
 
 
 def test_redraw_tied_rows_is_bounded():
@@ -112,13 +121,16 @@ def test_redraw_tied_rows_is_bounded():
         return np.ones((k, 3))
 
     with pytest.raises(ValueError, match="delta=1e"):
-        _redraw_tied_rows(np.ones((2, 3)), constant, PowerLaw(1e300))
+        _redraw_tied_rows(np.ones((2, 3)), constant, (PowerLaw(1e300),))
     assert calls == [2] * MAX_TIE_REDRAWS
     # a huge delta makes every power-law draw 1.0, so every run ties
     with pytest.raises(ValueError, match="delta=1e"):
         draw_theorem_batch(derive_stream(52, 8), 8, 4, 1e300, 1.0, 0.5)
-    with pytest.raises(ValueError, match="delta=1e"):
-        draw_bias_batch(derive_stream(52, 8), 8, 4, 2, 0.5, 0.5, 0.5, PowerLaw(1e300), None)
+    # in a draw group a run is redrawn when it ties under any member's values
+    for deltas in ((1e300,), (1.0, 1e300, 2.0)):
+        members = tuple({**BIAS_POINT, "marginal": PowerLaw(de)} for de in deltas)
+        with pytest.raises(ValueError, match=r"PowerLaw\(delta=1e\+300\)"):
+            bias_worker(members, derive_stream(52, 8), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +139,7 @@ def test_redraw_tied_rows_is_bounded():
 
 def test_calibration_worker_matches_object_route():
     params = {"n": 7, "num_bins": 5, "marginal": POWER_LAW}
-    out = calibration_worker(params, derive_stream(44, 8), 200)
+    (out,) = calibration_worker((params,), derive_stream(44, 8), 200)
 
     marginal = PowerLaw(1.0)
     x = marginal.sample(derive_stream(44, 8), (200, 7))
@@ -159,9 +171,22 @@ def _efficiency_object_route(values, rows0, tau):
 def test_efficiency_kernel_matches_object_route(tau):
     rng = derive_stream(45, 8)
     values, rows0 = draw_efficiency_batch(rng, 64, 8, 0.5, PowerLaw(1.0))
-    fast = efficiency_accuracies(values, rows0, tau)
+    (fast,) = efficiency_accuracies(values, rows0, (tau,))
     slow = _efficiency_object_route(values, rows0, tau)
     assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_grouped_efficiency_worker_matches_object_route(sigma):
+    # one draw scored at every tau of the group, each against the object route
+    taus = (0.2, 0.25, 0.5, 0.75, 1.0)
+    members = tuple(
+        {"n": 10, "sigma": sigma, "tau": tau, "marginal": POWER_LAW} for tau in taus
+    )
+    out = efficiency_worker(members, derive_stream(45, 9), 64)
+    values, rows0 = draw_efficiency_batch(derive_stream(45, 9), 64, 10, sigma, POWER_LAW)
+    for tau, scores in zip(taus, out):
+        assert np.array_equal(scores["holistic"], _efficiency_object_route(values, rows0, tau))
 
 
 def test_efficiency_cells_counts_reports():
@@ -171,11 +196,11 @@ def test_efficiency_cells_counts_reports():
 
 def test_efficiency_worker_full_budget_is_perfect():
     params = {"n": 10, "sigma": 0.3, "tau": 1.0, "marginal": POWER_LAW}
-    out = efficiency_worker(params, derive_stream(46, 8), 300)
+    (out,) = efficiency_worker((params,), derive_stream(46, 8), 300)
     # tau = 1 screens nobody: the committee sees everything and cannot miss
     assert np.array_equal(out["holistic"], np.ones(300))
     with pytest.raises(ValueError):
-        efficiency_worker({**params, "n": 9}, derive_stream(46, 8), 10)
+        efficiency_worker(({**params, "n": 9},), derive_stream(46, 8), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +241,41 @@ def _bias_object_route(batch_arrays, beta):
 @pytest.mark.parametrize("gamma", [None, 0.5])
 def test_bias_kernel_matches_object_route(beta, gamma):
     rng = derive_stream(47, 8)
-    batch_arrays = draw_bias_batch(rng, 48, 6, 4, 0.5, 0.5, 0.5, PowerLaw(1.0), gamma)
+    u, *labels = draw_bias_batch(rng, 48, 6, 4, 0.5, 0.5, 0.5, gamma)
+    batch_arrays = (POWER_LAW.inv_cdf(u), *labels)
     fast_h, fast_s = bias_scheme_accuracies(*batch_arrays, beta)
     slow_h, slow_s = _bias_object_route(batch_arrays, beta)
     assert np.array_equal(fast_h, slow_h)
     assert np.array_equal(fast_s, slow_s)
 
 
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_grouped_bias_worker_matches_object_route(gamma):
+    # one draw scored under every member's marginal and beta
+    shared = BIAS_POINT if gamma is None else {**BIAS_POINT, "gamma": gamma}
+    settings = [(0.5, 0.0), (0.5, 0.3), (2.0, 0.0), (1.0, 0.7)]
+    members = tuple(
+        {**shared, "marginal": PowerLaw(de), "beta": beta} for de, beta in settings
+    )
+    out = bias_worker(members, derive_stream(47, 9), 48)
+    u, *labels = draw_bias_batch(derive_stream(47, 9), 48, 6, 4, 0.5, 0.5, 0.5, gamma)
+    for (de, beta), scores in zip(settings, out):
+        slow_h, slow_s = _bias_object_route((PowerLaw(de).inv_cdf(u), *labels), beta)
+        assert np.array_equal(scores["holistic"], slow_h)
+        assert np.array_equal(scores["segmented"], slow_s)
+        assert np.array_equal(scores["difference"], slow_s - slow_h)
+
+
 def test_bias_batch_fixed_committee_and_validation():
     rng = derive_stream(48, 8)
-    out = draw_bias_batch(rng, 16, 4, 2, 0.0, 0.5, 0.5, PowerLaw(1.0), None)
+    out = draw_bias_batch(rng, 16, 4, 2, 0.0, 0.5, 0.5, None)
+    assert out[0].shape == (16, 4, 2) and np.all((0.0 <= out[0]) & (out[0] < 1.0))
     coin0, coin1 = out[5], out[6]
     assert coin0.all() and not coin1.any()
     with pytest.raises(ValueError):
-        draw_bias_batch(rng, 4, 5, 2, 0.0, 0.5, 0.5, PowerLaw(1.0), None)
+        draw_bias_batch(rng, 4, 5, 2, 0.0, 0.5, 0.5, None)
     with pytest.raises(ValueError):
-        draw_bias_batch(rng, 4, 4, 3, 0.0, 0.5, 0.5, PowerLaw(1.0), None)
+        draw_bias_batch(rng, 4, 4, 3, 0.0, 0.5, 0.5, None)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +381,7 @@ def test_theorem_errors_only_hit_disadvantaged_bests():
 
 def test_theorem_worker_sums_are_consistent():
     params = {"n": 4, "delta": 1.0, "lambda": 1.0, "gamma": 0.5, "beta": 0.0}
-    out = theorem_worker(params, derive_stream(51, 8), 400)
+    (out,) = theorem_worker((params,), derive_stream(51, 8), 400)
     assert all(x.shape == (400,) for x in out.values())
     assert np.all((0.0 <= out["hol"]) & (out["hol"] <= 1.0))
     assert np.all((0.0 <= out["seg"]) & (out["seg"] <= 1.0))
@@ -404,6 +448,6 @@ def test_tail_worker_single_draw_matches_the_full_draw():
     rng = derive_stream(57, 8)
     dis_best = power_law_inv_cdf(rng.random((500, 1)), 0.7).max(axis=1)
     adv_best = power_law_inv_cdf(rng.random((500, 1)), 0.7).max(axis=1)
-    out = tail_worker(params, derive_stream(57, 8), 500)
+    (out,) = tail_worker((params,), derive_stream(57, 8), 500)
     assert np.array_equal(out["below"], dis_best < 2.0 * adv_best)
     assert np.array_equal(max_of_draws(derive_stream(57, 8), np.ones(500, dtype=int), 0.7), dis_best)

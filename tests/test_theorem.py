@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from evalsim.cli import sig4
 from evalsim.experiments.theorem import (
     PairEstimate,
     predicted_gap,
@@ -172,6 +173,14 @@ def test_tail_check_small():
     assert check.limit_below == pytest.approx(0.8, abs=1e-15)
     assert abs(check.p_below - check.predicted_below) <= 3.0 * check.se
     assert check.passed
+
+
+def test_tail_check_limit_prints_as_before():
+    # 1 - tail_above_limit(delta) can differ from 1 / (1 + 2**-(1 + delta)) in
+    # the last ulp (at delta = 0.5), never in the four digits the CLI prints
+    checks = run_tail_check(delta_values=(0.3, 0.5, 1.0, 2.0), n_per_group=4, pools=16, seed=5)
+    assert [sig4(c.limit_below) for c in checks] == ["0.7112", "0.7388", "0.8", "0.8889"]
+    assert all(c.limit_below == 1.0 - tail_above_limit(c.delta) for c in checks)
 
 
 def test_checks_hold_in_the_asymptotic_regime():
