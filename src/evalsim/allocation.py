@@ -39,10 +39,6 @@ class AllocationPlan:
         if not self.blocks:
             raise ValueError("a plan needs at least one evaluator")
 
-    @property
-    def num_evaluators(self) -> int:
-        return len(self.blocks)
-
     def cell_map(self) -> np.ndarray:
         """Return the ``(n, d)`` map from cell to evaluator index.
 
@@ -79,39 +75,39 @@ def _split_indices(total: int, per_block: int, rng: np.random.Generator) -> list
     ]
 
 
-def _check_committee(n: int, d: int, num_evaluators: int) -> None:
+def _check_committee(n: int, d: int, evaluators: int) -> None:
     if n < 1 or d < 1:
         raise ValueError("grid dimensions must be positive")
-    if num_evaluators < 1:
+    if evaluators < 1:
         raise ValueError("need at least one evaluator")
 
 
 def allocate_holistic(
-    n: int, d: int, num_evaluators: int, rng: np.random.Generator
+    n: int, d: int, evaluators: int, rng: np.random.Generator
 ) -> AllocationPlan:
     """Split applicants evenly among evaluators; each sees all attributes."""
-    _check_committee(n, d, num_evaluators)
-    if num_evaluators > n:
+    _check_committee(n, d, evaluators)
+    if evaluators > n:
         raise ValueError("more evaluators than applicants")
-    if n % num_evaluators:
-        raise ValueError("num_evaluators must divide the number of applicants")
+    if n % evaluators:
+        raise ValueError("the evaluator count must divide the number of applicants")
     cols = np.arange(d)
-    row_groups = _split_indices(n, n // num_evaluators, rng)
+    row_groups = _split_indices(n, n // evaluators, rng)
     blocks = tuple((rows, cols) for rows in row_groups)
     return AllocationPlan(n, d, "holistic", blocks)
 
 
 def allocate_segmented(
-    n: int, d: int, num_evaluators: int, rng: np.random.Generator
+    n: int, d: int, evaluators: int, rng: np.random.Generator
 ) -> AllocationPlan:
     """Split attributes evenly among evaluators; each sees all applicants."""
-    _check_committee(n, d, num_evaluators)
-    if num_evaluators > d:
+    _check_committee(n, d, evaluators)
+    if evaluators > d:
         raise ValueError("more evaluators than attributes")
-    if d % num_evaluators:
-        raise ValueError("num_evaluators must divide the number of attributes")
+    if d % evaluators:
+        raise ValueError("the evaluator count must divide the number of attributes")
     rows = np.arange(n)
-    col_groups = _split_indices(d, d // num_evaluators, rng)
+    col_groups = _split_indices(d, d // evaluators, rng)
     blocks = tuple((rows, cols) for cols in col_groups)
     return AllocationPlan(n, d, "segmented", blocks)
 

@@ -1,12 +1,12 @@
 """Attribute-value distributions and the correlated sampling model.
 
-True attribute values are drawn from a heavy-tailed power law (or any other
-marginal exposing ``cdf`` / ``inv_cdf`` / ``sample``) and coupled across
-attributes through a Gaussian copula with equicorrelation sigma: latent
-scores are jointly normal with unit variance and a common pairwise
-correlation, and each is pushed through the marginal's inverse CDF.  At
-``sigma = 0`` attributes are independent; at ``sigma = 1`` every attribute of
-an applicant is the same number.
+True attribute values are drawn from a heavy-tailed power law, the one
+marginal of the population model, and coupled across attributes through a
+Gaussian copula with equicorrelation sigma: latent scores are jointly normal
+with unit variance and a common pairwise correlation, and each is pushed
+through the marginal's inverse CDF.  At ``sigma = 0`` attributes are
+independent; at ``sigma = 1`` every attribute of an applicant is the same
+number.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 # Largest double strictly below 1.0.  Copula uniforms are clipped here before
 # inversion: the normal CDF rounds to exactly 1.0 for arguments above ~8.3,
@@ -53,10 +53,6 @@ class PowerLaw:
         if not 0.0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
 
-    @property
-    def support_min(self) -> float:
-        return 1.0
-
     def cdf(self, t):
         arr = np.asarray(t, dtype=float)
         out = 1.0 - np.maximum(arr, 1.0) ** (-(1.0 + self.delta))
@@ -69,70 +65,6 @@ class PowerLaw:
     def sample(self, rng: np.random.Generator, size=None):
         """Draw by inverse-transform from ``rng``."""
         return power_law_inv_cdf(rng.random(size), self.delta)
-
-
-@dataclass(frozen=True)
-class TruncatedNormal:
-    """Normal(mean, scale) conditioned on the interval [low, high].
-
-    An alternative light-tailed marginal.  cdf and inv_cdf are closed-form,
-    and sampling is by inverse transform, so it takes no loop.  An interval
-    whose mass rounds to zero is rejected at construction.
-    """
-
-    mean: float
-    scale: float
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        if not self.low < self.high:
-            raise ValueError("low must be strictly below high")
-        if self._mass()[1] == 0.0:
-            raise ValueError(
-                f"[{self.low}, {self.high}] has no normal mass in double precision"
-            )
-
-    @property
-    def support_min(self) -> float:
-        return self.low
-
-    @property
-    def _sign(self) -> float:
-        # ndtr rounds toward 1.0 above the mean; there ``-ndtr(-z)``, which
-        # differs from it by the constant 1, keeps full relative precision
-        return -1.0 if self.low > self.mean else 1.0
-
-    def _mass(self):
-        s = self._sign
-        lo = s * ndtr(s * (self.low - self.mean) / self.scale)
-        hi = s * ndtr(s * (self.high - self.mean) / self.scale)
-        return lo, hi - lo
-
-    def cdf(self, t):
-        arr = np.asarray(t, dtype=float)
-        lo, mass = self._mass()
-        s = self._sign
-        z = (np.clip(arr, self.low, self.high) - self.mean) / self.scale
-        out = (s * ndtr(s * z) - lo) / mass
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def inv_cdf(self, u):
-        arr = np.asarray(u, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
-            raise ValueError("u must lie in [0, 1)")
-        lo, mass = self._mass()
-        s = self._sign
-        out = self.mean + self.scale * s * ndtri(s * (lo + arr * mass))
-        out = np.clip(out, self.low, self.high)
-        return float(out) if out.ndim == 0 else out
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw by inverse-transform from ``rng``."""
-        return self.inv_cdf(rng.random(size))
 
 
 def sample_correlated_matrix(

@@ -9,7 +9,8 @@ scores for them.  Behaviors:
   given evaluator is biased is decided by an independent coin with
   probability ``gamma``.
 * quantile binner: owns a single attribute for ``m`` applicants and reports
-  only which local quantile bin each applicant falls in.
+  only which local quantile bin each applicant falls in; it reports labels,
+  not scores, so it is :func:`local_quantile_bins` and has no profile.
 * screener: owns exactly two attributes; reports the first for everyone but
   evaluates the second only for the top ``ceil(tau * m)`` applicants by
   first-attribute value (ties broken toward the lower applicant index).
@@ -24,7 +25,7 @@ import numpy as np
 
 from .population import AttributeMatrix
 
-EVALUATOR_KINDS = ("truthful", "biased", "quantile_binner", "screener")
+EVALUATOR_KINDS = ("truthful", "biased", "screener")
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class EvaluatorProfile:
     kind: str
     beta: float | None = None
     tau: float | None = None
-    num_bins: int | None = None
     is_biased: bool = False
 
     def __post_init__(self):
@@ -50,9 +50,6 @@ class EvaluatorProfile:
         if self.kind == "screener":
             if self.tau is None or not 0.0 < self.tau <= 1.0:
                 raise ValueError("screeners need tau in (0, 1]")
-        if self.kind == "quantile_binner":
-            if self.num_bins is None or self.num_bins < 2:
-                raise ValueError("binners need num_bins >= 2")
 
 
 @dataclass
@@ -120,20 +117,15 @@ def report_biased(rows, cols, pool: AttributeMatrix, beta: float) -> ScoreMatrix
 
 
 def report(profile: EvaluatorProfile, rows, cols, pool: AttributeMatrix) -> ScoreMatrix:
-    """Dispatch a numeric-score evaluator profile onto its block.
+    """Dispatch an evaluator profile onto its block.
 
-    A biased profile whose coin came up False reports truthfully.  Binners
-    report labels rather than scores: see :func:`local_quantile_bins`.
+    A biased profile whose coin came up False reports truthfully.
     """
-    if profile.kind == "truthful":
-        return report_truthful(rows, cols, pool)
-    if profile.kind == "biased":
-        if profile.is_biased:
-            return report_biased(rows, cols, pool, profile.beta)
-        return report_truthful(rows, cols, pool)
     if profile.kind == "screener":
         return report_screened(rows, cols, pool, profile.tau)
-    raise ValueError(f"profile kind {profile.kind!r} does not report scores")
+    if profile.kind == "biased" and profile.is_biased:
+        return report_biased(rows, cols, pool, profile.beta)
+    return report_truthful(rows, cols, pool)
 
 
 def local_quantile_bins(values: np.ndarray, num_bins: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from .parallel import run_points
 from .results import GridSpec, rows_from_moments
 
 BIAS_CHUNK = 2048
-BIAS_RUNS = 50_000  # runs per point when the grid does not set them
 
 # The reference committee: a pool of 20 applicants described by 20
 # attributes, moderately correlated, half the applicants disadvantaged,
@@ -62,18 +61,21 @@ def run_bias_grid(
 ) -> list:
     """Run the paired comparison over a two-axis grid.
 
-    ``grid.runs`` runs go to each point (``BIAS_RUNS`` when it is None).  A
-    grid that sets ``gamma``, as an axis or a fixed value, biases each
-    evaluator independently with that probability; otherwise the committee
-    is the fixed one-biased, one-unbiased pair.  Points that differ only in
-    ``delta`` and ``beta`` are scored on shared draws, so their rows are
-    paired.  Returns three rows per point: holistic accuracy, segmented
-    accuracy, and their paired difference (segmented minus holistic), in the
-    order the worker names them.
+    ``grid.runs`` runs go to each point.  A grid that sets ``gamma``, as an
+    axis or a fixed value, biases each evaluator independently with that
+    probability; otherwise the committee is the fixed one-biased,
+    one-unbiased pair.  A grid parameter the model does not read, such as
+    ``tau``, is rejected.  Points that differ only in ``delta`` and ``beta``
+    are scored on shared draws, so their rows are paired.  Returns three rows
+    per point: holistic accuracy, segmented accuracy, and their paired
+    difference (segmented minus holistic), in the order the worker names
+    them.
     """
     if len(grid.axes) != 2:
         raise ValueError("bias grids sweep exactly two parameters")
-    runs = BIAS_RUNS if grid.runs is None else grid.runs
+    for name in (*grid.axis_names, *grid.fixed):
+        if name not in BIAS_DEFAULTS and name != "gamma":
+            raise ValueError(f"bias grids do not use the parameter {name!r}")
 
     points = grid.points()
     worker_points = []
@@ -86,7 +88,7 @@ def run_bias_grid(
     moments = run_points(
         bias_worker,
         worker_points,
-        runs,
+        grid.runs,
         seed,
         STREAM_BIAS_GRID,
         chunk_size,
@@ -94,4 +96,4 @@ def run_bias_grid(
         bias_draw_key,
     )
     labels = [{name: point[name] for name in grid.axis_names} for point in points]
-    return rows_from_moments(labels, moments, runs, seed)
+    return rows_from_moments(labels, moments, grid.runs, seed)

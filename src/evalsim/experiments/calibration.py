@@ -26,7 +26,10 @@ DEFAULT_POOL_SIZES = (5, 10, 20, 50, 100, 200, 500, 1000)
 
 @dataclass(frozen=True)
 class CalibrationSweep:
-    """Per-size error estimates plus the fitted log-log decay slope."""
+    """Per-size error estimates plus the fitted log-log decay slope.
+
+    The slope is nan when any size's mean error is 0.
+    """
 
     results: tuple
     loglog_slope: float
@@ -39,7 +42,6 @@ def run_calibration_sweep(
     marginal=PowerLaw(1.0),
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = CALIBRATION_CHUNK,
 ) -> CalibrationSweep:
     n_values = tuple(int(n) for n in n_values)
     if len(n_values) < 2:
@@ -61,12 +63,14 @@ def run_calibration_sweep(
         runs,
         seed,
         STREAM_CALIBRATION,
-        chunk_size,
+        CALIBRATION_CHUNK,
         workers,
     )
 
     results = rows_from_moments([{"n": n} for n in n_values], moments, runs, seed)
 
     means = np.array([r.estimate for r in results])
-    slope = float(np.polyfit(np.log(n_values), np.log(means), 1)[0])
+    slope = np.nan  # a zero mean error has no logarithm
+    if np.all(means > 0.0):
+        slope = float(np.polyfit(np.log(n_values), np.log(means), 1)[0])
     return CalibrationSweep(results=tuple(results), loglog_slope=slope)

@@ -57,19 +57,18 @@ class GridSpec:
     ``axes`` is an ordered tuple of ``(name, values)`` pairs; ``fixed`` holds
     parameters shared by every point.  Axis order defines both the CSV column
     order and the point order, from which draw groups take their stream
-    indices (see ``parallel.run_points``).
-    ``runs`` is the per-point run count; ``run_bias_grid`` uses its
-    ``BIAS_RUNS`` when it is None.
+    indices (see ``parallel.run_points``).  ``runs`` is the per-point run
+    count.
     """
 
     axes: tuple
+    runs: int
     fixed: dict = field(default_factory=dict)
-    runs: int | None = None
 
     def __post_init__(self):
         if not self.axes:
             raise ValueError("a grid needs at least one axis")
-        if self.runs is not None and self.runs < 1:
+        if self.runs < 1:
             raise ValueError("runs must be positive")
         seen = set()
         for name, values in self.axes:

@@ -173,7 +173,6 @@ def run_error_pairs(
     seed: int,
     sub_tag: int,
     workers: int = 1,
-    chunk_size: int = THEOREM_CHUNK,
 ) -> list:
     """Paired estimates for a list of theorem-setting parameter points.
 
@@ -193,7 +192,7 @@ def run_error_pairs(
         runs,
         seed,
         (STREAM_THEOREM, sub_tag),
-        chunk_size,
+        THEOREM_CHUNK,
         workers,
     )
     return [_pair_from_sums(sums) for sums in moments]
@@ -205,7 +204,6 @@ def tail_probability(
     pools: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = THEOREM_CHUNK,
     stream_tag=STREAM_TAIL,
 ):
     """Monte Carlo P(best of one group < 2 * best of the other) and its SE."""
@@ -217,7 +215,7 @@ def tail_probability(
         pools,
         seed,
         stream_tag,
-        chunk_size,
+        THEOREM_CHUNK,
         workers,
     )[0]["below"]
     p = below / count
@@ -317,7 +315,6 @@ def run_part_a(
     runs: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = THEOREM_CHUNK,
 ) -> tuple:
     """Check err_seg <= err_hol + 3 SE with one of two attributes protected."""
     points = [
@@ -327,7 +324,7 @@ def run_part_a(
         for de in delta_values
         for n in n_values
     ]
-    pairs = run_error_pairs(points, runs, seed, _PART_A, workers, chunk_size)
+    pairs = run_error_pairs(points, runs, seed, _PART_A, workers)
     checks = []
     for point, pair in zip(points, pairs):
         passed = pair.err_seg <= pair.err_hol + 3.0 * pair.se_diff
@@ -351,7 +348,6 @@ def run_formula_check(
     runs: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = THEOREM_CHUNK,
     tail_samples: int = 1_000_000,
 ) -> tuple:
     """Check the closed-form gap with both attributes protected, beta = 0.
@@ -366,7 +362,7 @@ def run_formula_check(
         for n in n_values
         for de in delta_values
     ]
-    pairs = run_error_pairs(points, runs, seed, _FORMULA, workers, chunk_size)
+    pairs = run_error_pairs(points, runs, seed, _FORMULA, workers)
     checks = []
     for index, (point, pair) in enumerate(zip(points, pairs)):
         m = point["n"] // 2
@@ -376,7 +372,6 @@ def run_formula_check(
             tail_samples,
             seed,
             workers,
-            chunk_size,
             stream_tag=(STREAM_THEOREM, _FORMULA_TAIL, index),
         )
         p_above = 1.0 - p_below
@@ -411,14 +406,13 @@ def run_threshold_check(
     runs: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = THEOREM_CHUNK,
 ) -> tuple:
     """Check the gap's sign flips across the critical tail exponent."""
     points = [
         {"n": n, "delta": de, "beta": 0.0, "gamma": gamma, "lambda": 1.0}
         for de in delta_values
     ]
-    pairs = run_error_pairs(points, runs, seed, _THRESHOLD, workers, chunk_size)
+    pairs = run_error_pairs(points, runs, seed, _THRESHOLD, workers)
     critical = threshold_delta()
     checks = []
     for point, pair in zip(points, pairs):
@@ -446,7 +440,6 @@ def run_tail_check(
     pools: int = 10_000,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = THEOREM_CHUNK,
 ) -> tuple:
     """Check the simulated tail probability against its quadrature value."""
     checks = []
@@ -457,7 +450,6 @@ def run_tail_check(
             pools,
             seed,
             workers,
-            chunk_size,
             stream_tag=(STREAM_THEOREM, _TAIL, index),
         )
         predicted_below = 1.0 - predicted_tail_above(n_per_group, delta)

@@ -21,7 +21,7 @@ def _rng(seed=0):
 def test_holistic_shape_and_partition():
     plan = allocate_holistic(6, 4, 3, _rng())
     assert plan.scheme == "holistic"
-    assert plan.num_evaluators == 3
+    assert len(plan.blocks) == 3
     owner = plan.cell_map()
     assert owner.shape == (6, 4)
     for rows, cols in plan.blocks:
@@ -44,7 +44,7 @@ def test_segmented_shape_and_partition():
 
 def test_blocked_tiles_the_grid():
     plan = allocate_blocked(6, 6, 2, 3, _rng())
-    assert plan.num_evaluators == 6
+    assert len(plan.blocks) == 6
     plan.cell_map()
     for rows, cols in plan.blocks:
         assert rows.shape == (2,)

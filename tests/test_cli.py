@@ -231,6 +231,65 @@ def test_calibration_rejects_an_infinite_exponent(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# replay: a run's metadata fed back through --config rewrites the same files
+
+REPLAY_CASES = [
+    ("calibration", ("--runs", "30", "--n-values", "5,20"), None),
+    (
+        "efficiency",
+        ("--sigma", "0,1", "--tau", "0.2,1.0", "--runs", "40", "--n", "10"),
+        {
+            "axes": [["tau", [0.2, 1.0]], ["sigma", [0.0, 1.0]]],
+            "fixed": {"n": 10, "delta": 1.0},
+            "runs": 40,
+        },
+    ),
+    (
+        "bias-grid",
+        ("--runs", "64", "--axis1", "delta=0.5,1.0", "--axis2", "beta=0,0.3", "--n", "4", "--d", "4"),
+        {
+            "axes": [["delta", [0.5, 1.0]], ["beta", [0.0, 0.3]]],
+            "fixed": {"n": 4, "d": 4},
+            "runs": 64,
+        },
+    ),
+    (
+        "theorem-verify",
+        ("--n", "2,4", "--delta", "1.0", "--runs", "64", "--threshold-n", "10",
+         "--tail-group", "10", "--tail-pools", "64", "--tail-samples", "64"),
+        None,
+    ),
+    (
+        "pool-dump",
+        ("--n", "6", "--d", "4", "--scheme", "blocked", "--rows-per-eval", "3",
+         "--cols-per-eval", "2"),
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("command, args, grid", REPLAY_CASES, ids=[c[0] for c in REPLAY_CASES])
+def test_metadata_replays_byte_for_byte(tmp_path, command, args, grid):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = run_cli(command, "--seed", "3", *args, "--outdir", str(first))
+    assert code in (0, 1)  # theorem-verify exits 1 when a check fails at this scale
+    (meta_path,) = first.glob("*_metadata.json")
+    assert run_cli(command, "--config", str(meta_path), "--outdir", str(second)) == code
+
+    names = sorted(path.name for path in first.iterdir())
+    assert sorted(path.name for path in second.iterdir()) == names
+    for name in names:
+        if name != meta_path.name:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+    meta = json.loads(meta_path.read_text())
+    replayed = json.loads((second / meta_path.name).read_text())
+    assert meta.get("grid") == grid
+    assert replayed["config"].pop("outdir") == str(second)
+    meta["config"].pop("outdir")
+    assert replayed == meta
+
+
+# ---------------------------------------------------------------------------
 # calibration
 
 
@@ -269,27 +328,6 @@ def test_efficiency_perfect_correlation_exact(capsys, tmp_path):
     assert "0.1,1.0,holistic,1.0,0.0,1000,1" in rows
 
 
-def test_efficiency_metadata_reproduces_run(tmp_path):
-    first = tmp_path / "first"
-    args = (
-        "efficiency", "--sigma", "0,1", "--tau", "0.2,1.0", "--runs", "40",
-        "--n", "10", "--seed", "3",
-    )
-    assert run_cli(*args, "--outdir", str(first)) == 0
-    meta = json.loads((first / "efficiency_metadata.json").read_text())
-    assert meta["grid"]["axes"] == [["tau", [0.2, 1.0]], ["sigma", [0.0, 1.0]]]
-    assert meta["grid"]["runs"] == 40
-
-    second = tmp_path / "second"
-    code = run_cli(
-        "efficiency",
-        "--config", str(first / "efficiency_metadata.json"),
-        "--outdir", str(second),
-    )
-    assert code == 0
-    assert (second / "efficiency.csv").read_bytes() == (first / "efficiency.csv").read_bytes()
-
-
 def test_efficiency_rejects_odd_pool(capsys, tmp_path):
     code = run_cli(
         "efficiency", "--n", "9", "--seed", "1", "--runs", "10",
@@ -320,26 +358,6 @@ def test_bias_grid_outputs(capsys, tmp_path):
     assert meta["config"]["axis1"] == "delta=0.5,1.0"
 
 
-def test_bias_grid_metadata_reproduces_run(tmp_path):
-    first = tmp_path / "first"
-    assert (
-        run_cli(
-            "bias-grid", "--seed", "3", "--runs", "64",
-            "--axis1", "delta=0.5,1.0", "--axis2", "beta=0,0.3",
-            "--n", "4", "--d", "4", "--outdir", str(first),
-        )
-        == 0
-    )
-    second = tmp_path / "second"
-    code = run_cli(
-        "bias-grid",
-        "--config", str(first / "bias_grid_metadata.json"),
-        "--outdir", str(second),
-    )
-    assert code == 0
-    assert (second / "bias_grid.csv").read_bytes() == (first / "bias_grid.csv").read_bytes()
-
-
 def test_bias_grid_rejects_unknown_axis(capsys, tmp_path):
     code = run_cli(
         "bias-grid", "--seed", "3", "--runs", "16",
@@ -348,6 +366,16 @@ def test_bias_grid_rejects_unknown_axis(capsys, tmp_path):
     )
     assert code == 2
     assert "voltage" in capsys.readouterr().err
+
+
+def test_bias_grid_rejects_an_axis_it_does_not_read(capsys, tmp_path):
+    code = run_cli(
+        "bias-grid", "--seed", "1", "--runs", "200",
+        "--axis1", "tau=0.1,0.9", "--axis2", "sigma=0.5", "--outdir", str(tmp_path),
+    )
+    assert code == 2
+    assert "'tau'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_bias_grid_sweeps_any_two_parameters(capsys, tmp_path):

@@ -10,7 +10,6 @@ from scipy.special import ndtr
 
 from evalsim.distributions import (
     PowerLaw,
-    TruncatedNormal,
     power_law_inv_cdf,
     sample_correlated_matrix,
 )
@@ -65,7 +64,7 @@ def test_power_law_rejects_an_infinite_exponent():
 def test_power_law_round_trip(u, delta):
     law = PowerLaw(delta)
     t = law.inv_cdf(u)
-    assert t >= law.support_min
+    assert t >= 1.0
     assert law.cdf(t) == pytest.approx(u, abs=1e-9)
 
 
@@ -89,54 +88,6 @@ def test_power_law_tail_mass_matches_survival_law():
         assert abs(observed - expected) <= 3.0 * se
 
 
-def test_truncated_normal_round_trip_and_bounds():
-    tn = TruncatedNormal(mean=1.0, scale=2.0, low=0.0, high=5.0)
-    u = np.linspace(0.0, 0.9999, 64)
-    t = tn.inv_cdf(u)
-    assert np.all((t >= 0.0) & (t <= 5.0))
-    assert np.allclose(tn.cdf(t), u, atol=1e-9)
-
-    rng = derive_stream(102, 1)
-    sample = tn.sample(rng, 50_000)
-    assert np.all((sample >= 0.0) & (sample <= 5.0))
-    # inverse-transform sampling agrees with the closed-form cdf (Kolmogorov bound)
-    ks = np.abs(np.sort(tn.cdf(sample)) - np.arange(1, sample.size + 1) / sample.size).max()
-    assert ks <= 1.95 / math.sqrt(sample.size)
-
-
-def test_truncated_normal_validation():
-    with pytest.raises(ValueError):
-        TruncatedNormal(0.0, -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        TruncatedNormal(0.0, 1.0, 2.0, 1.0)
-
-
-def test_truncated_normal_without_mass_is_rejected():
-    # the interval's normal mass rounds to 0.0; sampling it used to spin forever
-    with pytest.raises(ValueError, match="mass"):
-        TruncatedNormal(0.0, 1.0, 40.0, 41.0)
-    # a far but representable interval samples in one pass, inside its bounds
-    tn = TruncatedNormal(0.0, 1.0, -8.0, -7.0)
-    sample = tn.sample(derive_stream(103, 1), 1000)
-    assert np.all((sample >= -8.0) & (sample <= -7.0))
-    assert isinstance(tn.sample(derive_stream(103, 1)), float)
-
-
-def test_truncated_normal_keeps_precision_above_the_mean():
-    # ndtr rounds toward 1 in the upper tail; the interval above the mean
-    # must sample as finely as its mirror image below it
-    upper = TruncatedNormal(0.0, 1.0, 8.0, 9.0)
-    mirror = TruncatedNormal(0.0, 1.0, -9.0, -8.0)
-    for tn in (upper, mirror):
-        sample = tn.sample(np.random.default_rng(0), 100_000)
-        assert np.unique(sample).size >= 99_000
-        assert np.all((sample >= tn.low) & (sample <= tn.high))
-    t = np.linspace(8.0, 9.0, 1001)
-    assert np.abs(upper.cdf(t) + mirror.cdf(-t) - 1.0).max() <= 1e-12
-    with pytest.raises(ValueError, match="mass"):
-        TruncatedNormal(0.0, 1.0, 40.0, 41.0)
-
-
 def test_fully_correlated_rows_are_identical_floats():
     law = PowerLaw(1.0)
     rng = derive_stream(103, 1)
@@ -149,7 +100,7 @@ def test_correlated_matrix_respects_marginal_support():
     rng = derive_stream(104, 1)
     values = sample_correlated_matrix(200, 4, 0.5, law, rng)
     assert values.shape == (200, 4)
-    assert np.all(values >= law.support_min)
+    assert np.all(values >= 1.0)
     assert np.isfinite(values).all()
 
 

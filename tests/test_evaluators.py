@@ -34,7 +34,6 @@ def test_profile_validation():
     EvaluatorProfile("truthful")
     EvaluatorProfile("biased", beta=0.0)
     EvaluatorProfile("screener", tau=0.5)
-    EvaluatorProfile("quantile_binner", num_bins=5)
     with pytest.raises(ValueError):
         EvaluatorProfile("oracle")
     with pytest.raises(ValueError):
@@ -43,8 +42,6 @@ def test_profile_validation():
         EvaluatorProfile("biased")
     with pytest.raises(ValueError):
         EvaluatorProfile("screener", tau=0.0)
-    with pytest.raises(ValueError):
-        EvaluatorProfile("quantile_binner", num_bins=1)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +91,6 @@ def test_report_dispatch_uses_the_realized_coin():
     assert np.array_equal(quiet.scores, values)
     loud = report(EvaluatorProfile("biased", beta=0.0, is_biased=True), range(2), range(2), pool)
     assert np.all(loud.scores == 0.0)
-    with pytest.raises(ValueError):
-        report(EvaluatorProfile("quantile_binner", num_bins=5), range(2), range(2), pool)
 
 
 def test_merge_scores_combines_disjoint_blocks():

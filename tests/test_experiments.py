@@ -1,13 +1,14 @@
 """Experiment plumbing: chunked reduction, grids, result tables, drivers."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalsim.distributions import PowerLaw, TruncatedNormal
+from evalsim.distributions import PowerLaw
 from evalsim.experiments import bias
 from evalsim.experiments.bias import run_bias_grid
 from evalsim.experiments.calibration import run_calibration_sweep
@@ -194,7 +195,9 @@ def test_bias_row_is_the_same_alone_or_in_its_group(second):
 
 
 def test_grid_points_are_row_major():
-    grid = GridSpec(axes=(("delta", (0.5, 1.0)), ("sigma", (0.0, 0.9))), fixed={"n": 4})
+    grid = GridSpec(
+        axes=(("delta", (0.5, 1.0)), ("sigma", (0.0, 0.9))), fixed={"n": 4}, runs=10
+    )
     assert grid.axis_names == ("delta", "sigma")
     assert grid.points() == [
         {"n": 4, "delta": 0.5, "sigma": 0.0},
@@ -206,19 +209,21 @@ def test_grid_points_are_row_major():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        GridSpec(axes=())
+        GridSpec(axes=(), runs=10)
     with pytest.raises(ValueError):
-        GridSpec(axes=(("voltage", (1.0,)),))
+        GridSpec(axes=(("voltage", (1.0,)),), runs=10)
     with pytest.raises(ValueError):
-        GridSpec(axes=(("delta", (1.0,)), ("delta", (2.0,))))
+        GridSpec(axes=(("delta", (1.0,)), ("delta", (2.0,))), runs=10)
     with pytest.raises(ValueError):
-        GridSpec(axes=(("delta", ()),))
+        GridSpec(axes=(("delta", ()),), runs=10)
     with pytest.raises(ValueError):
-        GridSpec(axes=(("delta", (1.0,)),), fixed={"delta": 2.0})
+        GridSpec(axes=(("delta", (1.0,)),), fixed={"delta": 2.0}, runs=10)
     with pytest.raises(ValueError):
-        GridSpec(axes=(("delta", (1.0,)),), fixed={"flux": 1})
+        GridSpec(axes=(("delta", (1.0,)),), fixed={"flux": 1}, runs=10)
     with pytest.raises(ValueError):
         GridSpec(axes=(("delta", (1.0,)),), runs=0)
+    with pytest.raises(TypeError):
+        GridSpec(axes=(("delta", (1.0,)),))  # the run count is required
 
 
 def test_grid_json_dict():
@@ -286,13 +291,23 @@ def test_calibration_sweep_shrinks_with_pool_size():
 
 
 def test_calibration_sweep_takes_any_marginal():
-    law = TruncatedNormal(0.0, 1.0, 8.0, 9.0)
-    sweep = run_calibration_sweep(n_values=(5, 50), runs=400, marginal=law, seed=9)
-    # both marginals sample by inverse transform from the same uniforms, and
+    # every exponent samples by inverse transform from the same uniforms, and
     # the error depends only on ranks and true percentiles, so the rows equal
-    # the power law's unless the cdf loses precision in the upper tail
+    # the default's unless the cdf loses precision in the upper tail
     default = run_calibration_sweep(n_values=(5, 50), runs=400, seed=9)
-    assert [r.estimate for r in sweep.results] == [r.estimate for r in default.results]
+    for delta in (0.3, 2.0, 5.0):
+        law = PowerLaw(delta)
+        sweep = run_calibration_sweep(n_values=(5, 50), runs=400, marginal=law, seed=9)
+        assert [r.estimate for r in sweep.results] == [r.estimate for r in default.results]
+
+
+def test_calibration_slope_is_nan_when_a_mean_error_is_zero():
+    # one pool of ten in two bins happens to bin exactly: the fit has no log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = run_calibration_sweep(n_values=(5, 10), num_bins=2, runs=1, seed=5)
+    assert [r.estimate for r in sweep.results] == [0.4, 0.0]
+    assert np.isnan(sweep.loglog_slope)
 
 
 def test_calibration_sweep_validation():
@@ -378,16 +393,13 @@ def test_bias_grid_rows_are_paired():
         assert schemes["difference"].estimate == pytest.approx(gap, abs=1e-12)
 
 
-def test_bias_grid_reproduces_and_honors_grid_runs(monkeypatch):
+def test_bias_grid_reproduces_and_honors_grid_runs():
     rows = run_bias_grid(_small_grid(runs=256), seed=9)
     assert all(r.runs == 256 for r in rows)
     again = run_bias_grid(_small_grid(runs=256), seed=9)
     assert rows == again
     shifted = run_bias_grid(_small_grid(runs=256), seed=10)
     assert rows != shifted
-    # a grid without a run count gets the driver's constant
-    monkeypatch.setattr(bias, "BIAS_RUNS", 64)
-    assert all(r.runs == 64 for r in run_bias_grid(_small_grid(), seed=9))
 
 
 def test_bias_grid_worker_count_invariance():
@@ -428,6 +440,15 @@ def test_bias_grid_validation():
     )
     with pytest.raises(ValueError):
         run_bias_grid(three, seed=9)
+
+
+def test_bias_grid_rejects_a_parameter_it_does_not_read():
+    # tau is a sweep parameter, but only the screening model reads it
+    as_axis = GridSpec(axes=(("delta", (1.0,)), ("tau", (0.1, 0.9))), runs=16)
+    as_fixed = GridSpec(axes=(("delta", (1.0,)), ("sigma", (0.5,))), fixed={"tau": 5}, runs=16)
+    for grid in (as_axis, as_fixed):
+        with pytest.raises(ValueError, match="'tau'"):
+            run_bias_grid(grid, seed=9)
 
 
 @pytest.mark.parametrize(
