@@ -27,7 +27,12 @@ from .distributions import PowerLaw
 from .experiments.bias import run_bias_grid
 from .experiments.calibration import run_calibration_sweep
 from .experiments.efficiency import efficiency_grid, run_efficiency_sweep
-from .experiments.results import GridSpec, write_metadata_json, write_results_csv
+from .experiments.results import (
+    GridSpec,
+    check_distinct,
+    write_metadata_json,
+    write_results_csv,
+)
 from .experiments.theorem import (
     run_formula_check,
     run_part_a,
@@ -53,10 +58,11 @@ def sig4(x: float) -> str:
 # option parsing: one table per subcommand, shared string->value parsers
 
 
-def _parse_list(parse, text: str) -> tuple:
+def _parse_list(parse, text: str, what: str = "the list") -> tuple:
     values = tuple(parse(part) for part in text.split(",") if part.strip())
     if not values:
         raise ValueError(f"expected v1,v2,..., got {text!r}")
+    check_distinct(values, what)
     return values
 
 
@@ -82,7 +88,7 @@ def _parse_axis(text: str) -> tuple:
     if not name or not rest.replace(",", "").strip():
         raise ValueError(f"expected name=v1,v2,..., got {text!r}")
     integer = name in ("n", "d", "evaluators")
-    return name, (_parse_int_list if integer else _parse_float_list)(rest)
+    return name, _parse_list(int if integer else float, rest, f"axis {name!r}")
 
 
 @dataclass(frozen=True)

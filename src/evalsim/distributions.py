@@ -7,6 +7,13 @@ with unit variance and a common pairwise correlation, and each is pushed
 through the marginal's inverse CDF.  At ``sigma = 0`` attributes are
 independent; at ``sigma = 1`` every attribute of an applicant is the same
 number.
+
+``sample_correlated_matrix`` is the object layer's sampler and goes through
+the copula at every ``sigma``.  The batched sampler in
+``experiments.kernels`` takes exact shortcuts at the two extremes: it draws
+the uniforms directly at ``sigma = 0``, and one uniform per applicant at
+``sigma = 1``.  Both draw the same distribution from different random
+numbers.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from ..distributions import PowerLaw
 from ..rng import STREAM_CALIBRATION
 from .kernels import calibration_worker
 from .parallel import run_points
-from .results import rows_from_moments
+from .results import check_distinct, rows_from_moments
 
 CALIBRATION_CHUNK = 4096
 DEFAULT_POOL_SIZES = (5, 10, 20, 50, 100, 200, 500, 1000)
@@ -46,6 +46,7 @@ def run_calibration_sweep(
     n_values = tuple(int(n) for n in n_values)
     if len(n_values) < 2:
         raise ValueError("need at least two pool sizes to fit a slope")
+    check_distinct(n_values, "n_values")
     if any(n < 2 for n in n_values):
         raise ValueError("pool sizes must be at least 2")
     if num_bins < 2:

@@ -10,11 +10,14 @@ same ``where(discounted, beta * x, x)`` expression and summed along the same
 axis as the object layer precisely so that equality is exact rather than
 approximate.
 
-The theorem draw does not draw whole pools: in its fully correlated
-two-attribute setting an estimate is a per-class constant times the value,
-so ``draw_theorem_batch`` samples only the best value in each of four
-classes.  Its scorer is unchanged; on the class maxima of a full pool it
-returns that pool's errors bit for bit.
+The two extreme correlations skip the Gaussian copula:
+``draw_correlated_values`` draws plain uniforms at ``sigma = 0`` and one
+value per applicant at ``sigma = 1``.  In a fully correlated pool an
+estimate is a per-class constant times the value, so only each class's best
+applicant can be picked.  ``draw_theorem_batch`` therefore samples just the
+best value in each of four classes, and ``bias_worker`` at ``sigma = 1``
+scores each run's four class maxima.  Both scorers are unchanged; on the
+class maxima of a full pool they return that pool's results bit for bit.
 
 A worker takes the params of one draw group (see ``parallel.run_points``)
 and returns one dict of per-run arrays per member.  Efficiency points that
@@ -70,7 +73,21 @@ def draw_correlated_values(
     With ``marginal`` None it returns the copula's uniforms, to which a
     caller can apply several marginals.  The normals become the uniforms in
     place, so one ``(batch, n, d)`` array is alive until the inverse CDF.
+
+    The two extreme correlations take exact shortcuts.  At ``sigma = 0`` the
+    copula's uniforms are independent, so they are drawn directly.  At
+    ``sigma = 1`` every attribute of an applicant is the same number, so one
+    normal is drawn per applicant and its value copied into the ``d``
+    columns of a writable array.
     """
+    if sigma == 0.0:
+        u = rng.random((batch, n, d))
+        return u if marginal is None else marginal.inv_cdf(u)
+    if sigma == 1.0:
+        z = rng.standard_normal((batch, n, 1))
+        u = ndtr(z, out=z)
+        np.minimum(u, _U_BELOW_ONE, out=u)
+        return np.repeat(u if marginal is None else marginal.inv_cdf(u), d, axis=2)
     common = rng.standard_normal((batch, n))
     z = rng.standard_normal((batch, n, d))
     z *= math.sqrt(1.0 - sigma)
@@ -78,6 +95,14 @@ def draw_correlated_values(
     u = ndtr(z, out=z)
     np.minimum(u, _U_BELOW_ONE, out=u)
     return u if marginal is None else marginal.inv_cdf(u)
+
+
+# Class patterns of a fully correlated pool's four classes, in which an
+# estimate is a per-class constant times the value: (disadvantaged, owner 0),
+# (disadvantaged, owner 1), (advantaged, owner 0), (advantaged, owner 1).
+# The theorem draw and the sigma = 1 bias kernel score one column per class.
+_CLASS_DISADVANTAGED = np.array([True, True, False, False])
+_CLASS_OWNER0 = np.array([True, False, True, False])
 
 
 def _tie_adjusted_hits(estimates: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -263,15 +288,16 @@ def draw_bias_batch(
 
     Returns the copula uniforms ``u (size, n, d)``, of which a member's
     values are ``marginal.inv_cdf(u)``, then the masks and coins that
-    ``bias_scheme_accuracies`` takes after the values.  With ``gamma`` None
-    the committee is the fixed one-biased, one-unbiased pair (evaluator 0
-    biased); otherwise each evaluator's coin is an independent
-    Bernoulli(gamma).  Ties depend on the members' marginals, so
-    ``bias_worker`` redraws them.
+    ``bias_scheme_accuracies`` takes after the values.  At ``sigma = 1``
+    every attribute of an applicant is the same value, so ``u`` has one
+    column, ``(size, n, 1)``.  With ``gamma`` None the committee is the
+    fixed one-biased, one-unbiased pair (evaluator 0 biased); otherwise each
+    evaluator's coin is an independent Bernoulli(gamma).  Ties depend on the
+    members' marginals, so ``bias_worker`` redraws them.
     """
     if n % 2 or d % 2:
         raise ValueError("two-evaluator committees need even n and d")
-    u = draw_correlated_values(rng, size, n, d, sigma, None)
+    u = draw_correlated_values(rng, size, n, 1 if sigma == 1.0 else d, sigma, None)
     disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
     protected = random_subset_mask(rng, size, d, round_half_up(lam * d))
     hol_rows0 = random_subset_mask(rng, size, n, n // 2)
@@ -290,6 +316,37 @@ def bias_draw_key(params: dict):
     return tuple(params.get(name) for name in ("n", "d", "sigma", "alpha", "lambda", "gamma"))
 
 
+def bias_class_maxima(values: np.ndarray, disadvantaged: np.ndarray, hol_rows0: np.ndarray):
+    """Best value per class, ``(B, 4, 1)``, of one-column values ``(B, n, 1)``.
+
+    Classes follow the class patterns (disadvantaged x holistic owner).  An
+    empty class gets 0.0, below every value, as in ``max_of_draws``.
+    """
+    # (B, 4, n) masks, so the maximum runs along the contiguous last axis
+    classes = (disadvantaged[:, None, :] == _CLASS_DISADVANTAGED[:, None]) & (
+        hol_rows0[:, None, :] == _CLASS_OWNER0[:, None]
+    )
+    return np.where(classes, values[:, None, :, 0], 0.0).max(axis=2)[..., None]
+
+
+def _every_estimate_can_vanish(members, n: int, d: int) -> bool:
+    """Whether some run of a fully correlated group can report 0 for everyone.
+
+    It needs a committee that can bias both members (``gamma`` set), a pool
+    that is all disadvantaged, every attribute protected, and a member who
+    discounts to nothing (``beta`` 0).  Every estimate then ties, so the pick
+    is split over all ``n`` applicants, where four class maxima would split
+    it four ways.
+    """
+    shared = members[0]
+    return (
+        shared.get("gamma") is not None
+        and round_half_up(float(shared["alpha"]) * n) == n
+        and round_half_up(float(shared["lambda"]) * d) == d
+        and any(float(params["beta"]) == 0.0 for params in members)
+    )
+
+
 def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     """Score every member of a draw group on one shared draw.
 
@@ -297,6 +354,11 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     of every member that has it, so one ``(size, n, d)`` values array is
     alive at a time.  A run whose best applicant ties under any member's
     values gets fresh uniforms, and every member is scored again.
+
+    At ``sigma = 1`` an estimate is a per-class constant times the value, so
+    each run is scored on its four class maxima (``bias_class_maxima``),
+    which gives the full pool's accuracies bit for bit.  A group in which
+    every estimate of a run can be 0 is scored on the full pool instead.
     """
     shared = members[0]
     n = int(shared["n"])
@@ -313,6 +375,12 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         float(shared["lambda"]),
         None if gamma is None else float(gamma),
     )
+    classes = None
+    if sigma == 1.0 and not _every_estimate_can_vanish(members, n, d):
+        # score each run's four class maxima in place of its n applicants
+        classes = (labels[0], labels[2])
+        labels[0] = np.broadcast_to(_CLASS_DISADVANTAGED, (size, 4))
+        labels[2] = np.broadcast_to(_CLASS_OWNER0, (size, 4))
     by_marginal = {}
     for index, params in enumerate(members):
         by_marginal.setdefault(params["marginal"], []).append(index)
@@ -323,6 +391,10 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         for marginal, indices in by_marginal.items():
             values = marginal.inv_cdf(u)
             tied |= _best_is_tied(values)
+            if classes is not None:
+                values = bias_class_maxima(values, *classes)
+            if values.shape[2] < d:  # a fully correlated draw's columns are equal
+                values = np.repeat(values, d, axis=2)
             for index in indices:
                 beta = float(members[index]["beta"])
                 acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta)
@@ -335,7 +407,7 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
 
     _redraw_tied_rows(
         u,
-        lambda k: draw_correlated_values(rng, k, n, d, sigma, None),
+        lambda k: draw_correlated_values(rng, k, n, u.shape[2], sigma, None),
         tuple(by_marginal),
         score_all,
     )
@@ -404,12 +476,6 @@ def max_of_draws(rng: np.random.Generator, counts, delta: float) -> np.ndarray:
     k = np.asarray(counts)
     u = rng.random(k.shape) ** (1.0 / np.maximum(k, 1))
     return np.where(k > 0, power_law_inv_cdf(np.minimum(u, _U_BELOW_ONE), delta), 0.0)
-
-
-# Class patterns of the theorem draw's four columns: (disadvantaged, owner 0),
-# (disadvantaged, owner 1), (advantaged, owner 0), (advantaged, owner 1).
-_CLASS_DISADVANTAGED = np.array([True, True, False, False])
-_CLASS_OWNER0 = np.array([True, False, True, False])
 
 
 def theorem_class_sizes(rng: np.random.Generator, size: int, n: int) -> np.ndarray:

@@ -50,6 +50,14 @@ class ExperimentResult:
             raise ValueError("std_error cannot be negative")
 
 
+def check_distinct(values, what: str) -> None:
+    """Reject sweep values that name one value twice: each would be its own row."""
+    values = tuple(values)
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise ValueError(f"{what} repeats the value {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A Cartesian parameter grid plus fixed settings.
@@ -79,6 +87,7 @@ class GridSpec:
             seen.add(name)
             if len(tuple(values)) == 0:
                 raise ValueError(f"axis {name!r} has no values")
+            check_distinct(values, f"axis {name!r}")
         for name in self.fixed:
             if name not in PARAM_NAMES:
                 raise ValueError(f"unknown parameter name {name!r}")

@@ -121,7 +121,7 @@ _FLOATS = st.floats(allow_nan=False)
 def _axes(draw):
     name = draw(st.sampled_from(PARAM_NAMES))
     integer = name in ("n", "d", "evaluators")
-    return name, tuple(draw(st.lists(st.integers() if integer else _FLOATS, min_size=1)))
+    return name, tuple(draw(st.lists(st.integers() if integer else _FLOATS, min_size=1, unique=True)))
 
 
 _VALUES = {
@@ -129,8 +129,8 @@ _VALUES = {
     cli._parse_count: st.integers(min_value=1),
     float: _FLOATS,
     str: st.text(st.characters(blacklist_categories=("Cs",))),
-    cli._parse_int_list: st.lists(st.integers(), min_size=1).map(tuple),
-    cli._parse_float_list: st.lists(_FLOATS, min_size=1).map(tuple),
+    cli._parse_int_list: st.lists(st.integers(), min_size=1, unique=True).map(tuple),
+    cli._parse_float_list: st.lists(_FLOATS, min_size=1, unique=True).map(tuple),
     cli._parse_axis: _axes(),
 }
 
@@ -421,6 +421,24 @@ def test_bias_grid_rejects_out_of_range_points(capsys, tmp_path, axis):
     assert code == 2
     assert f"{axis.partition('=')[0]} must lie in" in capsys.readouterr().err
     assert not (tmp_path / "bias_grid.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("efficiency", "--tau", "0.5,0.5"), "the list repeats the value 0.5"),
+        (("bias-grid", "--axis1", "delta=1,1"), "axis 'delta' repeats the value 1.0"),
+        (("calibration", "--n-values", "5,5,10"), "the list repeats the value 5"),
+        (("theorem-verify", "--delta", "1,1.0"), "the list repeats the value 1.0"),
+    ],
+)
+def test_repeated_list_values_exit_2(capsys, tmp_path, argv, message):
+    # a repeated value would write the same point twice, or two rows for one
+    # pool size and a slope fitted on a point counted twice
+    code = run_cli(*argv, "--seed", "1", "--outdir", str(tmp_path))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_bias_grid_constant_marginal_exits(tmp_path):

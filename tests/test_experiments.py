@@ -178,7 +178,9 @@ def test_efficiency_row_is_the_same_alone_or_in_its_group(sigma):
     assert [r for r in grouped if r.params["tau"] == 0.2] == alone
 
 
-@pytest.mark.parametrize("second", [("sigma", (0.0, 0.9)), ("beta", (0.0, 0.5))])
+@pytest.mark.parametrize(
+    "second", [("sigma", (0.0, 0.9)), ("beta", (0.0, 0.5)), ("sigma", (1.0, 0.0))]
+)
 def test_bias_row_is_the_same_alone_or_in_its_group(second):
     # grids group by everything but delta and beta; the delta = 1 rows sit at
     # the same group index in both grids
@@ -188,6 +190,20 @@ def test_bias_row_is_the_same_alone_or_in_its_group(second):
     alone = run_bias_grid(grid((1.0,)), seed=9, chunk_size=128)
     grouped = run_bias_grid(grid((0.5, 1.0, 2.0)), seed=9, chunk_size=128)
     assert [r for r in grouped if r.params["delta"] == 1.0] == alone
+
+
+def test_fully_correlated_bias_row_is_the_same_alone_or_in_its_group():
+    # with beta = 0 in the group every estimate of a run can be 0, so the
+    # group is scored on the full pool; alone, beta = 0.3 is scored on class
+    # maxima.  Both routes must give the same rows.
+    fixed = {"n": 6, "d": 4, "sigma": 1.0, "alpha": 1.0, "lambda": 1.0, "gamma": 0.5}
+
+    def grid(betas):
+        return GridSpec(axes=(("delta", (1.0, 2.0)), ("beta", betas)), fixed=fixed, runs=300)
+
+    alone = run_bias_grid(grid((0.3,)), seed=9, chunk_size=128)
+    grouped = run_bias_grid(grid((0.0, 0.3)), seed=9, chunk_size=128)
+    assert [r for r in grouped if r.params["beta"] == 0.3] == alone
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +240,16 @@ def test_grid_validation():
         GridSpec(axes=(("delta", (1.0,)),), runs=0)
     with pytest.raises(TypeError):
         GridSpec(axes=(("delta", (1.0,)),))  # the run count is required
+
+
+def test_repeated_sweep_values_are_rejected():
+    # 1 and 1.0 name one point; each copy would be written as its own row
+    with pytest.raises(ValueError, match="axis 'delta' repeats the value 1.0"):
+        GridSpec(axes=(("delta", (1, 2.0, 1.0)),), runs=10)
+    with pytest.raises(ValueError, match="axis 'tau' repeats the value 0.5"):
+        run_efficiency_sweep((0.5, 0.5), (0.0,), n=4, runs=10)
+    with pytest.raises(ValueError, match="n_values repeats the value 5"):
+        run_calibration_sweep(n_values=(5, 5, 10), runs=10)
 
 
 def test_grid_json_dict():

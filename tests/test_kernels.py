@@ -23,7 +23,10 @@ from evalsim.evaluators import (
     report_screened,
 )
 from evalsim.experiments.kernels import (
+    _best_is_tied,
+    _every_estimate_can_vanish,
     _redraw_tied_rows,
+    bias_class_maxima,
     bias_scheme_accuracies,
     bias_worker,
     calibration_worker,
@@ -96,6 +99,24 @@ def test_draw_correlated_values_full_correlation_is_exact():
     assert values.shape == (10, 6, 3)
     assert np.all(values == values[:, :, :1])
     assert np.all(values >= 1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_extreme_correlations_draw_uniform_copulas(sigma):
+    # sigma = 0 draws the uniforms directly and sigma = 1 one uniform per
+    # applicant; every column must still be Uniform(0, 1)
+    u = draw_correlated_values(derive_stream(43, 9), 4000, 5, 3, sigma, None)
+    assert u.shape == (4000, 5, 3) and u.flags.writeable
+    for column in range(3):
+        assert stats.kstest(u[:, :, column].ravel(), "uniform").pvalue > 0.001
+    if sigma == 1.0:
+        assert np.all(u == u[:, :, :1])
+        u[0, 0, 1] = 2.0  # columns are copies, so a tie redraw can write one
+        assert u[0, 0, 0] != 2.0
+    else:
+        # independent attributes: no correlation between columns
+        r = np.corrcoef(u[:, :, 0].ravel(), u[:, :, 1].ravel())[0, 1]
+        assert abs(r) < 4.0 / np.sqrt(u[:, :, 0].size)
 
 
 def test_redraw_tied_rows_replaces_only_tied_runs():
@@ -264,6 +285,81 @@ def test_grouped_bias_worker_matches_object_route(gamma):
         assert np.array_equal(scores["holistic"], slow_h)
         assert np.array_equal(scores["segmented"], slow_s)
         assert np.array_equal(scores["difference"], slow_s - slow_h)
+
+
+def _class_batch(values, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1):
+    """A sigma = 1 batch reduced to its four class maxima, one column per attribute."""
+    batch, _, d = values.shape
+    return (
+        np.repeat(bias_class_maxima(values[:, :, :1], disadvantaged, hol_rows0), d, axis=2),
+        np.broadcast_to([True, True, False, False], (batch, 4)),
+        protected,
+        np.broadcast_to([True, False, True, False], (batch, 4)),
+        seg_cols0,
+        coin0,
+        coin1,
+    )
+
+
+@pytest.mark.parametrize("n", [6, 20])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("gamma", [None, 0.5])
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_bias_class_maxima_score_like_the_full_pool(n, alpha, lam, gamma, beta):
+    # at sigma = 1 an estimate is a per-class constant times the value, so
+    # scoring each class's best applicant gives the full pool's accuracies,
+    # unless every estimate of a run can be 0 and so tie n ways: there the
+    # worker scores the full pool
+    d, size = 20, 512
+    point = {
+        "n": n, "d": d, "sigma": 1.0, "alpha": alpha, "lambda": lam, "beta": beta,
+        "marginal": POWER_LAW, **({} if gamma is None else {"gamma": gamma}),
+    }
+    u, *labels = draw_bias_batch(derive_stream(58, 8), size, n, d, 1.0, alpha, lam, gamma)
+    assert u.shape == (size, n, 1)
+    values = POWER_LAW.inv_cdf(u)
+    assert not _best_is_tied(values).any()  # so the worker redraws nothing
+    full = (np.repeat(values, d, axis=2), *labels)
+    want = bias_scheme_accuracies(*full, beta)
+
+    (out,) = bias_worker((point,), derive_stream(58, 8), size)
+    assert np.array_equal(out["holistic"], want[0])
+    assert np.array_equal(out["segmented"], want[1])
+
+    vanish = gamma is not None and alpha == lam == 1.0 and beta == 0.0
+    assert _every_estimate_can_vanish((point,), n, d) == vanish
+    got = bias_scheme_accuracies(*_class_batch(*full), beta)
+    exact = np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert exact != vanish
+
+
+@pytest.mark.parametrize(
+    "sigma, shared",
+    [
+        (0.0, {}),
+        (1.0, {}),
+        (1.0, {"gamma": 0.5}),
+        # every estimate can be 0: the group is scored on the full pool
+        (1.0, {"gamma": 0.5, "alpha": 1.0, "lambda": 1.0}),
+    ],
+)
+def test_bias_worker_at_extreme_correlations_matches_object_route(sigma, shared):
+    settings = [(0.5, 0.0), (2.0, 0.3)]
+    members = tuple(
+        {**BIAS_POINT, **shared, "sigma": sigma, "marginal": PowerLaw(de), "beta": beta}
+        for de, beta in settings
+    )
+    out = bias_worker(members, derive_stream(47, 10), 48)
+    point = members[0]
+    u, *labels = draw_bias_batch(
+        derive_stream(47, 10), 48, 6, 4, sigma, point["alpha"], point["lambda"], shared.get("gamma")
+    )
+    for (de, beta), scores in zip(settings, out):
+        values = np.broadcast_to(PowerLaw(de).inv_cdf(u), (48, 6, 4))
+        slow_h, slow_s = _bias_object_route((values, *labels), beta)
+        assert np.array_equal(scores["holistic"], slow_h)
+        assert np.array_equal(scores["segmented"], slow_s)
 
 
 def test_bias_batch_fixed_committee_and_validation():

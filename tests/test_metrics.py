@@ -16,6 +16,7 @@ from evalsim.evaluators import (
     merge_scores,
     report,
 )
+from evalsim.experiments.kernels import calibration_worker
 from evalsim.metrics import mean_bin_error, percentile_bin, top1_accuracy
 from evalsim.population import AttributeMatrix, build_pool, true_best
 from evalsim.rng import derive_stream
@@ -109,16 +110,6 @@ def test_mean_bin_error_validation():
         mean_bin_error([1], [1.5], 5)
 
 
-def _simulated_m5_error(marginal, seed, pools):
-    rng = derive_stream(seed, 31)
-    values = marginal.sample(rng, (pools, 5))
-    total = 0.0
-    for row in values:
-        local = local_quantile_bins(row, 5)
-        total += mean_bin_error(local, marginal.cdf(row), 5)
-    return total / pools
-
-
 @pytest.mark.parametrize(
     "marginal, seed",
     [(PowerLaw(1.0), 0)],
@@ -128,9 +119,15 @@ def test_mean_bin_error_pool_of_five_matches_order_statistics(marginal, seed):
     # distribution-free: the Beta order-statistic value must hold for any
     # continuous marginal
     pools = 100_000
-    estimate = _simulated_m5_error(marginal, seed, pools)
+    params = {"n": 5, "num_bins": 5, "marginal": marginal}
+    (out,) = calibration_worker((params,), derive_stream(seed, 31), pools)
+    errors = out["binner"]
+    # the kernel scores each pool as the object route does
+    values = marginal.sample(derive_stream(seed, 31), (1000, 5))
+    for row, error in zip(values, errors):
+        assert mean_bin_error(local_quantile_bins(row, 5), marginal.cdf(row), 5) == error
     # per-pool errors lie in [0, 4], so 4/sqrt(pools) is a generous SE bound
-    assert abs(estimate - float(MEAN_BIN_ERROR_M5)) <= 3.0 * 4.0 / np.sqrt(pools)
+    assert abs(errors.mean() - float(MEAN_BIN_ERROR_M5)) <= 3.0 * 4.0 / np.sqrt(pools)
 
 
 # ---------------------------------------------------------------------------
