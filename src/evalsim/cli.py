@@ -27,6 +27,7 @@ from .distributions import PowerLaw
 from .experiments.bias import run_bias_grid
 from .experiments.calibration import run_calibration_sweep
 from .experiments.efficiency import efficiency_grid, run_efficiency_sweep
+from .experiments.kernels import build_pool
 from .experiments.results import (
     GridSpec,
     check_distinct,
@@ -39,7 +40,7 @@ from .experiments.theorem import (
     run_tail_check,
     run_threshold_check,
 )
-from .population import build_pool, pool_to_csv
+from .population import pool_to_csv
 from .rng import STREAM_POOL, derive_stream
 
 OUTPUT_DIR_ENV = "EVALSIM_OUTPUT_DIR"

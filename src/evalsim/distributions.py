@@ -1,4 +1,4 @@
-"""Attribute-value distributions and the correlated sampling model.
+"""Attribute-value distributions of the population model.
 
 True attribute values are drawn from a heavy-tailed power law, the one
 marginal of the population model, and coupled across attributes through a
@@ -8,12 +8,9 @@ through the marginal's inverse CDF.  At ``sigma = 0`` attributes are
 independent; at ``sigma = 1`` every attribute of an applicant is the same
 number.
 
-``sample_correlated_matrix`` is the object layer's sampler and goes through
-the copula at every ``sigma``.  The batched sampler in
-``experiments.kernels`` takes exact shortcuts at the two extremes: it draws
-the uniforms directly at ``sigma = 0``, and one uniform per applicant at
-``sigma = 1``.  Both draw the same distribution from different random
-numbers.
+This module holds the marginal.  The copula has one sampler,
+``experiments.kernels.draw_correlated_values``, which every experiment and
+``pool-dump`` draw through.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 # Largest double strictly below 1.0.  Copula uniforms are clipped here before
 # inversion: the normal CDF rounds to exactly 1.0 for arguments above ~8.3,
@@ -72,32 +68,3 @@ class PowerLaw:
     def sample(self, rng: np.random.Generator, size=None):
         """Draw by inverse-transform from ``rng``."""
         return power_law_inv_cdf(rng.random(size), self.delta)
-
-
-def sample_correlated_matrix(
-    n: int,
-    d: int,
-    sigma: float,
-    marginal,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw an ``(n, d)`` matrix of attribute values for ``n`` applicants.
-
-    Rows are independent applicants.  Within a row, latent normals follow the
-    one-factor construction ``z_j = sqrt(sigma) * w + sqrt(1 - sigma) * e_j``
-    with ``w`` and ``e_j`` independent standard normals, which realizes the
-    equicorrelated covariance exactly.  Each latent score is mapped through
-    the normal CDF and then the marginal's inverse CDF.
-
-    At ``sigma = 1`` the noise coefficient is exactly zero, so the columns of
-    each row are identical floats, not merely close.
-    """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    common = rng.standard_normal(n)
-    noise = rng.standard_normal((n, d))
-    z = math.sqrt(sigma) * common[:, None] + math.sqrt(1.0 - sigma) * noise
-    u = np.minimum(ndtr(z), _U_BELOW_ONE)
-    return marginal.inv_cdf(u)

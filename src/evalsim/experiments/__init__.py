@@ -1,10 +1,1 @@
 """Experiment drivers: parameter grids, chunked Monte Carlo, result tables."""
-
-from .results import ExperimentResult, GridSpec, write_metadata_json, write_results_csv
-
-__all__ = [
-    "ExperimentResult",
-    "GridSpec",
-    "write_metadata_json",
-    "write_results_csv",
-]

@@ -3,12 +3,12 @@
 Each kernel separates drawing from scoring.  ``draw_*`` helpers consume a
 Generator and return batched input arrays; the scoring cores are pure
 functions of those explicit arrays.  The cores reproduce, run for run and
-bit for bit, what the object layer (build_pool, allocate_*, report,
-top1_accuracy) computes, and the test suite drives both routes on identical
-inputs and requires exact agreement.  Reported values are assembled with the
-same ``where(discounted, beta * x, x)`` expression and summed along the same
-axis as the object layer precisely so that equality is exact rather than
-approximate.
+bit for bit, what the object layer (report, report_screened, merge_scores,
+top1_accuracy, local_quantile_bins, mean_bin_error) computes, and the test
+suite drives both routes on identical inputs and requires exact agreement.
+Reported values are assembled with the same ``where(discounted, beta * x,
+x)`` expression and summed along the same axis as the object layer
+precisely so that equality is exact rather than approximate.
 
 The two extreme correlations skip the Gaussian copula:
 ``draw_correlated_values`` draws plain uniforms at ``sigma = 0`` and one
@@ -18,6 +18,10 @@ applicant can be picked.  ``draw_theorem_batch`` therefore samples just the
 best value in each of four classes, and ``bias_worker`` at ``sigma = 1``
 scores each run's four class maxima.  Both scorers are unchanged; on the
 class maxima of a full pool they return that pool's results bit for bit.
+
+``draw_correlated_values`` is the package's one copula sampler, and
+``_redraw_tied_rows`` its one tie policy: ``build_pool``, which draws the
+object layer's single pool for ``pool-dump``, takes both from here.
 
 A worker takes the params of one draw group (see ``parallel.run_points``)
 and returns one dict of per-run arrays per member.  Efficiency points that
@@ -44,7 +48,12 @@ from scipy.special import ndtr
 from ..distributions import PowerLaw, _U_BELOW_ONE, power_law_inv_cdf
 from ..evaluators import screening_cutoff
 from ..metrics import percentile_bin
-from ..population import MAX_TIE_REDRAWS, round_half_up, tied_best_error
+from ..population import AttributeMatrix, round_half_up
+
+# A tie for the best applicant has probability zero under a continuous
+# marginal, so a run still tied after this many redraws means the marginal
+# is numerically constant, as a power law with a huge delta is.
+MAX_TIE_REDRAWS = 10
 
 
 def random_subset_mask(
@@ -68,11 +77,16 @@ def random_subset_mask(
 def draw_correlated_values(
     rng: np.random.Generator, batch: int, n: int, d: int, sigma: float, marginal
 ) -> np.ndarray:
-    """Batched version of the one-factor copula sampler: ``(batch, n, d)``.
+    """Draw ``batch`` pools of attribute values, ``(batch, n, d)``.
 
-    With ``marginal`` None it returns the copula's uniforms, to which a
-    caller can apply several marginals.  The normals become the uniforms in
-    place, so one ``(batch, n, d)`` array is alive until the inverse CDF.
+    Within an applicant, latent normals follow the one-factor construction
+    ``z_j = sqrt(sigma) * w + sqrt(1 - sigma) * e_j`` with ``w`` and ``e_j``
+    independent standard normals, which realizes the equicorrelated
+    covariance exactly; each is mapped through the normal CDF and then the
+    marginal's inverse CDF.  With ``marginal`` None it returns the copula's
+    uniforms, to which a caller can apply several marginals.  The normals
+    become the uniforms in place, so one ``(batch, n, d)`` array is alive
+    until the inverse CDF.
 
     The two extreme correlations take exact shortcuts.  At ``sigma = 0`` the
     copula's uniforms are independent, so they are drawn directly.  At
@@ -139,8 +153,53 @@ def _redraw_tied_rows(draws: np.ndarray, draw, marginals, tied=_best_is_tied) ->
         if not flags.any():
             return
         if attempt == MAX_TIE_REDRAWS:
-            raise tied_best_error(*marginals)
+            raise ValueError(
+                f"the best applicant stayed tied through {MAX_TIE_REDRAWS} redraws:"
+                f" {' or '.join(map(str, marginals))} gives numerically constant"
+                " values (is delta too large?)"
+            )
         draws[flags] = draw(int(flags.sum()))
+
+
+def build_pool(
+    n: int,
+    d: int,
+    sigma: float,
+    alpha: float,
+    lam: float,
+    marginal,
+    rng: np.random.Generator,
+) -> AttributeMatrix:
+    """Draw one complete applicant pool for the object layer.
+
+    The values are one run of ``draw_correlated_values``, redrawn while the
+    best row total is tied.  Then ``round_half_up(alpha * n)`` applicants are
+    labeled disadvantaged and ``round_half_up(lam * d)`` attributes flagged
+    protected, both chosen uniformly at random.
+    """
+    if n < 2:
+        raise ValueError("a pool needs at least 2 applicants")
+    if d < 1:
+        raise ValueError("a pool needs at least 1 attribute")
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError("sigma must lie in [0, 1]")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [0, 1]")
+
+    values = draw_correlated_values(rng, 1, n, d, sigma, marginal)
+    _redraw_tied_rows(
+        values,
+        lambda k: draw_correlated_values(rng, k, n, d, sigma, marginal),
+        (marginal,),
+    )
+    disadvantaged = np.zeros(n, dtype=bool)
+    disadvantaged[: round_half_up(alpha * n)] = True
+    perm = rng.permutation(n)
+    protected = np.zeros(d, dtype=bool)
+    protected[rng.choice(d, size=round_half_up(lam * d), replace=False)] = True
+    return AttributeMatrix(values[0][perm], disadvantaged[perm], protected)
 
 
 # ---------------------------------------------------------------------------

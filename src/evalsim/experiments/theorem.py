@@ -34,7 +34,7 @@ from scipy.integrate import quad
 from ..distributions import PowerLaw
 from ..rng import STREAM_TAIL, STREAM_THEOREM
 from .parallel import mean_and_se, run_points
-from .results import ExperimentResult
+from .results import ExperimentResult, check_distinct
 from .kernels import tail_worker, theorem_worker
 
 THEOREM_CHUNK = 8192
@@ -317,6 +317,10 @@ def run_part_a(
     workers: int = 1,
 ) -> tuple:
     """Check err_seg <= err_hol + 3 SE with one of two attributes protected."""
+    check_distinct(beta_values, "beta_values")
+    check_distinct(gamma_values, "gamma_values")
+    check_distinct(delta_values, "delta_values")
+    check_distinct(n_values, "n_values")
     points = [
         {"n": n, "delta": de, "beta": be, "gamma": ga, "lambda": 0.5}
         for be in beta_values
@@ -357,6 +361,8 @@ def run_formula_check(
     combined standard error; the quadrature value rides along as a
     cross-check.
     """
+    check_distinct(n_values, "n_values")
+    check_distinct(delta_values, "delta_values")
     points = [
         {"n": n, "delta": de, "beta": 0.0, "gamma": gamma, "lambda": 1.0}
         for n in n_values
@@ -408,6 +414,7 @@ def run_threshold_check(
     workers: int = 1,
 ) -> tuple:
     """Check the gap's sign flips across the critical tail exponent."""
+    check_distinct(delta_values, "delta_values")
     points = [
         {"n": n, "delta": de, "beta": 0.0, "gamma": gamma, "lambda": 1.0}
         for de in delta_values
@@ -442,6 +449,7 @@ def run_tail_check(
     workers: int = 1,
 ) -> tuple:
     """Check the simulated tail probability against its quadrature value."""
+    check_distinct(delta_values, "delta_values")
     checks = []
     for index, delta in enumerate(delta_values):
         p, se = tail_probability(

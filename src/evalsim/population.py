@@ -4,8 +4,9 @@ A pool is an ``(n, d)`` matrix of true attribute values together with a
 per-applicant group label (a fraction ``alpha`` of applicants belong to the
 disadvantaged group) and a per-attribute protected flag (a fraction
 ``lambda`` of attributes can carry evaluator bias).  The ground-truth ranking
-is by row mean, and pools are redrawn in the probability-zero event that the
-top row mean is tied, so "the best applicant" is always unique.
+is by row mean.  Pools are drawn by ``experiments.kernels.build_pool``, from
+the same sampler as every experiment; this module holds the pool itself,
+its ground truth and its CSV form.
 """
 
 from __future__ import annotations
@@ -15,21 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .distributions import sample_correlated_matrix
-
-# A tie for the best applicant has probability zero under a continuous
-# marginal, so a pool still tied after this many redraws means the marginal
-# is numerically constant, as a power law with a huge delta is.
-MAX_TIE_REDRAWS = 10
-
-
-def tied_best_error(*marginals) -> ValueError:
-    return ValueError(
-        f"the best applicant stayed tied through {MAX_TIE_REDRAWS} redraws:"
-        f" {' or '.join(map(str, marginals))} gives numerically constant values"
-        " (is delta too large?)"
-    )
 
 
 def round_half_up(x: float) -> int:
@@ -82,52 +68,6 @@ class AttributeMatrix:
 def true_best(pool: AttributeMatrix) -> int:
     """Index of the applicant with the highest mean true attribute value."""
     return int(np.argmax(pool.values.mean(axis=1)))
-
-
-def build_pool(
-    n: int,
-    d: int,
-    sigma: float,
-    alpha: float,
-    lam: float,
-    marginal,
-    rng: np.random.Generator,
-) -> AttributeMatrix:
-    """Draw a complete applicant pool.
-
-    ``round_half_up(alpha * n)`` applicants are labeled disadvantaged and
-    ``round_half_up(lam * d)`` attributes are flagged protected, both chosen
-    uniformly at random.  If the maximal row mean is attained by more than
-    one applicant (possible only through floating-point coincidence), the
-    entire pool is redrawn, at most ``MAX_TIE_REDRAWS`` times.
-    """
-    if n < 2:
-        raise ValueError("a pool needs at least 2 applicants")
-    if d < 1:
-        raise ValueError("a pool needs at least 1 attribute")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-
-    k_dis = round_half_up(alpha * n)
-    k_prot = round_half_up(lam * d)
-
-    for _ in range(MAX_TIE_REDRAWS + 1):
-        values = sample_correlated_matrix(n, d, sigma, marginal, rng)
-        disadvantaged = np.zeros(n, dtype=bool)
-        disadvantaged[:k_dis] = True
-        perm = rng.permutation(n)
-        values = values[perm]
-        disadvantaged = disadvantaged[perm]
-
-        protected = np.zeros(d, dtype=bool)
-        protected[rng.choice(d, size=k_prot, replace=False)] = True
-
-        row_means = values.mean(axis=1)
-        if np.count_nonzero(row_means == row_means.max()) == 1:
-            return AttributeMatrix(values, disadvantaged, protected)
-    raise tied_best_error(marginal)
 
 
 def pool_to_csv(pool: AttributeMatrix, path) -> None:

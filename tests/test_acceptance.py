@@ -15,10 +15,11 @@ import pytest
 from scipy import stats
 
 from evalsim.allocation import allocate_blocked, allocate_holistic, allocate_segmented
-from evalsim.distributions import PowerLaw, sample_correlated_matrix
+from evalsim.distributions import PowerLaw
 from evalsim.experiments.bias import run_bias_grid
 from evalsim.experiments.calibration import run_calibration_sweep
 from evalsim.experiments.efficiency import run_efficiency_sweep
+from evalsim.experiments.kernels import draw_correlated_values
 from evalsim.experiments.results import GridSpec, write_results_csv
 from evalsim.experiments.theorem import (
     run_formula_check,
@@ -373,7 +374,7 @@ def test_criterion_8_determinism_and_partitions(tmp_path):
     law = PowerLaw(1.0)
     ks_stats = {}
     for sigma in (0.0, 0.5, 1.0):
-        values = sample_correlated_matrix(100_000, 2, sigma, law, derive_stream(3, 98))
+        values = draw_correlated_values(derive_stream(3, 98), 1, 100_000, 2, sigma, law)[0]
         for col in (0, 1):
             stat = stats.kstest(values[:, col], law.cdf).statistic
             ks_stats[(sigma, col)] = stat

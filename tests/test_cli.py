@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -633,6 +634,42 @@ def test_pool_dump_rejects_bad_alpha(capsys, tmp_path):
     code = run_cli("pool-dump", "--seed", "11", "--alpha", "2", "--outdir", str(tmp_path))
     assert code == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def test_pool_dump_rejects_a_nan_sigma(capsys, tmp_path):
+    code = run_cli("pool-dump", "--seed", "11", "--sigma", "nan", "--outdir", str(tmp_path))
+    assert code == 2
+    assert "sigma" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+# sha256 of pool-dump's files at seed 0, pinned so a change to the pool
+# sampler or the plan allocators that moves any byte fails here
+_POOL_SHA256 = "ba0e4c49d243ff44fd4918ac04e6e0c91f189ae3a59938ca1f392ed5c848bfb6"
+
+
+@pytest.mark.parametrize(
+    "args, plan_sha256",
+    [
+        ((), None),
+        (
+            ("--scheme", "blocked", "--rows-per-eval", "5", "--cols-per-eval", "4"),
+            "d2d530ac75b0eb6a173e76a8a7a7e05c16e7080593b57539fb0e78ac010d2e48",
+        ),
+    ],
+    ids=["defaults", "blocked"],
+)
+def test_pool_dump_bytes_are_pinned(capsys, tmp_path, args, plan_sha256):
+    assert run_cli("pool-dump", "--seed", "0", *args, "--outdir", str(tmp_path)) == 0
+
+    def sha256(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert sha256("pool.csv") == _POOL_SHA256
+    if plan_sha256 is None:
+        assert not (tmp_path / "plan.csv").exists()
+    else:
+        assert sha256("plan.csv") == plan_sha256
 
 
 def test_pool_dump_constant_marginal_exits(tmp_path):

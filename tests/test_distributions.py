@@ -8,11 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from evalsim.distributions import (
-    PowerLaw,
-    power_law_inv_cdf,
-    sample_correlated_matrix,
-)
+from evalsim.distributions import PowerLaw, power_law_inv_cdf
+from evalsim.experiments.kernels import draw_correlated_values
 from evalsim.rng import derive_stream
 
 # Reference values computed independently with 40-digit arithmetic.
@@ -91,14 +88,14 @@ def test_power_law_tail_mass_matches_survival_law():
 def test_fully_correlated_rows_are_identical_floats():
     law = PowerLaw(1.0)
     rng = derive_stream(103, 1)
-    values = sample_correlated_matrix(50, 6, 1.0, law, rng)
+    values = draw_correlated_values(rng, 1, 50, 6, 1.0, law)[0]
     assert np.all(values == values[:, :1])
 
 
 def test_correlated_matrix_respects_marginal_support():
     law = PowerLaw(0.3)
     rng = derive_stream(104, 1)
-    values = sample_correlated_matrix(200, 4, 0.5, law, rng)
+    values = draw_correlated_values(rng, 1, 200, 4, 0.5, law)[0]
     assert values.shape == (200, 4)
     assert np.all(values >= 1.0)
     assert np.isfinite(values).all()
@@ -108,7 +105,7 @@ def test_correlated_matrix_columns_are_exchangeable():
     # Every column sees the same marginal: compare empirical deciles.
     law = PowerLaw(1.0)
     rng = derive_stream(105, 1)
-    values = sample_correlated_matrix(40_000, 3, 0.5, law, rng)
+    values = draw_correlated_values(rng, 1, 40_000, 3, 0.5, law)[0]
     probs = np.linspace(0.1, 0.9, 9)
     q = np.quantile(values, probs, axis=0)
     expected = law.inv_cdf(probs)
@@ -120,7 +117,7 @@ def test_empirical_spearman_matches_prediction():
 
     law = PowerLaw(1.0)
     rng = derive_stream(106, 1)
-    values = sample_correlated_matrix(40_000, 2, 0.5, law, rng)
+    values = draw_correlated_values(rng, 1, 40_000, 2, 0.5, law)[0]
     rho = spearmanr(values[:, 0], values[:, 1]).statistic
     # SE of the Spearman estimate at this size is about 1/sqrt(n) ~ 0.005
     assert rho == pytest.approx(SPEARMAN_SIGMA_HALF, abs=0.02)
@@ -131,17 +128,7 @@ def test_independent_columns_at_sigma_zero():
 
     law = PowerLaw(1.0)
     rng = derive_stream(107, 1)
-    values = sample_correlated_matrix(40_000, 2, 0.0, law, rng)
+    values = draw_correlated_values(rng, 1, 40_000, 2, 0.0, law)[0]
     rho = spearmanr(values[:, 0], values[:, 1]).statistic
     assert abs(rho) < 0.02
 
-
-def test_sample_correlated_matrix_validation():
-    law = PowerLaw(1.0)
-    rng = derive_stream(108, 1)
-    with pytest.raises(ValueError):
-        sample_correlated_matrix(0, 2, 0.5, law, rng)
-    with pytest.raises(ValueError):
-        sample_correlated_matrix(4, 2, -0.1, law, rng)
-    with pytest.raises(ValueError):
-        sample_correlated_matrix(4, 2, 1.5, law, rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evalsim.distributions import PowerLaw, sample_correlated_matrix
+from evalsim.distributions import PowerLaw
 from evalsim.evaluators import (
     EvaluatorProfile,
     ScoreMatrix,
@@ -15,6 +15,7 @@ from evalsim.evaluators import (
     report_truthful,
     screening_cutoff,
 )
+from evalsim.experiments.kernels import draw_correlated_values
 from evalsim.metrics import percentile_bin
 from evalsim.population import AttributeMatrix
 from evalsim.rng import derive_stream
@@ -226,7 +227,7 @@ def test_perfect_proxy_keeps_the_best_applicant():
     # fully correlated attributes: the top applicant always survives screening
     rng = derive_stream(26, 9)
     for _ in range(20):
-        values = sample_correlated_matrix(10, 2, 1.0, PowerLaw(1.0), rng)
+        values = draw_correlated_values(rng, 1, 10, 2, 1.0, PowerLaw(1.0))[0]
         pool = _pool(values)
         out = report_screened(np.arange(10), np.array([0, 1]), pool, tau=0.1)
         best = int(values.sum(axis=1).argmax())

@@ -23,6 +23,7 @@ from evalsim.evaluators import (
     report_screened,
 )
 from evalsim.experiments.kernels import (
+    MAX_TIE_REDRAWS,
     _best_is_tied,
     _every_estimate_can_vanish,
     _redraw_tied_rows,
@@ -46,7 +47,7 @@ from evalsim.experiments.kernels import (
 )
 from evalsim.evaluators import local_quantile_bins, screening_cutoff
 from evalsim.metrics import mean_bin_error, top1_accuracy
-from evalsim.population import MAX_TIE_REDRAWS, AttributeMatrix, round_half_up
+from evalsim.population import AttributeMatrix, round_half_up
 from evalsim.rng import derive_stream
 
 POWER_LAW = PowerLaw(1.0)

@@ -16,9 +16,9 @@ from evalsim.evaluators import (
     merge_scores,
     report,
 )
-from evalsim.experiments.kernels import calibration_worker
+from evalsim.experiments.kernels import build_pool, calibration_worker
 from evalsim.metrics import mean_bin_error, percentile_bin, top1_accuracy
-from evalsim.population import AttributeMatrix, build_pool, true_best
+from evalsim.population import AttributeMatrix, true_best
 from evalsim.rng import derive_stream
 
 # Average |local bin - population bin| for five bins over pools of five, with a

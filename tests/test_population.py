@@ -1,6 +1,7 @@
 """Pool construction: group labels, protected attributes, ground truth."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -8,13 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evalsim.distributions import PowerLaw
-from evalsim.population import (
-    AttributeMatrix,
-    build_pool,
-    pool_to_csv,
-    round_half_up,
-    true_best,
-)
+from evalsim.experiments.kernels import build_pool
+from evalsim.population import AttributeMatrix, pool_to_csv, round_half_up, true_best
 from evalsim.rng import derive_stream
 
 
@@ -99,6 +95,9 @@ def test_build_pool_validation():
         build_pool(4, 2, 0.5, 1.5, 0.5, law, rng)
     with pytest.raises(ValueError):
         build_pool(4, 2, 0.5, 0.5, -0.1, law, rng)
+    for sigma in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            build_pool(4, 2, sigma, 0.5, 0.5, law, rng)
 
 
 def test_build_pool_gives_up_on_a_constant_marginal():

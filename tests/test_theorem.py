@@ -175,6 +175,26 @@ def test_tail_check_small():
     assert check.passed
 
 
+@pytest.mark.parametrize(
+    "driver, kwargs, name",
+    [
+        (run_part_a, {"n_values": (2, 2), "delta_values": (1.0,)}, "n_values"),
+        (run_part_a, {"beta_values": (0.0, 0.3, 0.0)}, "beta_values"),
+        (run_part_a, {"gamma_values": (0.5, 0.5)}, "gamma_values"),
+        (run_part_a, {"delta_values": (1.0, 1.0)}, "delta_values"),
+        (run_formula_check, {"n_values": (2, 2)}, "n_values"),
+        (run_formula_check, {"delta_values": (1.0, 1.0)}, "delta_values"),
+        (run_threshold_check, {"delta_values": (0.3, 0.3)}, "delta_values"),
+        (run_tail_check, {"delta_values": (1.0, 1.0)}, "delta_values"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_drivers_reject_repeated_values(driver, kwargs, name):
+    # each copy would be its own check, so a repeat is rejected before any run
+    with pytest.raises(ValueError, match=f"{name} repeats the value"):
+        driver(**kwargs, seed=1)
+
+
 def test_tail_check_limit_prints_as_before():
     # 1 - tail_above_limit(delta) can differ from 1 / (1 + 2**-(1 + delta)) in
     # the last ulp (at delta = 0.5), never in the four digits the CLI prints
