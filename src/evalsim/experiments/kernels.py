@@ -94,6 +94,10 @@ def draw_correlated_values(
     normal is drawn per applicant and its value copied into the ``d``
     columns of a writable array.
     """
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be at least 1")
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError("sigma must lie in [0, 1]")
     if sigma == 0.0:
         u = rng.random((batch, n, d))
         return u if marginal is None else marginal.inv_cdf(u)

@@ -132,3 +132,15 @@ def test_independent_columns_at_sigma_zero():
     rho = spearmanr(values[:, 0], values[:, 1]).statistic
     assert abs(rho) < 0.02
 
+
+def test_sample_correlated_matrix_validation():
+    # the one copula sampler checks its pool shape and correlation
+    law = PowerLaw(1.0)
+    rng = derive_stream(108, 1)
+    with pytest.raises(ValueError):
+        draw_correlated_values(rng, 1, 0, 2, 0.5, law)
+    with pytest.raises(ValueError):
+        draw_correlated_values(rng, 1, 4, 0, 0.5, law)
+    for sigma in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            draw_correlated_values(rng, 1, 4, 2, sigma, law)
