@@ -39,6 +39,7 @@ from .experiments.theorem import (
     run_part_a,
     run_tail_check,
     run_threshold_check,
+    validate_setting,
 )
 from .population import pool_to_csv
 from .rng import STREAM_POOL, derive_stream
@@ -143,9 +144,8 @@ OPTIONS = {
         Option("gamma", float, "0.5", "bias-coin probability"),
         Option("runs", int, "100000", "paired runs per grid point"),
         Option("threshold_n", int, "1000", "pool size for the sign check"),
-        Option("tail_group", int, "10000", "group size for the tail check"),
+        Option("tail_group", _parse_count, "10000", "group size for the tail check"),
         Option("tail_pools", _parse_count, "10000", "pools for the tail check"),
-        Option("tail_samples", _parse_count, "1000000", "samples for the tail oracle"),
     ),
     "pool-dump": _COMMON
     + (
@@ -325,10 +325,10 @@ def _cmd_bias_grid(cfg: dict) -> int:
 def _cmd_theorem_verify(cfg: dict) -> int:
     common = {"seed": cfg["seed"], "workers": cfg["workers"]}
     paired = {"delta_values": cfg["delta"], "runs": cfg["runs"], **common}
+    # part A does not read gamma or threshold_n: check them before it runs
+    validate_setting(cfg["threshold_n"], cfg["gamma"], 0.0, 1.0)
     part_a = run_part_a(n_values=cfg["n"], **paired)
-    formula = run_formula_check(
-        n_values=cfg["n"], gamma=cfg["gamma"], tail_samples=cfg["tail_samples"], **paired
-    )
+    formula = run_formula_check(n_values=cfg["n"], gamma=cfg["gamma"], **paired)
     # the threshold check reuses --delta at a large fixed pool, and the tail
     # check reuses it at tail_group applicants per group
     threshold = run_threshold_check(n=cfg["threshold_n"], gamma=cfg["gamma"], **paired)
@@ -358,8 +358,7 @@ def _cmd_theorem_verify(cfg: dict) -> int:
         sym = c.symmetry_hol_ok and c.symmetry_seg_ok
         print(
             f"formula n={c.n} delta={sig4(c.delta)}: diff {sig4(c.pair.diff)}"
-            f" predicted {sig4(c.predicted)} (combined se {sig4(c.combined_se)},"
-            f" tail {sig4(c.p_above)} vs quadrature {sig4(c.p_above_quad)})"
+            f" predicted {sig4(c.predicted)} (se {sig4(c.pair.se_diff)})"
             f" {'PASS' if c.passed else 'FAIL'}"
             f" symmetry {'PASS' if sym else 'FAIL'}"
         )

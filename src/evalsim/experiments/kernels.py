@@ -123,14 +123,21 @@ _CLASS_DISADVANTAGED = np.array([True, True, False, False])
 _CLASS_OWNER0 = np.array([True, False, True, False])
 
 
-def _tie_adjusted_hits(estimates: np.ndarray, best: np.ndarray) -> np.ndarray:
+def _tie_adjusted_hits(estimates: np.ndarray, best: np.ndarray, counts=None) -> np.ndarray:
     """Per-run probability that a uniform top pick lands on ``best``.
 
     ``estimates`` may contain -inf for ineligible applicants; each row is
-    guaranteed at least one finite entry by the callers.
+    guaranteed at least one finite entry by the callers.  With ``counts``,
+    entry j stands for the best of ``counts[:, j]`` applicants whose
+    estimates are a common constant times their values: a tied entry whose
+    estimate is 0 counts as all of them (an empty class as none), any other
+    tied entry as one.
     """
     top = estimates.max(axis=1)
-    ties = (estimates == top[:, None]).sum(axis=1)
+    at_top = estimates == top[:, None]
+    if counts is not None:
+        at_top = at_top * np.where(estimates == 0.0, counts, 1)
+    ties = at_top.sum(axis=1)
     hit = estimates[np.arange(estimates.shape[0]), best] == top
     return hit / ties
 
@@ -307,6 +314,7 @@ def bias_scheme_accuracies(
     coin0: np.ndarray,
     coin1: np.ndarray,
     beta: float,
+    counts=None,
 ):
     """Paired top-choice accuracies ``(holistic, segmented)`` per run.
 
@@ -314,7 +322,9 @@ def bias_scheme_accuracies(
     (B, d)``, ``hol_rows0 (B, n)`` and ``seg_cols0 (B, d)`` mark evaluator
     0's share under each scheme, ``coin0`` and ``coin1`` are the realized
     bias coins.  Both schemes score the same pools (common random numbers),
-    so the per-run difference is a low-variance paired estimate.
+    so the per-run difference is a low-variance paired estimate.  When the
+    rows are class maxima, ``counts (B, n)`` holds each class's size (see
+    ``_tie_adjusted_hits``).
     """
     batch, n, d = values.shape
     total = values.sum(axis=2)
@@ -334,7 +344,7 @@ def bias_scheme_accuracies(
     )
     est_s = np.where(hit_s, beta * values, values).sum(axis=2)
 
-    return _tie_adjusted_hits(est_h, best), _tie_adjusted_hits(est_s, best)
+    return _tie_adjusted_hits(est_h, best, counts), _tie_adjusted_hits(est_s, best, counts)
 
 
 def draw_bias_batch(
@@ -380,7 +390,7 @@ def bias_draw_key(params: dict):
 
 
 def bias_class_maxima(values: np.ndarray, disadvantaged: np.ndarray, hol_rows0: np.ndarray):
-    """Best value per class, ``(B, 4, 1)``, of one-column values ``(B, n, 1)``.
+    """Best value ``(B, 4, 1)`` and size ``(B, 4)`` of each class of ``values (B, n, 1)``.
 
     Classes follow the class patterns (disadvantaged x holistic owner).  An
     empty class gets 0.0, below every value, as in ``max_of_draws``.
@@ -389,25 +399,8 @@ def bias_class_maxima(values: np.ndarray, disadvantaged: np.ndarray, hol_rows0: 
     classes = (disadvantaged[:, None, :] == _CLASS_DISADVANTAGED[:, None]) & (
         hol_rows0[:, None, :] == _CLASS_OWNER0[:, None]
     )
-    return np.where(classes, values[:, None, :, 0], 0.0).max(axis=2)[..., None]
-
-
-def _every_estimate_can_vanish(members, n: int, d: int) -> bool:
-    """Whether some run of a fully correlated group can report 0 for everyone.
-
-    It needs a committee that can bias both members (``gamma`` set), a pool
-    that is all disadvantaged, every attribute protected, and a member who
-    discounts to nothing (``beta`` 0).  Every estimate then ties, so the pick
-    is split over all ``n`` applicants, where four class maxima would split
-    it four ways.
-    """
-    shared = members[0]
-    return (
-        shared.get("gamma") is not None
-        and round_half_up(float(shared["alpha"]) * n) == n
-        and round_half_up(float(shared["lambda"]) * d) == d
-        and any(float(params["beta"]) == 0.0 for params in members)
-    )
+    maxima = np.where(classes, values[:, None, :, 0], 0.0).max(axis=2)[..., None]
+    return maxima, classes.sum(axis=2)
 
 
 def bias_worker(members, rng: np.random.Generator, size: int) -> list:
@@ -419,9 +412,9 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     values gets fresh uniforms, and every member is scored again.
 
     At ``sigma = 1`` an estimate is a per-class constant times the value, so
-    each run is scored on its four class maxima (``bias_class_maxima``),
-    which gives the full pool's accuracies bit for bit.  A group in which
-    every estimate of a run can be 0 is scored on the full pool instead.
+    each run is scored on its four class maxima and class sizes
+    (``bias_class_maxima``), which gives the full pool's accuracies bit for
+    bit.
     """
     shared = members[0]
     n = int(shared["n"])
@@ -439,7 +432,7 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         None if gamma is None else float(gamma),
     )
     classes = None
-    if sigma == 1.0 and not _every_estimate_can_vanish(members, n, d):
+    if sigma == 1.0:
         # score each run's four class maxima in place of its n applicants
         classes = (labels[0], labels[2])
         labels[0] = np.broadcast_to(_CLASS_DISADVANTAGED, (size, 4))
@@ -454,13 +447,14 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         for marginal, indices in by_marginal.items():
             values = marginal.inv_cdf(u)
             tied |= _best_is_tied(values)
+            counts = None
             if classes is not None:
-                values = bias_class_maxima(values, *classes)
+                values, counts = bias_class_maxima(values, *classes)
             if values.shape[2] < d:  # a fully correlated draw's columns are equal
                 values = np.repeat(values, d, axis=2)
             for index in indices:
                 beta = float(members[index]["beta"])
-                acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta)
+                acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta, counts)
                 scores[index] = {
                     "holistic": acc_h,
                     "segmented": acc_s,

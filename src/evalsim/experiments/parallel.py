@@ -25,8 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from ..rng import derive_stream
 
-DEFAULT_CHUNK_SIZE = 4096
-
 
 def chunk_sizes(runs: int, chunk_size: int) -> list:
     """Split ``runs`` into full chunks plus one remainder chunk."""
@@ -54,7 +52,7 @@ def run_points(
     runs: int,
     seed: int,
     stream_tag,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: int,
     workers: int = 1,
     draw_key=None,
 ) -> list:

@@ -16,12 +16,13 @@ helps exactly when p > 1/4; as the pool grows, p tends to
 tails favor holistic review.  When only half the attributes are protected
 (one of two), segmentation never hurts, whatever the discount.
 
-This module estimates the gaps by paired Monte Carlo, computes p both by
-simulation and by quadrature, and packages the comparisons as pass/fail
-checks that render their own result rows.  It also verifies the symmetry
-identity behind the closed form: an error can only occur when the true best
-applicant is disadvantaged, which happens with probability 1/2, so the
-unconditional error must equal half the error conditioned on that event.
+This module estimates the gaps by paired Monte Carlo, computes p by
+quadrature (and checks it against simulated maxima), and packages the
+comparisons as pass/fail checks that render their own result rows.  It also
+verifies the symmetry identity behind the closed form: an error can only
+occur when the true best applicant is disadvantaged, which happens with
+probability 1/2, so the unconditional error must equal half the error
+conditioned on that event.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .kernels import tail_worker, theorem_worker
 
 THEOREM_CHUNK = 8192
 
-# Sub-stream tags for the individual checks.  The formula check draws its
-# tail oracle from a stream of its own so the two estimates entering the
-# comparison are independent.
-_PART_A, _FORMULA, _THRESHOLD, _TAIL, _FORMULA_TAIL = 1, 2, 3, 4, 5
+# Sub-stream tags for the individual checks.
+_PART_A, _FORMULA, _THRESHOLD, _TAIL = 1, 2, 3, 4
 
 
 def threshold_delta() -> float:
@@ -156,7 +155,8 @@ def _pair_from_sums(sums: dict) -> PairEstimate:
     )
 
 
-def _validate_setting(n: int, gamma: float, beta: float, lam: float) -> None:
+def validate_setting(n: int, gamma: float, beta: float, lam: float) -> None:
+    """Raise ``ValueError`` unless the point lies in the theorem setting."""
     if n < 2 or n % 2:
         raise ValueError("the theorem setting needs an even pool of >= 2")
     if not 0.0 < gamma < 1.0:
@@ -180,7 +180,7 @@ def run_error_pairs(
     fixed at 1/2, sigma at 1, d at 2, the setting the closed form covers).
     """
     for point in points:
-        _validate_setting(
+        validate_setting(
             int(point["n"]),
             float(point["gamma"]),
             float(point["beta"]),
@@ -251,22 +251,15 @@ class FormulaCheck:
     delta: float
     gamma: float
     pair: PairEstimate
-    p_above: float  # independent Monte Carlo tail estimate at m = n/2
-    p_above_se: float
-    p_above_quad: float  # quadrature cross-check of the same probability
-    tail_samples: int
-    predicted: float  # closed-form gap evaluated at the Monte Carlo estimate
-    combined_se: float  # uncertainty from both the paired runs and the oracle
+    p_above: float  # quadrature tail probability at m = n/2
+    predicted: float  # closed-form gap at p_above
     passed: bool
     symmetry_hol_ok: bool
     symmetry_seg_ok: bool
 
     def rows(self, seed: int) -> list:
         params = {"n": self.n, "delta": self.delta, "gamma": self.gamma}
-        predicted_se = 2.0 * self.gamma * (1.0 - self.gamma) * self.p_above_se
-        predicted = ExperimentResult(
-            params, "predicted", self.predicted, predicted_se, self.tail_samples, seed
-        )
+        predicted = ExperimentResult(params, "predicted", self.predicted, 0.0, self.pair.runs, seed)
         return [*self.pair.rows(params, seed, ("difference",)), predicted]
 
 
@@ -352,14 +345,11 @@ def run_formula_check(
     runs: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
-    tail_samples: int = 1_000_000,
 ) -> tuple:
     """Check the closed-form gap with both attributes protected, beta = 0.
 
-    The tail probability entering the prediction comes from an independent
-    Monte Carlo oracle on its own random stream, so the pass criterion uses a
-    combined standard error; the quadrature value rides along as a
-    cross-check.
+    The tail probability entering the prediction is the quadrature value,
+    so the paired runs carry all the uncertainty.
     """
     check_distinct(n_values, "n_values")
     check_distinct(delta_values, "delta_values")
@@ -370,21 +360,9 @@ def run_formula_check(
     ]
     pairs = run_error_pairs(points, runs, seed, _FORMULA, workers)
     checks = []
-    for index, (point, pair) in enumerate(zip(points, pairs)):
-        m = point["n"] // 2
-        p_below, p_se = tail_probability(
-            m,
-            point["delta"],
-            tail_samples,
-            seed,
-            workers,
-            stream_tag=(STREAM_THEOREM, _FORMULA_TAIL, index),
-        )
-        p_above = 1.0 - p_below
+    for point, pair in zip(points, pairs):
+        p_above = predicted_tail_above(point["n"] // 2, point["delta"])
         predicted = predicted_gap(gamma, p_above)
-        # The prediction is linear in the tail estimate with slope
-        # 2 * gamma * (1 - gamma), and the two estimates are independent.
-        combined_se = math.hypot(pair.se_diff, 2.0 * gamma * (1.0 - gamma) * p_se)
         checks.append(
             FormulaCheck(
                 n=point["n"],
@@ -392,12 +370,8 @@ def run_formula_check(
                 gamma=gamma,
                 pair=pair,
                 p_above=p_above,
-                p_above_se=p_se,
-                p_above_quad=predicted_tail_above(m, point["delta"]),
-                tail_samples=tail_samples,
                 predicted=predicted,
-                combined_se=combined_se,
-                passed=abs(pair.diff - predicted) <= 3.0 * combined_se,
+                passed=abs(pair.diff - predicted) <= 3.0 * pair.se_diff,
                 symmetry_hol_ok=abs(pair.gap_hol) <= 3.0 * pair.gap_hol_se,
                 symmetry_seg_ok=abs(pair.gap_seg) <= 3.0 * pair.gap_seg_se,
             )

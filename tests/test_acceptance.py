@@ -148,7 +148,6 @@ def test_criterion_4_formula_match():
         gamma=0.5,
         runs=1_000_000,
         seed=5,
-        tail_samples=1_000_000,
     )
 
     failures = []
@@ -156,15 +155,15 @@ def test_criterion_4_formula_match():
         if not c.passed:
             failures.append(
                 f"n={c.n} delta={c.delta}: diff {c.pair.diff:.6f} vs"
-                f" predicted {c.predicted:.6f} beyond 3x{c.combined_se:.6f}"
+                f" predicted {c.predicted:.6f} beyond 3x{c.pair.se_diff:.6f}"
             )
         if not (c.symmetry_hol_ok and c.symmetry_seg_ok):
             failures.append(f"n={c.n} delta={c.delta}: conditional symmetry violated")
     anchor = next(c for c in checks if c.n == 2 and c.delta == 1.0)
-    if abs(anchor.pair.diff - (-0.0625)) > 3.0 * anchor.combined_se:
+    if abs(anchor.pair.diff - (-0.0625)) > 3.0 * anchor.pair.se_diff:
         failures.append(
             f"n=2 delta=1 anchor: diff {anchor.pair.diff:.6f} vs exact -0.0625"
-            f" beyond 3x{anchor.combined_se:.6f}"
+            f" beyond 3x{anchor.pair.se_diff:.6f}"
         )
     if abs(anchor.pair.diff - (-0.0625)) > 0.002:
         failures.append(f"n=2 delta=1 anchor off by {anchor.pair.diff + 0.0625:.6f} > 0.002")

@@ -257,7 +257,7 @@ REPLAY_CASES = [
     (
         "theorem-verify",
         ("--n", "2,4", "--delta", "1.0", "--runs", "64", "--threshold-n", "10",
-         "--tail-group", "10", "--tail-pools", "64", "--tail-samples", "64"),
+         "--tail-group", "10", "--tail-pools", "64"),
         None,
     ),
     (
@@ -460,7 +460,7 @@ def test_theorem_verify_reduced_scale(capsys, tmp_path):
     code = run_cli(
         "theorem-verify", "--n", "2", "--delta", "1.0", "--gamma", "0.5",
         "--runs", "20000", "--threshold-n", "200", "--tail-group", "100",
-        "--tail-pools", "5000", "--tail-samples", "50000",
+        "--tail-pools", "5000",
         "--seed", "7", "--outdir", str(tmp_path),
     )
     out = capsys.readouterr().out
@@ -498,7 +498,7 @@ def passing_checks():
             runs=100, seed=3,
         ),
         "run_formula_check": theorem.run_formula_check(
-            n_values=(2,), delta_values=(1.0,), runs=100, seed=3, tail_samples=100
+            n_values=(2,), delta_values=(1.0,), runs=100, seed=3
         ),
         "run_threshold_check": theorem.run_threshold_check(
             delta_values=(0.3,), n=20, runs=100, seed=3
@@ -547,7 +547,6 @@ def test_theorem_verify_verdict(monkeypatch, capsys, tmp_path, passing_checks, f
         (
             "theorem-verify", "--n", "2", "--delta", "1.0", "--runs", "200",
             "--threshold-n", "20", "--tail-group", "10", "--tail-pools", "200",
-            "--tail-samples", "1000",
         ),
         ("pool-dump", "--n", "6", "--d", "4", "--scheme", "holistic"),
     ],
@@ -571,7 +570,7 @@ def test_theorem_verify_rejects_an_empty_list(capsys, tmp_path, flags):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("flag", ["--tail-pools", "--tail-samples"])
+@pytest.mark.parametrize("flag", ["--tail-pools", "--tail-group"])
 def test_theorem_verify_rejects_a_non_positive_count(capsys, tmp_path, flag):
     # the run-count check further down named "runs", which was never set
     code = run_cli("theorem-verify", "--seed", "1", "--runs", "100", flag, "0",
@@ -579,6 +578,30 @@ def test_theorem_verify_rejects_a_non_positive_count(capsys, tmp_path, flag):
     assert code == 2
     err = capsys.readouterr().err
     assert f"bad value for {flag[2:].replace('-', '_')!r}: must be positive, got 0" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--gamma", "2"), "gamma must lie in (0, 1)"),
+        (("--threshold-n", "3"), "even pool"),
+        (("--tail-group", "0"), "bad value for 'tail_group'"),
+    ],
+    ids=["gamma", "threshold_n", "tail_group"],
+)
+def test_theorem_verify_rejects_later_settings_before_any_check(
+    monkeypatch, capsys, tmp_path, flags, message
+):
+    # part A reads none of these settings, so a bad one must exit 2 before
+    # part A spends its runs
+    def fail(**_):
+        raise AssertionError("run_part_a was called")
+
+    monkeypatch.setattr(cli, "run_part_a", fail)
+    code = run_cli("theorem-verify", "--seed", "1", *flags, "--outdir", str(tmp_path))
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

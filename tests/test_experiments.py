@@ -87,7 +87,7 @@ def test_run_points_layout_is_part_of_the_stream():
     assert run_points(calibration_worker, [CAL_POINT], 256, 10, (7, 3), chunk_size=64) != base
     assert run_points(*args, (7, 3), chunk_size=128) != base
     with pytest.raises(ValueError):
-        run_points(*args, (7, 3), workers=0)
+        run_points(*args, (7, 3), chunk_size=64, workers=0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from evalsim.evaluators import (
 from evalsim.experiments.kernels import (
     MAX_TIE_REDRAWS,
     _best_is_tied,
-    _every_estimate_can_vanish,
     _redraw_tied_rows,
     bias_class_maxima,
     bias_scheme_accuracies,
@@ -291,15 +290,16 @@ def test_grouped_bias_worker_matches_object_route(gamma):
 def _class_batch(values, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1):
     """A sigma = 1 batch reduced to its four class maxima, one column per attribute."""
     batch, _, d = values.shape
+    maxima, counts = bias_class_maxima(values[:, :, :1], disadvantaged, hol_rows0)
     return (
-        np.repeat(bias_class_maxima(values[:, :, :1], disadvantaged, hol_rows0), d, axis=2),
+        np.repeat(maxima, d, axis=2),
         np.broadcast_to([True, True, False, False], (batch, 4)),
         protected,
         np.broadcast_to([True, False, True, False], (batch, 4)),
         seg_cols0,
         coin0,
         coin1,
-    )
+    ), counts
 
 
 @pytest.mark.parametrize("n", [6, 20])
@@ -309,9 +309,9 @@ def _class_batch(values, disadvantaged, protected, hol_rows0, seg_cols0, coin0, 
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 def test_bias_class_maxima_score_like_the_full_pool(n, alpha, lam, gamma, beta):
     # at sigma = 1 an estimate is a per-class constant times the value, so
-    # scoring each class's best applicant gives the full pool's accuracies,
-    # unless every estimate of a run can be 0 and so tie n ways: there the
-    # worker scores the full pool
+    # scoring each class's best applicant, with the class sizes for the runs
+    # where every estimate is 0 and so ties n ways, gives the full pool's
+    # accuracies
     d, size = 20, 512
     point = {
         "n": n, "d": d, "sigma": 1.0, "alpha": alpha, "lambda": lam, "beta": beta,
@@ -328,11 +328,11 @@ def test_bias_class_maxima_score_like_the_full_pool(n, alpha, lam, gamma, beta):
     assert np.array_equal(out["holistic"], want[0])
     assert np.array_equal(out["segmented"], want[1])
 
-    vanish = gamma is not None and alpha == lam == 1.0 and beta == 0.0
-    assert _every_estimate_can_vanish((point,), n, d) == vanish
-    got = bias_scheme_accuracies(*_class_batch(*full), beta)
-    exact = np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert exact != vanish
+    batch, counts = _class_batch(*full)
+    assert np.array_equal(counts.sum(axis=1), np.full(size, n))
+    got = bias_scheme_accuracies(*batch, beta, counts)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize(
@@ -341,7 +341,7 @@ def test_bias_class_maxima_score_like_the_full_pool(n, alpha, lam, gamma, beta):
         (0.0, {}),
         (1.0, {}),
         (1.0, {"gamma": 0.5}),
-        # every estimate can be 0: the group is scored on the full pool
+        # every estimate of a run can be 0 and tie n ways
         (1.0, {"gamma": 0.5, "alpha": 1.0, "lambda": 1.0}),
     ],
 )

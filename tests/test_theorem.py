@@ -148,14 +148,11 @@ def test_formula_check_small():
         gamma=0.5,
         runs=50_000,
         seed=5,
-        tail_samples=50_000,
     )
-    assert check.tail_samples == 50_000
-    assert check.p_above_quad == pytest.approx(0.125, abs=1e-9)
-    # the Monte Carlo oracle agrees with quadrature within its own noise
-    assert abs(check.p_above - check.p_above_quad) <= 4.0 * check.p_above_se
+    assert check.p_above == predicted_tail_above(1, 1.0) == pytest.approx(0.125, abs=1e-9)
     assert check.predicted == predicted_gap(0.5, check.p_above)
-    assert check.combined_se >= check.pair.se_diff
+    # the prediction is exact, so the paired runs carry all the uncertainty
+    assert abs(check.pair.diff - check.predicted) <= 3.0 * check.pair.se_diff
     assert check.passed and check.symmetry_hol_ok and check.symmetry_seg_ok
 
 
@@ -218,12 +215,17 @@ def test_checks_hold_in_the_asymptotic_regime():
         gamma=0.5,
         runs=200_000,
         seed=5,
-        tail_samples=200_000,
     )
     for check in checks:
         assert check.passed and check.symmetry_hol_ok and check.symmetry_seg_ok
-        assert check.p_above_quad == pytest.approx(tail_above_limit(check.delta), abs=1e-6)
-        assert abs(check.p_above - check.p_above_quad) <= 4.0 * check.p_above_se
+        assert check.p_above == pytest.approx(tail_above_limit(check.delta), abs=1e-6)
+
+    # simulated maxima of m = 5 * 10**5 draws agree with the quadrature there
+    for check in run_tail_check(
+        delta_values=(0.3, 1.0), n_per_group=500_000, pools=200_000, seed=5
+    ):
+        assert check.passed
+        assert check.predicted_below == pytest.approx(check.limit_below, abs=1e-6)
 
 
 def test_checks_render_their_rows():
@@ -231,9 +233,7 @@ def test_checks_render_their_rows():
         beta_values=(0.0, 0.3), gamma_values=(0.5,), delta_values=(1.0,), n_values=(2,),
         runs=2_000, seed=5,
     )
-    (formula,) = run_formula_check(
-        n_values=(2,), delta_values=(1.0,), runs=2_000, seed=5, tail_samples=5_000
-    )
+    (formula,) = run_formula_check(n_values=(2,), delta_values=(1.0,), runs=2_000, seed=5)
     (threshold,) = run_threshold_check(delta_values=(0.3,), n=200, runs=2_000, seed=5)
     (tail,) = run_tail_check(delta_values=(1.0,), n_per_group=100, pools=3_000, seed=5)
 
@@ -255,10 +255,11 @@ def test_checks_render_their_rows():
     assert part_a[0].pair.runs == 2_000
 
     p = formula.pair
-    predicted_se = 2.0 * formula.gamma * (1.0 - formula.gamma) * formula.p_above_se
+    # the closed form at the quadrature tail probability is exact: SE 0.0
+    predicted = predicted_gap(0.5, predicted_tail_above(1, 1.0))
     assert rendered([formula]) == [
         ("difference", ["n", "delta", "gamma"], p.diff, p.se_diff, 2_000),
-        ("predicted", ["n", "delta", "gamma"], formula.predicted, predicted_se, 5_000),
+        ("predicted", ["n", "delta", "gamma"], predicted, 0.0, 2_000),
     ]
     assert formula.rows(7)[0].params == {"n": 2, "delta": 1.0, "gamma": 0.5}
 
