@@ -83,13 +83,20 @@ def _parse_count(text: str) -> int:
     return value
 
 
+def _parse_even_pool(text: str) -> int:
+    value = int(text)
+    if value < 2 or value % 2:
+        raise ValueError(f"the theorem setting needs an even pool of >= 2, got {value}")
+    return value
+
+
 def _parse_axis(text: str) -> tuple:
     """Parse ``name=v1,v2,...`` into (name, values); counts must be integers."""
     name, _, rest = text.partition("=")
     name = name.strip()
     if not name or not rest.replace(",", "").strip():
         raise ValueError(f"expected name=v1,v2,..., got {text!r}")
-    integer = name in ("n", "d", "evaluators")
+    integer = name in ("n", "d")
     return name, _parse_list(int if integer else float, rest, f"axis {name!r}")
 
 
@@ -113,7 +120,6 @@ OPTIONS = {
         Option("runs", int, "1000", "pools per pool size"),
         Option("n_values", _parse_int_list, "5,10,20,50,100,200,500,1000", "pool sizes"),
         Option("num_bins", int, "5", "quantile bins"),
-        Option("delta", float, "1.0", "power-law tail exponent"),
     ),
     "efficiency": _COMMON
     + (
@@ -143,7 +149,7 @@ OPTIONS = {
         Option("delta", _parse_float_list, "0.3,1.0", "tail exponents"),
         Option("gamma", float, "0.5", "bias-coin probability"),
         Option("runs", int, "100000", "paired runs per grid point"),
-        Option("threshold_n", int, "1000", "pool size for the sign check"),
+        Option("threshold_n", _parse_even_pool, "1000", "pool size for the sign check"),
         Option("tail_group", _parse_count, "10000", "group size for the tail check"),
         Option("tail_pools", _parse_count, "10000", "pools for the tail check"),
     ),
@@ -284,7 +290,6 @@ def _cmd_calibration(cfg: dict) -> int:
         n_values=cfg["n_values"],
         num_bins=cfg["num_bins"],
         runs=cfg["runs"],
-        marginal=PowerLaw(cfg["delta"]),
         seed=cfg["seed"],
         workers=cfg["workers"],
     )
@@ -310,10 +315,8 @@ def _cmd_efficiency(cfg: dict) -> int:
 
 
 def _cmd_bias_grid(cfg: dict) -> int:
-    fixed = {}
-    for key in ("n", "d", "sigma", "alpha", "lambda", "beta", "delta", "gamma"):
-        if key in cfg:
-            fixed[key] = cfg[key]
+    names = ("n", "d", "sigma", "alpha", "lambda", "beta", "delta", "gamma")
+    fixed = {key: cfg[key] for key in names if key in cfg}
     grid = GridSpec(axes=(cfg["axis1"], cfg["axis2"]), fixed=fixed, runs=cfg["runs"])
     results = run_bias_grid(grid, seed=cfg["seed"], workers=cfg["workers"])
     _print_rows(results, "difference", "seg-hol")
@@ -325,7 +328,7 @@ def _cmd_bias_grid(cfg: dict) -> int:
 def _cmd_theorem_verify(cfg: dict) -> int:
     common = {"seed": cfg["seed"], "workers": cfg["workers"]}
     paired = {"delta_values": cfg["delta"], "runs": cfg["runs"], **common}
-    # part A does not read gamma or threshold_n: check them before it runs
+    # part A does not read gamma: check it before part A runs
     validate_setting(cfg["threshold_n"], cfg["gamma"], 0.0, 1.0)
     part_a = run_part_a(n_values=cfg["n"], **paired)
     formula = run_formula_check(n_values=cfg["n"], gamma=cfg["gamma"], **paired)

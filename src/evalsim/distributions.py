@@ -64,7 +64,3 @@ class PowerLaw:
 
     def inv_cdf(self, u):
         return power_law_inv_cdf(u, self.delta)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw by inverse-transform from ``rng``."""
-        return power_law_inv_cdf(rng.random(size), self.delta)

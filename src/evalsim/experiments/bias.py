@@ -33,7 +33,6 @@ BIAS_DEFAULTS = {
     "lambda": 1.0,
     "beta": 0.0,
     "delta": 1.0,
-    "evaluators": 2,
 }
 
 
@@ -49,8 +48,6 @@ def _validate_point(point: dict) -> None:
         raise ValueError(f"beta must lie in [0, 1), got {point['beta']!r}")
     if "gamma" in point and not 0.0 < point["gamma"] < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {point['gamma']!r}")
-    if point["evaluators"] != 2:
-        raise ValueError("the paired kernel models committees of exactly two")
 
 
 def run_bias_grid(

@@ -3,9 +3,10 @@
 A single binning evaluator sees all ``n`` applicants of a pool, ranks them
 on one attribute, and reports quantile bins.  The miscalibration of a run is
 the mean absolute gap between those local bins and the population bins of
-the true percentiles.  The sweep estimates this error for a range of pool
-sizes and fits the log-log decay slope (close to -1/2: local ranks converge
-to percentiles at the usual root-n rate).
+the true percentiles.  Both depend only on the percentiles, so the error is
+distribution-free, and the sweep draws percentiles.  It estimates this error
+for a range of pool sizes and fits the log-log decay slope (close to -1/2:
+local ranks converge to percentiles at the usual root-n rate).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributions import PowerLaw
 from ..rng import STREAM_CALIBRATION
 from .kernels import calibration_worker
 from .parallel import run_points
@@ -39,7 +39,6 @@ def run_calibration_sweep(
     n_values=DEFAULT_POOL_SIZES,
     num_bins: int = 5,
     runs: int = 1000,
-    marginal=PowerLaw(1.0),
     seed: int = 0,
     workers: int = 1,
 ) -> CalibrationSweep:
@@ -54,10 +53,7 @@ def run_calibration_sweep(
     if any(n < num_bins for n in n_values):
         raise ValueError("every pool size must be at least num_bins")
 
-    points = [
-        {"n": n, "num_bins": num_bins, "marginal": marginal}
-        for n in n_values
-    ]
+    points = [{"n": n, "num_bins": num_bins} for n in n_values]
     moments = run_points(
         calibration_worker,
         points,

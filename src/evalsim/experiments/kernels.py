@@ -32,7 +32,7 @@ group of one.
 
 Workers take their marginal as an object in ``params["marginal"]``; the
 marginals are frozen module-level dataclasses, so they pickle intact to pool
-workers.
+workers.  ``calibration_worker`` draws percentiles and reads no marginal.
 
 Sweeps run millions of pools on one core, so everything is vectorized over
 the batch axis, and the chunked runner keeps per-chunk memory modest.
@@ -221,12 +221,11 @@ def calibration_worker(members, rng: np.random.Generator, size: int) -> list:
     (params,) = members
     n = int(params["n"])
     num_bins = int(params["num_bins"])
-    marginal = params["marginal"]
 
-    x = marginal.sample(rng, (size, n))
-    ranks = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
+    u = rng.random((size, n))  # the percentiles F(x): ranks and bins read nothing else
+    ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1) + 1
     local = -(-num_bins * ranks // n)
-    truth = percentile_bin(marginal.cdf(x), num_bins)
+    truth = percentile_bin(u, num_bins)
     return [{"binner": np.abs(local - truth).mean(axis=1)}]
 
 

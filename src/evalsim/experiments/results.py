@@ -20,7 +20,6 @@ PARAM_NAMES = (
     "gamma",
     "delta",
     "tau",
-    "evaluators",
 )
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from ..distributions import PowerLaw
-from ..rng import STREAM_TAIL, STREAM_THEOREM
+from ..rng import STREAM_THEOREM
 from .parallel import mean_and_se, run_points
 from .results import ExperimentResult, check_distinct
 from .kernels import tail_worker, theorem_worker
@@ -204,7 +204,8 @@ def tail_probability(
     pools: int,
     seed: int,
     workers: int = 1,
-    stream_tag=STREAM_TAIL,
+    *,
+    stream_tag,
 ):
     """Monte Carlo P(best of one group < 2 * best of the other) and its SE."""
     if n_per_group < 1:

@@ -16,12 +16,11 @@ import numpy as np
 
 # Fixed tags naming the top-level consumers of randomness.  Each experiment
 # draws only from streams rooted at its own tag, so adding a new experiment
-# never perturbs the draws of an existing one.
+# never perturbs the draws of an existing one; retired tags (5) stay unused.
 STREAM_CALIBRATION = 1
 STREAM_EFFICIENCY = 2
 STREAM_BIAS_GRID = 3
 STREAM_THEOREM = 4
-STREAM_TAIL = 5
 STREAM_POOL = 6
 
 

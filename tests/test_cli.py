@@ -121,13 +121,14 @@ _FLOATS = st.floats(allow_nan=False)
 @st.composite
 def _axes(draw):
     name = draw(st.sampled_from(PARAM_NAMES))
-    integer = name in ("n", "d", "evaluators")
+    integer = name in ("n", "d")
     return name, tuple(draw(st.lists(st.integers() if integer else _FLOATS, min_size=1, unique=True)))
 
 
 _VALUES = {
     int: st.integers(),
     cli._parse_count: st.integers(min_value=1),
+    cli._parse_even_pool: st.integers(min_value=1).map(lambda k: 2 * k),
     float: _FLOATS,
     str: st.text(st.characters(blacklist_categories=("Cs",))),
     cli._parse_int_list: st.lists(st.integers(), min_size=1, unique=True).map(tuple),
@@ -222,13 +223,20 @@ def test_calibration_rejects_one_bin(capsys, tmp_path):
     assert "num_bins" in capsys.readouterr().err
 
 
-def test_calibration_rejects_an_infinite_exponent(capsys, tmp_path):
-    # every draw would be 1.0, so every pool would tie
-    code = run_cli("calibration", "--seed", "1", "--runs", "10", "--delta", "inf",
-                   "--outdir", str(tmp_path))
+def test_calibration_takes_no_delta(capsys, tmp_path):
+    # the binner error is distribution-free, so no option picks a marginal
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("calibration", "--seed", "1", "--runs", "10", "--delta", "1",
+                "--outdir", str(outdir))
+    assert exc.value.code == 2
+    # metadata written while calibration still took --delta
+    old = tmp_path / "calibration_metadata.json"
+    old.write_text(json.dumps({"config": {"seed": "1", "runs": "10", "delta": "1.0"}}))
+    code = run_cli("calibration", "--config", str(old), "--outdir", str(outdir))
     assert code == 2
-    assert "finite" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
+    assert "'delta'" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +407,7 @@ def test_bias_grid_sweeps_any_two_parameters(capsys, tmp_path):
         assert stale in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("axis", ["n=4,2.5", "d=2.0", "evaluators=2,3.5"])
+@pytest.mark.parametrize("axis", ["n=4,2.5", "d=2.0"])
 def test_integer_axes_reject_fractions(capsys, tmp_path, axis):
     code = run_cli(
         "bias-grid", "--seed", "3", "--runs", "16",
@@ -408,6 +416,17 @@ def test_integer_axes_reject_fractions(capsys, tmp_path, axis):
     assert code == 2
     assert "bad value for 'axis2'" in capsys.readouterr().err
     assert not (tmp_path / "bias_grid.csv").exists()
+
+
+def test_bias_grid_rejects_an_evaluators_axis(capsys, tmp_path):
+    # the committee is always two, so no parameter names its size
+    code = run_cli(
+        "bias-grid", "--seed", "3", "--runs", "16",
+        "--axis1", "delta=1", "--axis2", "evaluators=2", "--outdir", str(tmp_path),
+    )
+    assert code == 2
+    assert "'evaluators'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -585,7 +604,7 @@ def test_theorem_verify_rejects_a_non_positive_count(capsys, tmp_path, flag):
     "flags, message",
     [
         (("--gamma", "2"), "gamma must lie in (0, 1)"),
-        (("--threshold-n", "3"), "even pool"),
+        (("--threshold-n", "3"), "bad value for 'threshold_n': the theorem setting needs an even pool"),
         (("--tail-group", "0"), "bad value for 'tail_group'"),
     ],
     ids=["gamma", "threshold_n", "tail_group"],

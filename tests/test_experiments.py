@@ -30,7 +30,7 @@ from evalsim.experiments.results import (
 )
 from evalsim.rng import derive_stream
 
-CAL_POINT = {"n": 10, "num_bins": 5, "marginal": PowerLaw(1.0)}
+CAL_POINT = {"n": 10, "num_bins": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +316,6 @@ def test_calibration_sweep_shrinks_with_pool_size():
     assert all(r.scheme == "binner" and r.runs == 400 for r in sweep.results)
 
 
-def test_calibration_sweep_takes_any_marginal():
-    # every exponent samples by inverse transform from the same uniforms, and
-    # the error depends only on ranks and true percentiles, so the rows equal
-    # the default's unless the cdf loses precision in the upper tail
-    default = run_calibration_sweep(n_values=(5, 50), runs=400, seed=9)
-    for delta in (0.3, 2.0, 5.0):
-        law = PowerLaw(delta)
-        sweep = run_calibration_sweep(n_values=(5, 50), runs=400, marginal=law, seed=9)
-        assert [r.estimate for r in sweep.results] == [r.estimate for r in default.results]
-
-
 def test_calibration_slope_is_nan_when_a_mean_error_is_zero():
     # one pool of ten in two bins happens to bin exactly: the fit has no log
     with warnings.catch_warnings():
@@ -459,13 +448,13 @@ def test_bias_grid_validation():
         axes=(("sigma", (0.5,)), ("beta", (0.0,))), fixed={"n": 4, "d": 4}, runs=64
     )
     assert len(run_bias_grid(no_delta, seed=9)) == 3
-    three = GridSpec(
-        axes=(("delta", (1.0,)), ("sigma", (0.5,))),
-        fixed={"n": 4, "d": 4, "evaluators": 3},
-        runs=64,
-    )
-    with pytest.raises(ValueError):
-        run_bias_grid(three, seed=9)
+    # the committee is always two, so no parameter names its size
+    with pytest.raises(ValueError, match="unknown parameter name 'evaluators'"):
+        GridSpec(
+            axes=(("delta", (1.0,)), ("sigma", (0.5,))),
+            fixed={"n": 4, "d": 4, "evaluators": 2},
+            runs=64,
+        )
 
 
 def test_bias_grid_rejects_a_parameter_it_does_not_read():

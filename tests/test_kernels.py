@@ -159,15 +159,16 @@ def test_redraw_tied_rows_is_bounded():
 
 
 def test_calibration_worker_matches_object_route():
-    params = {"n": 7, "num_bins": 5, "marginal": POWER_LAW}
-    (out,) = calibration_worker((params,), derive_stream(44, 8), 200)
-
-    marginal = PowerLaw(1.0)
-    x = marginal.sample(derive_stream(44, 8), (200, 7))
-    errors = np.array(
-        [mean_bin_error(local_quantile_bins(row, 5), marginal.cdf(row), 5) for row in x]
-    )
-    assert np.array_equal(out["binner"], errors)
+    # the worker bins the percentiles it draws; the object route bins the
+    # values those percentiles map to, under marginals from heavy to light
+    (out,) = calibration_worker(({"n": 7, "num_bins": 5},), derive_stream(44, 8), 200)
+    u = derive_stream(44, 8).random((200, 7))
+    for delta in (0.3, 1.0, 3.0):
+        law = PowerLaw(delta)
+        errors = np.array(
+            [mean_bin_error(local_quantile_bins(row, 5), law.cdf(row), 5) for row in law.inv_cdf(u)]
+        )
+        assert np.array_equal(out["binner"], errors), delta
 
 
 # ---------------------------------------------------------------------------

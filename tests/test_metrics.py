@@ -110,22 +110,18 @@ def test_mean_bin_error_validation():
         mean_bin_error([1], [1.5], 5)
 
 
-@pytest.mark.parametrize(
-    "marginal, seed",
-    [(PowerLaw(1.0), 0)],
-    ids=["power-law"],
-)
-def test_mean_bin_error_pool_of_five_matches_order_statistics(marginal, seed):
-    # distribution-free: the Beta order-statistic value must hold for any
-    # continuous marginal
+def test_mean_bin_error_pool_of_five_matches_order_statistics():
+    # distribution-free: the Beta order-statistic value holds for any
+    # continuous marginal, so the kernel draws percentiles
     pools = 100_000
-    params = {"n": 5, "num_bins": 5, "marginal": marginal}
-    (out,) = calibration_worker((params,), derive_stream(seed, 31), pools)
+    (out,) = calibration_worker(({"n": 5, "num_bins": 5},), derive_stream(0, 31), pools)
     errors = out["binner"]
-    # the kernel scores each pool as the object route does
-    values = marginal.sample(derive_stream(seed, 31), (1000, 5))
-    for row, error in zip(values, errors):
-        assert mean_bin_error(local_quantile_bins(row, 5), marginal.cdf(row), 5) == error
+    # the kernel scores each pool as the object route does on real marginals
+    u = derive_stream(0, 31).random((1000, 5))
+    for delta in (0.3, 1.0, 3.0):
+        law = PowerLaw(delta)
+        for row, error in zip(law.inv_cdf(u), errors):
+            assert mean_bin_error(local_quantile_bins(row, 5), law.cdf(row), 5) == error
     # per-pool errors lie in [0, 4], so 4/sqrt(pools) is a generous SE bound
     assert abs(errors.mean() - float(MEAN_BIN_ERROR_M5)) <= 3.0 * 4.0 / np.sqrt(pools)
 

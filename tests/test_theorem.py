@@ -80,11 +80,11 @@ def test_predicted_gap_values():
 
 
 def test_tail_probability_single_draw():
-    p, se = tail_probability(1, 1.0, 200_000, seed=3)
+    p, se = tail_probability(1, 1.0, 200_000, seed=3, stream_tag=5)
     assert se == pytest.approx(math.sqrt(0.875 * 0.125 / 200_000), rel=0.05)
     assert abs(p - 0.875) <= 3.0 * se
     with pytest.raises(ValueError):
-        tail_probability(0, 1.0, 100, seed=3)
+        tail_probability(0, 1.0, 100, seed=3, stream_tag=5)
 
 
 def _point(**overrides):
