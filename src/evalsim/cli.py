@@ -90,6 +90,10 @@ def _parse_even_pool(text: str) -> int:
     return value
 
 
+def _parse_even_pool_list(text: str) -> tuple:
+    return _parse_list(_parse_even_pool, text)
+
+
 def _parse_axis(text: str) -> tuple:
     """Parse ``name=v1,v2,...`` into (name, values); counts must be integers."""
     name, _, rest = text.partition("=")
@@ -145,7 +149,7 @@ OPTIONS = {
     ),
     "theorem-verify": _COMMON
     + (
-        Option("n", _parse_int_list, "2,20", "pool sizes for the paired checks"),
+        Option("n", _parse_even_pool_list, "2,20", "pool sizes for the paired checks"),
         Option("delta", _parse_float_list, "0.3,1.0", "tail exponents"),
         Option("gamma", float, "0.5", "bias-coin probability"),
         Option("runs", int, "100000", "paired runs per grid point"),

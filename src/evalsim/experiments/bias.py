@@ -37,10 +37,10 @@ BIAS_DEFAULTS = {
 
 
 def _validate_point(point: dict) -> None:
-    """Reject settings outside the ranges the object layer accepts."""
-    for name in ("n", "d"):
-        if point[name] < 2:
-            raise ValueError(f"{name} must be at least 2, got {point[name]!r}")
+    """Reject settings the object layer or the committee of two cannot take."""
+    for name in ("n", "d"):  # the committee of two splits rows and columns in half
+        if point[name] < 2 or point[name] % 2:
+            raise ValueError(f"{name} must be even and at least 2, got {point[name]!r}")
     for name in ("sigma", "alpha", "lambda"):
         if not 0.0 <= point[name] <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {point[name]!r}")

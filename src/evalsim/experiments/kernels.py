@@ -6,9 +6,10 @@ functions of those explicit arrays.  The cores reproduce, run for run and
 bit for bit, what the object layer (report, report_screened, merge_scores,
 top1_accuracy, local_quantile_bins, mean_bin_error) computes, and the test
 suite drives both routes on identical inputs and requires exact agreement.
-Reported values are assembled with the same ``where(discounted, beta * x,
-x)`` expression and summed along the same axis as the object layer
-precisely so that equality is exact rather than approximate.
+The bias scorer multiplies each row by a per-column factor, ``beta`` where
+the cell is discounted and 1.0 elsewhere: ``x * 1.0`` is ``x`` and ``x *
+beta`` is ``beta * x``, so each row holds the object layer's reported
+values, summed along the same axis, and equality is exact, not approximate.
 
 The two extreme correlations skip the Gaussian copula:
 ``draw_correlated_values`` draws plain uniforms at ``sigma = 0`` and one
@@ -314,6 +315,7 @@ def bias_scheme_accuracies(
     coin1: np.ndarray,
     beta: float,
     counts=None,
+    total=None,
 ):
     """Paired top-choice accuracies ``(holistic, segmented)`` per run.
 
@@ -323,25 +325,22 @@ def bias_scheme_accuracies(
     bias coins.  Both schemes score the same pools (common random numbers),
     so the per-run difference is a low-variance paired estimate.  When the
     rows are class maxima, ``counts (B, n)`` holds each class's size (see
-    ``_tie_adjusted_hits``).
+    ``_tie_adjusted_hits``).  ``values`` may be ``(B, n, 1)`` when its d
+    columns are equal, and ``total (B, n)`` passes row totals already summed.
     """
-    batch, n, d = values.shape
-    total = values.sum(axis=2)
+    if total is None:
+        total = np.broadcast_to(values, disadvantaged.shape + protected.shape[1:]).sum(axis=2)
     best = np.argmax(total, axis=1)
 
     # holistic: a row's owner reports every attribute of that row
     row_coin = np.where(hol_rows0, coin0[:, None], coin1[:, None])
-    hit_h = (
-        (disadvantaged & row_coin)[:, :, None] & protected[:, None, :]
-    )
-    est_h = np.where(hit_h, beta * values, values).sum(axis=2)
+    f_h = np.where(protected, beta, 1.0)[:, None, :]
+    est_h = np.where(disadvantaged & row_coin, (values * f_h).sum(axis=2), total)
 
     # segmented: a column's owner reports that attribute for every row
     col_coin = np.where(seg_cols0, coin0[:, None], coin1[:, None])
-    hit_s = (
-        disadvantaged[:, :, None] & (protected & col_coin)[:, None, :]
-    )
-    est_s = np.where(hit_s, beta * values, values).sum(axis=2)
+    f_s = np.where(protected & col_coin, beta, 1.0)[:, None, :]
+    est_s = np.where(disadvantaged, (values * f_s).sum(axis=2), total)
 
     return _tie_adjusted_hits(est_h, best, counts), _tie_adjusted_hits(est_s, best, counts)
 
@@ -413,7 +412,7 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     At ``sigma = 1`` an estimate is a per-class constant times the value, so
     each run is scored on its four class maxima and class sizes
     (``bias_class_maxima``), which gives the full pool's accuracies bit for
-    bit.
+    bit; the ``(size, 4, 1)`` maxima broadcast against the ``d`` columns.
     """
     shared = members[0]
     n = int(shared["n"])
@@ -445,15 +444,15 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         tied = np.zeros(size, dtype=bool)
         for marginal, indices in by_marginal.items():
             values = marginal.inv_cdf(u)
-            tied |= _best_is_tied(values)
+            total = values.sum(axis=2)
+            tied |= _best_is_tied(total)
             counts = None
             if classes is not None:
                 values, counts = bias_class_maxima(values, *classes)
-            if values.shape[2] < d:  # a fully correlated draw's columns are equal
-                values = np.repeat(values, d, axis=2)
+                total = None  # the scorer sums the maxima over the d columns
             for index in indices:
                 beta = float(members[index]["beta"])
-                acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta, counts)
+                acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta, counts, total)
                 scores[index] = {
                     "holistic": acc_h,
                     "segmented": acc_s,

@@ -108,12 +108,7 @@ class GridSpec:
         """Points in row-major axis order, each a params dict."""
         names = self.axis_names
         value_lists = [tuple(values) for _, values in self.axes]
-        out = []
-        for combo in product(*value_lists):
-            params = dict(self.fixed)
-            params.update(zip(names, combo))
-            out.append(params)
-        return out
+        return [{**self.fixed, **dict(zip(names, combo))} for combo in product(*value_lists)]
 
 
 def rows_from_moments(labels, moments, runs: int, seed: int) -> list:

@@ -129,6 +129,9 @@ _VALUES = {
     int: st.integers(),
     cli._parse_count: st.integers(min_value=1),
     cli._parse_even_pool: st.integers(min_value=1).map(lambda k: 2 * k),
+    cli._parse_even_pool_list: st.lists(
+        st.integers(min_value=1).map(lambda k: 2 * k), min_size=1, unique=True
+    ).map(tuple),
     float: _FLOATS,
     str: st.text(st.characters(blacklist_categories=("Cs",))),
     cli._parse_int_list: st.lists(st.integers(), min_size=1, unique=True).map(tuple),
@@ -461,6 +464,40 @@ def test_repeated_list_values_exit_2(capsys, tmp_path, argv, message):
     assert os.listdir(tmp_path) == []
 
 
+def test_bias_grid_rejects_an_odd_count(capsys, tmp_path):
+    code = run_cli(
+        "bias-grid", "--seed", "1", "--runs", "100000",
+        "--axis1", "n=20,21", "--axis2", "sigma=0.5,0.9", "--outdir", str(tmp_path),
+    )
+    assert code == 2
+    assert "n must be even and at least 2, got 21" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+# sha256 of bias_grid.csv at seed 5, 300 runs, pinned so a change to the bias
+# draw or scorer that moves any byte fails here: sigma 0 and 1 take the
+# shortcut draws, and the gamma grid sets beta > 0 and lambda < 1
+@pytest.mark.parametrize(
+    "args, csv_sha256",
+    [
+        (
+            ("--axis1", "delta=0.5,2", "--axis2", "sigma=0,0.5,1"),
+            "2cf2437c714136a087beddde6a753ccc780fefbaa7d436e11a60ab84d81bdac8",
+        ),
+        (
+            ("--gamma", "0.4", "--axis1", "beta=0.3,0.9", "--axis2", "lambda=0.4,0.75"),
+            "4b67aa3d08e2da5492fe4a73f568882ab183c1cbd8e087ad3dd29e9925afe58c",
+        ),
+    ],
+    ids=["delta-sigma", "gamma-beta-lambda"],
+)
+def test_bias_grid_bytes_are_pinned(capsys, tmp_path, args, csv_sha256):
+    code = run_cli("bias-grid", "--seed", "5", "--runs", "300", *args, "--outdir", str(tmp_path))
+    assert code == 0
+    csv = (tmp_path / "bias_grid.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == csv_sha256
+
+
 def test_bias_grid_constant_marginal_exits(tmp_path):
     done = run_cli_process(
         "bias-grid", "--seed", "1", "--runs", "16",
@@ -625,12 +662,16 @@ def test_theorem_verify_rejects_later_settings_before_any_check(
 
 
 def test_theorem_verify_rejects_odd_pool(capsys, tmp_path):
-    code = run_cli(
-        "theorem-verify", "--n", "3", "--runs", "100", "--seed", "7",
-        "--outdir", str(tmp_path),
-    )
-    assert code == 2
-    assert "even pool" in capsys.readouterr().err
+    # the message names the option and the value, as --threshold-n's does
+    for value in ("3", "0", "-4"):
+        code = run_cli(
+            "theorem-verify", f"--n={value}", "--runs", "100", "--seed", "7",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad value for 'n': the theorem setting needs an even pool of >= 2, got {value}" in err
+        assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

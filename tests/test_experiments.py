@@ -489,3 +489,16 @@ def test_bias_grid_rejects_out_of_range_points(name, values):
     grid = GridSpec(axes=(("delta", (1.0,)), (name, values)), fixed=fixed, runs=16)
     with pytest.raises(ValueError, match=f"^{name} must"):
         run_bias_grid(grid, seed=9)
+
+
+@pytest.mark.parametrize("name, values", [("n", (20, 21)), ("d", (3,))])
+def test_bias_grid_rejects_odd_counts_before_any_run(monkeypatch, name, values):
+    # the committee of two halves rows and columns: an odd count must fail
+    # before the valid points spend their runs
+    def fail(*_):
+        raise AssertionError("run_points was called")
+
+    monkeypatch.setattr(bias, "run_points", fail)
+    grid = GridSpec(axes=(("sigma", (0.5,)), (name, values)), runs=16)
+    with pytest.raises(ValueError, match=f"^{name} must be even and at least 2, got {values[-1]}$"):
+        run_bias_grid(grid, seed=9)

@@ -271,6 +271,25 @@ def test_bias_kernel_matches_object_route(beta, gamma):
     assert np.array_equal(fast_s, slow_s)
 
 
+@pytest.mark.parametrize("beta", [1e-300, 0.999999])
+@pytest.mark.parametrize("delta", [0.05, 50.0])
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_bias_factor_scorer_matches_object_route_at_extremes(beta, delta, gamma):
+    # each discounted row is its values times a factor of beta or 1.0, which
+    # rounds exactly as the object layer's beta * x and x, even where beta * x
+    # is subnormal or a heavy tail's values span many orders of magnitude
+    u, *labels = draw_bias_batch(derive_stream(47, 11), 48, 6, 4, 0.5, 0.5, 0.5, gamma)
+    values = PowerLaw(delta).inv_cdf(u)
+    fast = bias_scheme_accuracies(values, *labels, beta)
+    slow = _bias_object_route((values, *labels), beta)
+    assert np.array_equal(fast[0], slow[0])
+    assert np.array_equal(fast[1], slow[1])
+    # the worker passes the row totals it has already summed
+    given = bias_scheme_accuracies(values, *labels, beta, total=values.sum(axis=2))
+    assert np.array_equal(given[0], fast[0])
+    assert np.array_equal(given[1], fast[1])
+
+
 @pytest.mark.parametrize("gamma", [None, 0.5])
 def test_grouped_bias_worker_matches_object_route(gamma):
     # one draw scored under every member's marginal and beta
@@ -332,6 +351,13 @@ def test_bias_class_maxima_score_like_the_full_pool(n, alpha, lam, gamma, beta):
     batch, counts = _class_batch(*full)
     assert np.array_equal(counts.sum(axis=1), np.full(size, n))
     got = bias_scheme_accuracies(*batch, beta, counts)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+    # the (B, 4, 1) class maxima broadcast against the d columns: no repeat
+    maxima, _ = bias_class_maxima(values, labels[0], labels[2])
+    assert maxima.shape == (size, 4, 1)
+    got = bias_scheme_accuracies(maxima, *batch[1:], beta, counts)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
