@@ -349,6 +349,28 @@ def test_efficiency_rejects_odd_pool(capsys, tmp_path):
     assert "even pool" in capsys.readouterr().err
 
 
+# sha256 of efficiency.csv at seed 11, pinned so a change to the efficiency
+# draw or scorer that moves any byte fails here: at n = 6 each half holds 3
+# applicants, so tau 0.05, 0.5 and 1 screen in 1, 2 and 3 of them, and the
+# 3000 runs take two chunks; at n = 200 they screen in 5, 50 and 100 of 100
+@pytest.mark.parametrize(
+    "n, runs, csv_sha256",
+    [
+        (6, 3000, "ce677167c482f42ee551f295ee434dd1b2396334f15adb279c1200ea2a86ec3e"),
+        (200, 300, "b23692e1f36bb05f40acc736cae9c6b5075ce492abe9c912967999bbc97c3d62"),
+    ],
+    ids=["n6", "n200"],
+)
+def test_efficiency_bytes_are_pinned(capsys, tmp_path, n, runs, csv_sha256):
+    code = run_cli(
+        "efficiency", "--seed", "11", "--runs", str(runs), "--n", str(n),
+        "--tau", "0.05,0.5,1", "--sigma", "0,0.5,0.9,1", "--outdir", str(tmp_path),
+    )
+    assert code == 0
+    csv = (tmp_path / "efficiency.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == csv_sha256
+
+
 # ---------------------------------------------------------------------------
 # bias-grid
 

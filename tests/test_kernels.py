@@ -22,6 +22,7 @@ from evalsim.evaluators import (
     report,
     report_screened,
 )
+from evalsim.experiments import kernels
 from evalsim.experiments.kernels import (
     MAX_TIE_REDRAWS,
     _best_is_tied,
@@ -209,6 +210,71 @@ def test_grouped_efficiency_worker_matches_object_route(sigma):
     values, rows0 = draw_efficiency_batch(derive_stream(45, 9), 64, 10, sigma, POWER_LAW)
     for tau, scores in zip(taus, out):
         assert np.array_equal(scores["holistic"], _efficiency_object_route(values, rows0, tau))
+
+
+def test_efficiency_first_attribute_ties_match_object_route():
+    # drawn pools almost never tie on the first attribute, so these are built
+    # by hand: evaluator 0 owns the even applicants, and the best applicant 4
+    # ties applicants 0 and 6 of its own half on the first attribute while
+    # applicant 2 is ahead of all three.  Ties go to the lower index, so 4 is
+    # third in its half: cutoffs 1 and 2 screen it out, 3 and 4 keep it
+    first = [5.0, 9.0, 6.0, 5.0, 5.0, 1.0, 5.0, 2.0]
+    second = [1.0, 1.0, 1.0, 2.0, 10.0, 3.0, 1.0, 4.0]
+    values = np.array([np.column_stack([first, second])])
+    rows0 = (np.arange(8) % 2 == 0)[None, :]
+    taus = (0.25, 0.5, 0.75, 1.0)
+    assert [screening_cutoff(tau, 4) for tau in taus] == [1, 2, 3, 4]
+    want = [[0.0], [0.0], [1.0], [1.0]]
+    assert [list(acc) for acc in efficiency_accuracies(values, rows0, taus)] == want
+    for tau, acc in zip(taus, efficiency_accuracies(values, rows0, taus)):
+        assert np.array_equal(acc, _efficiency_object_route(values, rows0, tau))
+
+    # first attributes from a small set of integers tie often; the seconds
+    # are continuous, so each run's best row total is unique
+    rng = derive_stream(45, 10)
+    batch, n = 256, 12
+    values = np.stack([rng.integers(1, 4, (batch, n)) * 1.0, rng.random((batch, n))], axis=2)
+    assert not _best_is_tied(values).any()
+    rows0 = random_subset_mask(rng, batch, n, n // 2)
+    best = np.argmax(values.sum(axis=2), axis=1)[:, None]
+    mates = (rows0 == np.take_along_axis(rows0, best, axis=1)) & (
+        values[:, :, 0] == np.take_along_axis(values[:, :, 0], best, axis=1)
+    )
+    below = (mates & (np.arange(n) < best)).any(axis=1)
+    above = (mates & (np.arange(n) > best)).any(axis=1)
+    assert (below & above).sum() > batch // 10
+    taus = tuple(k / 6 for k in range(1, 7))
+    fast = efficiency_accuracies(values, rows0, taus)
+    for tau, acc in zip(taus, fast):
+        assert np.array_equal(acc, _efficiency_object_route(values, rows0, tau)), tau
+    # the cutoffs fall on both sides of the tied runs' best
+    tied_runs = below & above
+    assert (fast[0][tied_runs] == 0.0).any() and (fast[-2][tied_runs] == 1.0).any()
+
+
+def test_efficiency_tie_check_sums_the_two_columns(monkeypatch):
+    # for two columns a + b is bit for bit the sum over the last axis
+    for sigma in (0.0, 0.5, 0.9, 1.0):
+        values = draw_correlated_values(derive_stream(47, 8), 512, 20, 2, sigma, POWER_LAW)
+        assert np.array_equal(values[..., 0] + values[..., 1], values.sum(axis=2)), sigma
+
+    # a run whose best total is tied is still redrawn: the first draw ties
+    # applicants 0 and 1 of run 0, and the redraw gives a unique best
+    tied = np.array([[[2.0, 1.0], [1.0, 2.0], [1.0, 1.0], [1.0, 1.5]],
+                     [[1.0, 1.0], [4.0, 1.0], [1.0, 2.0], [1.0, 1.5]]])
+    fresh = np.array([[[1.0, 1.0], [1.0, 1.0], [3.0, 3.0], [1.0, 1.5]]])
+    draws = iter([tied, fresh])
+    calls = []
+
+    def stub(rng, batch, n, d, sigma, marginal):
+        calls.append(batch)
+        return next(draws).copy()
+
+    monkeypatch.setattr(kernels, "draw_correlated_values", stub)
+    values, rows0 = draw_efficiency_batch(derive_stream(47, 9), 2, 4, 0.5, POWER_LAW)
+    assert calls == [2, 1]
+    assert np.array_equal(values, [fresh[0], tied[1]])
+    assert rows0.shape == (2, 4) and (rows0.sum(axis=1) == 2).all()
 
 
 def test_efficiency_cells_counts_reports():
