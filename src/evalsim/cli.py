@@ -83,11 +83,15 @@ def _parse_count(text: str) -> int:
     return value
 
 
-def _parse_even_pool(text: str) -> int:
+def _parse_even_pool(text: str, setting: str = "the theorem setting") -> int:
     value = int(text)
     if value < 2 or value % 2:
-        raise ValueError(f"the theorem setting needs an even pool of >= 2, got {value}")
+        raise ValueError(f"{setting} needs an even pool of >= 2, got {value}")
     return value
+
+
+def _parse_committee_pool(text: str) -> int:
+    return _parse_even_pool(text, "the two-screener committee")
 
 
 def _parse_even_pool_list(text: str) -> tuple:
@@ -128,7 +132,7 @@ OPTIONS = {
     "efficiency": _COMMON
     + (
         Option("runs", int, "1000", "pools per grid point"),
-        Option("n", int, "200", "pool size"),
+        Option("n", _parse_committee_pool, "200", "pool size"),
         Option("delta", float, "1.0", "power-law tail exponent"),
         Option("tau", _parse_float_list, "0.05,0.1,0.2,0.5,1.0", "screening depths"),
         Option("sigma", _parse_float_list, "0,0.5,0.9,1", "attribute correlations"),

@@ -11,6 +11,12 @@ the cell is discounted and 1.0 elsewhere: ``x * 1.0`` is ``x`` and ``x *
 beta`` is ``beta * x``, so each row holds the object layer's reported
 values, summed along the same axis, and equality is exact, not approximate.
 
+The screening scorer, ``efficiency_accuracies``, is the one rank count: the
+true best is unique, so a run scores 1.0 when the best's place in its
+owner's screening order is below the cutoff and 0.0 otherwise, with no sort.
+The bias and theorem scorers compare every estimate with the top one
+(``_tie_adjusted_hits``), since discounted estimates can tie there.
+
 The two extreme correlations skip the Gaussian copula:
 ``draw_correlated_values`` draws plain uniforms at ``sigma = 0`` and one
 value per applicant at ``sigma = 1``.  In a fully correlated pool an
@@ -240,28 +246,23 @@ def efficiency_accuracies(values: np.ndarray, rows0: np.ndarray, taus) -> list:
     ``values`` is ``(batch, n, 2)``; ``rows0`` marks the n/2 applicants owned
     by evaluator 0.  Each evaluator ranks its half by the first attribute and
     evaluates the second only for its top ``ceil(tau * n/2)``; an applicant
-    missing the second attribute is ineligible for the top pick.  Each half
-    is sorted once, and every tau keeps a prefix of that order.
+    missing the second attribute is ineligible for the top pick.
+
+    Each run's best row total must be unique, as ``draw_efficiency_batch``
+    makes it.  Then the committee picks the true best ``b`` exactly when
+    ``b`` is screened in, so a run scores 1.0 or 0.0 by a rank count: ``b``
+    is screened in when fewer than the cutoff applicants of its own half
+    come before it, by a higher first attribute or by an equal one at a
+    lower index (the object route's tie-break).
     """
-    batch, n, _ = values.shape
-    half = n // 2
+    n = values.shape[1]
     first = values[:, :, 0]
-    total = values[:, :, 0] + values[:, :, 1]
-
-    # each applicant's place in its evaluator's order: highest first
-    # attribute first, stable so ties go to the lower applicant index
-    place = np.empty((batch, n), dtype=np.intp)
-    for mask in (rows0, ~rows0):
-        owned = np.flatnonzero(mask).reshape(batch, half) % n
-        rank = np.argsort(-np.take_along_axis(first, owned, axis=1), axis=1, kind="stable")
-        order = np.take_along_axis(owned, rank, axis=1)
-        np.put_along_axis(place, order, np.arange(half), axis=1)
-
-    best = np.argmax(total, axis=1)
-    return [
-        _tie_adjusted_hits(np.where(place < screening_cutoff(tau, half), total, -np.inf), best)
-        for tau in taus
-    ]
+    best = np.argmax(first + values[:, :, 1], axis=1)[:, None]
+    first_b = np.take_along_axis(first, best, axis=1)
+    ahead = (first > first_b) | ((first == first_b) & (np.arange(n) < best))
+    ahead &= rows0 == np.take_along_axis(rows0, best, axis=1)
+    place = np.count_nonzero(ahead, axis=1)
+    return [(place < screening_cutoff(tau, n // 2)).astype(float) for tau in taus]
 
 
 def efficiency_cells(n: int, tau: float) -> int:
@@ -278,6 +279,8 @@ def draw_efficiency_batch(
         values,
         lambda k: draw_correlated_values(rng, k, n, 2, sigma, marginal),
         (marginal,),
+        # a + b is the row total's bits, and much faster than sum(axis=2)
+        lambda v: _best_is_tied(v[..., 0] + v[..., 1]),
     )
     rows0 = random_subset_mask(rng, size, n, n // 2)
     return values, rows0

@@ -129,6 +129,7 @@ _VALUES = {
     int: st.integers(),
     cli._parse_count: st.integers(min_value=1),
     cli._parse_even_pool: st.integers(min_value=1).map(lambda k: 2 * k),
+    cli._parse_committee_pool: st.integers(min_value=1).map(lambda k: 2 * k),
     cli._parse_even_pool_list: st.lists(
         st.integers(min_value=1).map(lambda k: 2 * k), min_size=1, unique=True
     ).map(tuple),
@@ -347,6 +348,23 @@ def test_efficiency_rejects_odd_pool(capsys, tmp_path):
     )
     assert code == 2
     assert "even pool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["21", "0", "-4"])
+def test_efficiency_names_the_odd_pool(capsys, tmp_path, value):
+    # the message names the option and the value, from a flag or a config file
+    config = tmp_path / "efficiency.cfg"
+    config.write_text(f"seed=1\nn={value}\n")
+    outdir = tmp_path / "out"
+    for argv in ([f"--n={value}", "--seed", "1"], ["--config", str(config)]):
+        code = run_cli("efficiency", *argv, "--runs", "10", "--outdir", str(outdir))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: bad value for 'n': the two-screener committee needs an even"
+            f" pool of >= 2, got {value}\n"
+        )
+        assert not outdir.exists()
 
 
 # sha256 of efficiency.csv at seed 11, pinned so a change to the efficiency
