@@ -528,8 +528,14 @@ def test_bias_grid_rejects_an_odd_count(capsys, tmp_path):
             ("--gamma", "0.4", "--axis1", "beta=0.3,0.9", "--axis2", "lambda=0.4,0.75"),
             "4b67aa3d08e2da5492fe4a73f568882ab183c1cbd8e087ad3dd29e9925afe58c",
         ),
+        (
+            # alpha = 1 discounts every segmented row, and at sigma = 1 some
+            # runs score class maxima of empty classes and all-zero estimates
+            ("--axis1", "alpha=0.5,1", "--axis2", "sigma=0.5,1"),
+            "169087df37890ffdb1f140e42e53b180e3f22b1efb9192ffd44773e08d8bfc74",
+        ),
     ],
-    ids=["delta-sigma", "gamma-beta-lambda"],
+    ids=["delta-sigma", "gamma-beta-lambda", "alpha-sigma"],
 )
 def test_bias_grid_bytes_are_pinned(capsys, tmp_path, args, csv_sha256):
     code = run_cli("bias-grid", "--seed", "5", "--runs", "300", *args, "--outdir", str(tmp_path))
@@ -550,6 +556,17 @@ def test_bias_grid_constant_marginal_exits(tmp_path):
 
 # ---------------------------------------------------------------------------
 # theorem-verify
+
+
+# sha256 of theorem-verify's CSVs at the reduced scale below, pinned so a
+# change to the class-maxima draw, the subset masks or the scorer that moves
+# any byte fails here
+_THEOREM_SHA256 = {
+    "theorem_part_a.csv": "ecba10e78aa4af87079034fc5c5f9b010f63964bcfdb1ee8dc7163d9c217743d",
+    "theorem_formula.csv": "ef512e41ad72a44aef6e81d37cd7beee9291af241127abb3b29b80ae66347eb7",
+    "theorem_threshold.csv": "e9fa442aac1d697c086cad5a584c1378d5aed15fbb05b19121a8d129ec1a5ed6",
+    "theorem_tail.csv": "9af540731a5ad76dc0f8f438dbb5c2cab2f4438bc1b5ba9cac9b945dad73ee03",
+}
 
 
 def test_theorem_verify_reduced_scale(capsys, tmp_path):
@@ -575,6 +592,8 @@ def test_theorem_verify_reduced_scale(capsys, tmp_path):
     assert formula[0] == "n,delta,gamma,scheme,estimate,std_error,runs,seed"
     assert formula[1].split(",")[3] == "difference"
     assert formula[2].split(",")[3] == "predicted"
+    for name, csv_sha256 in _THEOREM_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == csv_sha256
 
 
 _VERDICT_FLAGS = {
