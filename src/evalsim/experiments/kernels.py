@@ -14,7 +14,12 @@ values, summed along the same axis, and equality is exact, not approximate.
 The screening scorer, ``efficiency_accuracies``, is the one rank count: the
 true best is unique, so a run scores 1.0 when the best's place in its
 owner's screening order is below the cutoff and 0.0 otherwise, with no sort.
-The bias and theorem scorers compare every estimate with the top one
+The bias scorer, ``bias_scheme_accuracies``, first decides each run from the
+true best's own estimate: discounting never raises an estimate, so the best
+wins outright when it is not discounted and its total is the unique top, and
+loses when it is discounted below the top total that is not.  Only the runs
+this cannot settle build every applicant's estimate.  Those runs, and the
+theorem scorer, compare every estimate with the top one
 (``_tie_adjusted_hits``), since discounted estimates can tie there.
 
 The two extreme correlations skip the Gaussian copula:
@@ -66,18 +71,25 @@ MAX_TIE_REDRAWS = 10
 def random_subset_mask(
     rng: np.random.Generator, batch: int, total: int, k: int
 ) -> np.ndarray:
-    """Batched uniform random k-subsets of ``range(total)`` as bool masks."""
+    """Batched uniform random k-subsets of ``range(total)`` as bool masks.
+
+    Each row holds the positions of its k smallest uniforms: those at or
+    below the row's k-th smallest.  A row where equal uniforms straddle the
+    k-th place has more than k of them, and takes the k positions that
+    ``argpartition`` puts first, so the masks are those of an
+    ``argpartition`` of every row.
+    """
     if not 0 <= k <= total:
         raise ValueError("k must lie in [0, total]")
-    mask = np.zeros((batch, total), dtype=bool)
-    if k == 0:
-        return mask
-    if k == total:
-        mask[:] = True
-        return mask
+    if k == 0 or k == total:
+        return np.full((batch, total), k == total)
     u = rng.random((batch, total))
-    idx = np.argpartition(u, k - 1, axis=1)[:, :k]
-    np.put_along_axis(mask, idx, True, axis=1)
+    mask = u <= np.partition(u, k - 1, axis=1)[:, k - 1 : k]
+    tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
+    if tied.size:
+        idx = np.argpartition(u[tied], k - 1, axis=1)[:, :k]
+        mask[tied] = False
+        mask[tied[:, None], idx] = True
     return mask
 
 
@@ -308,6 +320,33 @@ def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
 # bias grids: holistic versus segmented committees of two, shared pools
 
 
+def _decide_then_score(values, total, best, unique, hit, factor, counts):
+    """One scheme's accuracies: decide each run from ``best``'s own estimate.
+
+    ``hit (B, n)`` marks the discounted rows and ``factor (B, d)`` holds each
+    column's factor in them; every other row reports its total.  A run is
+    open when its best total is tied, or when ``best`` is hit but reports at
+    least the largest total of the rows that are not; open runs alone build
+    every row's estimate.
+    """
+    runs = np.arange(best.size)
+    hit_b = hit[runs, best]
+    own = (values[runs, best] * factor).sum(axis=1)
+    rest = np.where(hit, -np.inf, total).max(axis=1)
+    acc = np.where(hit_b, 0.0, 1.0)
+    open_runs = np.flatnonzero(~unique | (hit_b & ~(own < rest)))
+    if open_runs.size:
+        est = np.where(
+            hit[open_runs],
+            (values[open_runs] * factor[open_runs, None, :]).sum(axis=2),
+            total[open_runs],
+        )
+        acc[open_runs] = _tie_adjusted_hits(
+            est, best[open_runs], None if counts is None else counts[open_runs]
+        )
+    return acc
+
+
 def bias_scheme_accuracies(
     values: np.ndarray,
     disadvantaged: np.ndarray,
@@ -330,22 +369,39 @@ def bias_scheme_accuracies(
     rows are class maxima, ``counts (B, n)`` holds each class's size (see
     ``_tie_adjusted_hits``).  ``values`` may be ``(B, n, 1)`` when its d
     columns are equal, and ``total (B, n)`` passes row totals already summed.
+
+    Each run is first decided from the true best ``b``'s own estimate.  A
+    row is hit when it is discounted: disadvantaged and owned by a biased
+    evaluator (holistic), or disadvantaged (segmented).  Values are >= 0 and
+    ``0 <= beta < 1``, so ``beta * x <= x`` after rounding, and rounded
+    addition is monotone; a hit row's estimate is therefore never above its
+    total, and a row that is not hit reports its total.  So the run scores
+    1.0 when ``b`` is not hit and its total is the unique maximum, and 0.0
+    when ``b`` is hit and its estimate is below the largest total of a row
+    that is not.  ``b``'s estimate is the same products summed along the
+    same contiguous axis as the full computation, so it has the same bits.
+    Every other run, and every run whose best total is tied, is scored in
+    full, so the result is the object layer's bit for bit.
     """
     if total is None:
         total = np.broadcast_to(values, disadvantaged.shape + protected.shape[1:]).sum(axis=2)
     best = np.argmax(total, axis=1)
+    unique = ~_best_is_tied(total)
 
     # holistic: a row's owner reports every attribute of that row
     row_coin = np.where(hol_rows0, coin0[:, None], coin1[:, None])
-    f_h = np.where(protected, beta, 1.0)[:, None, :]
-    est_h = np.where(disadvantaged & row_coin, (values * f_h).sum(axis=2), total)
+    acc_h = _decide_then_score(
+        values, total, best, unique, disadvantaged & row_coin,
+        np.where(protected, beta, 1.0), counts,
+    )
 
     # segmented: a column's owner reports that attribute for every row
     col_coin = np.where(seg_cols0, coin0[:, None], coin1[:, None])
-    f_s = np.where(protected & col_coin, beta, 1.0)[:, None, :]
-    est_s = np.where(disadvantaged, (values * f_s).sum(axis=2), total)
-
-    return _tie_adjusted_hits(est_h, best, counts), _tie_adjusted_hits(est_s, best, counts)
+    acc_s = _decide_then_score(
+        values, total, best, unique, disadvantaged,
+        np.where(protected & col_coin, beta, 1.0), counts,
+    )
+    return acc_h, acc_s
 
 
 def draw_bias_batch(

@@ -78,6 +78,49 @@ def test_random_subset_mask_sizes_and_edges():
         random_subset_mask(rng, 4, 5, -1)
 
 
+def _argpartition_mask(u, k):
+    """The k positions of each row that ``argpartition`` puts first."""
+    mask = np.zeros(u.shape, dtype=bool)
+    np.put_along_axis(mask, np.argpartition(u, k - 1, axis=1)[:, :k], True, axis=1)
+    return mask
+
+
+class _FixedUniforms:
+    """A stand-in Generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_random_subset_mask_takes_argpartitions_pick_among_equal_uniforms(k):
+    u = [
+        [0.1, 0.1, 0.5, 0.7, 0.9, 0.3],  # equal uniforms below the k-th place
+        [0.5, 0.2, 0.5, 0.7, 0.1, 0.5],  # at the k-th place
+        [0.3, 0.3, 0.3, 0.3, 0.1, 0.3],  # across it
+        [0.4, 0.4, 0.4, 0.4, 0.4, 0.4],
+        [0.6, 0.2, 0.9, 0.1, 0.4, 0.8],
+    ]
+    mask = random_subset_mask(_FixedUniforms(u), 5, 6, k)
+    assert np.array_equal(mask, _argpartition_mask(np.array(u), k))
+    assert np.all(mask.sum(axis=1) == k)
+
+
+@pytest.mark.parametrize(
+    "total, k", [(200, 100), (20, 10), (2, 1), (200, 1), (200, 199), (20, 1), (20, 19)]
+)
+def test_random_subset_mask_is_argpartitions_mask(total, k):
+    # same uniforms, same stream: the masks are those of an argpartition
+    rng, twin = derive_stream(41, 9), derive_stream(41, 9)
+    mask = random_subset_mask(rng, 2048, total, k)
+    assert np.array_equal(mask, _argpartition_mask(twin.random((2048, total)), k))
+    assert rng.random() == twin.random()
+
+
 def test_random_subset_mask_is_uniform():
     rng = derive_stream(42, 8)
     batch = 20_000
@@ -454,6 +497,78 @@ def test_bias_worker_at_extreme_correlations_matches_object_route(sigma, shared)
         slow_h, slow_s = _bias_object_route((values, *labels), beta)
         assert np.array_equal(scores["holistic"], slow_h)
         assert np.array_equal(scores["segmented"], slow_s)
+
+
+T, F = True, False
+
+
+def _hand_run(values, disadvantaged, protected=(T, T), coins=(T, F)):
+    """One run of four applicants and two attributes, shaped as ``draw_bias_batch``.
+
+    Evaluator 0 owns rows 0 and 1 (holistic) and column 0 (segmented); by
+    default it is the biased one.
+    """
+    return (
+        np.array([values], dtype=float),
+        np.array([disadvantaged]),
+        np.array([protected]),
+        np.array([[T, T, F, F]]),
+        np.array([[T, F]]),
+        np.array([coins[0]]),
+        np.array([coins[1]]),
+    )
+
+
+# Each way the bias scorer settles a run: values, disadvantaged rows,
+# protected columns, beta and the (holistic, segmented) accuracies.  Row 0
+# holds the best total.
+_DECISION_CASES = {
+    # the best is not discounted and its total is the unique top
+    "best-not-hit": ([[5, 5], [1, 1], [2, 2], [3, 3]], [F, T, T, F], (T, T), 0.0, (1.0, 1.0)),
+    # the best is discounted below a row that is not: 0 and 5 against 8
+    "best-beaten": ([[5, 5], [1, 1], [2, 2], [4, 4]], [T, F, F, F], (T, T), 0.0, (0.0, 0.0)),
+    # nothing protected, so the discounted best reports its total: open
+    "best-hit-open-wins": (
+        [[5, 5], [1, 1], [2, 2], [4, 4]], [T, F, F, F], (F, F), 0.999999, (1.0, 1.0)
+    ),
+    # open, then beaten by another discounted row: 3 against 8
+    "best-hit-open-loses": (
+        [[9, 3], [2, 8], [1, 1], [1, 1]], [T, T, F, F], (T, F), 0.0, (0.0, 0.0)
+    ),
+    # the best's estimate equals the top total that is not discounted: 4 and 4
+    "own-equals-rest": ([[4, 4], [1, 1], [1, 2], [2, 2]], [T, F, F, F], (T, T), 0.5, (0.5, 1.0)),
+    # alpha = 1: every segmented row is discounted, so none bounds the best
+    "all-hit": ([[4, 6], [1, 1], [2, 2], [5, 1]], [T, T, T, T], (T, T), 0.0, (0.0, 1.0)),
+    # rows 0 and 3 tie for the best total, as before a tie redraw
+    "tied-best": ([[5, 5], [1, 1], [2, 2], [4, 6]], [F, T, T, F], (T, T), 0.0, (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(_DECISION_CASES))
+def test_bias_scorer_decisions_match_object_route(case):
+    values, disadvantaged, protected, beta, want = _DECISION_CASES[case]
+    run = _hand_run(values, disadvantaged, protected)
+    got = bias_scheme_accuracies(*run, beta)
+    slow = _bias_object_route(run, beta)
+    assert np.array_equal(got[0], slow[0]) and np.array_equal(got[1], slow[1])
+    assert (got[0][0], got[1][0]) == want
+
+
+def test_bias_scorer_decides_class_maxima_like_the_full_pool():
+    # sigma = 1 pools.  Run 0 has alpha = 1, both evaluators biased, beta = 0
+    # and every attribute protected: every estimate is 0 and ties 4 ways,
+    # and the two advantaged classes are empty.  In run 1 the classes
+    # (disadvantaged, owner 1) and (advantaged, owner 0) are empty.
+    runs = (
+        _hand_run([[3, 3], [1, 1], [4, 4], [2, 2]], [T, T, T, T], coins=(T, T)),
+        _hand_run([[5, 5], [1, 1], [2, 2], [1, 1]], [T, T, F, F]),
+    )
+    full = tuple(np.concatenate(parts) for parts in zip(*runs))
+    batch, counts = _class_batch(*full)
+    got = bias_scheme_accuracies(*batch, 0.0, counts)
+    slow = _bias_object_route(full, 0.0)
+    assert np.array_equal(got[0], slow[0]) and np.array_equal(got[1], slow[1])
+    assert np.array_equal(got[0], [0.25, 0.0]) and np.array_equal(got[1], [0.25, 1.0])
 
 
 def test_bias_batch_fixed_committee_and_validation():
