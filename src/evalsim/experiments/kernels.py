@@ -27,9 +27,10 @@ The two extreme correlations skip the Gaussian copula:
 value per applicant at ``sigma = 1``.  In a fully correlated pool an
 estimate is a per-class constant times the value, so only each class's best
 applicant can be picked.  ``draw_theorem_batch`` therefore samples just the
-best value in each of four classes, and ``bias_worker`` at ``sigma = 1``
-scores each run's four class maxima.  Both scorers are unchanged; on the
-class maxima of a full pool they return that pool's results bit for bit.
+best value in each of four classes; its scorer is unchanged, and on the
+class maxima of a full pool it returns that pool's results bit for bit.
+``bias_worker`` at ``sigma = 1`` scores the pool itself, its one value per
+applicant broadcast against the ``d`` columns.
 
 ``draw_correlated_values`` is the package's one copula sampler, and
 ``_redraw_tied_rows`` its one tie policy: ``build_pool``, which draws the
@@ -134,29 +135,10 @@ def draw_correlated_values(
     return u if marginal is None else marginal.inv_cdf(u)
 
 
-# Class patterns of a fully correlated pool's four classes, in which an
-# estimate is a per-class constant times the value: (disadvantaged, owner 0),
-# (disadvantaged, owner 1), (advantaged, owner 0), (advantaged, owner 1).
-# The theorem draw and the sigma = 1 bias kernel score one column per class.
-_CLASS_DISADVANTAGED = np.array([True, True, False, False])
-_CLASS_OWNER0 = np.array([True, False, True, False])
-
-
-def _tie_adjusted_hits(estimates: np.ndarray, best: np.ndarray, counts=None) -> np.ndarray:
-    """Per-run probability that a uniform top pick lands on ``best``.
-
-    ``estimates`` may contain -inf for ineligible applicants; each row is
-    guaranteed at least one finite entry by the callers.  With ``counts``,
-    entry j stands for the best of ``counts[:, j]`` applicants whose
-    estimates are a common constant times their values: a tied entry whose
-    estimate is 0 counts as all of them (an empty class as none), any other
-    tied entry as one.
-    """
+def _tie_adjusted_hits(estimates: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Per-run probability that a uniform top pick lands on ``best``."""
     top = estimates.max(axis=1)
-    at_top = estimates == top[:, None]
-    if counts is not None:
-        at_top = at_top * np.where(estimates == 0.0, counts, 1)
-    ties = at_top.sum(axis=1)
+    ties = (estimates == top[:, None]).sum(axis=1)
     hit = estimates[np.arange(estimates.shape[0]), best] == top
     return hit / ties
 
@@ -320,7 +302,7 @@ def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
 # bias grids: holistic versus segmented committees of two, shared pools
 
 
-def _decide_then_score(values, total, best, unique, hit, factor, counts):
+def _decide_then_score(values, total, best, unique, hit, factor):
     """One scheme's accuracies: decide each run from ``best``'s own estimate.
 
     ``hit (B, n)`` marks the discounted rows and ``factor (B, d)`` holds each
@@ -341,9 +323,7 @@ def _decide_then_score(values, total, best, unique, hit, factor, counts):
             (values[open_runs] * factor[open_runs, None, :]).sum(axis=2),
             total[open_runs],
         )
-        acc[open_runs] = _tie_adjusted_hits(
-            est, best[open_runs], None if counts is None else counts[open_runs]
-        )
+        acc[open_runs] = _tie_adjusted_hits(est, best[open_runs])
     return acc
 
 
@@ -356,7 +336,6 @@ def bias_scheme_accuracies(
     coin0: np.ndarray,
     coin1: np.ndarray,
     beta: float,
-    counts=None,
     total=None,
 ):
     """Paired top-choice accuracies ``(holistic, segmented)`` per run.
@@ -365,10 +344,9 @@ def bias_scheme_accuracies(
     (B, d)``, ``hol_rows0 (B, n)`` and ``seg_cols0 (B, d)`` mark evaluator
     0's share under each scheme, ``coin0`` and ``coin1`` are the realized
     bias coins.  Both schemes score the same pools (common random numbers),
-    so the per-run difference is a low-variance paired estimate.  When the
-    rows are class maxima, ``counts (B, n)`` holds each class's size (see
-    ``_tie_adjusted_hits``).  ``values`` may be ``(B, n, 1)`` when its d
-    columns are equal, and ``total (B, n)`` passes row totals already summed.
+    so the per-run difference is a low-variance paired estimate.  ``values``
+    may be ``(B, n, 1)`` when its d columns are equal, and ``total (B, n)``
+    passes row totals already summed.
 
     Each run is first decided from the true best ``b``'s own estimate.  A
     row is hit when it is discounted: disadvantaged and owned by a biased
@@ -392,14 +370,14 @@ def bias_scheme_accuracies(
     row_coin = np.where(hol_rows0, coin0[:, None], coin1[:, None])
     acc_h = _decide_then_score(
         values, total, best, unique, disadvantaged & row_coin,
-        np.where(protected, beta, 1.0), counts,
+        np.where(protected, beta, 1.0),
     )
 
     # segmented: a column's owner reports that attribute for every row
     col_coin = np.where(seg_cols0, coin0[:, None], coin1[:, None])
     acc_s = _decide_then_score(
         values, total, best, unique, disadvantaged,
-        np.where(protected & col_coin, beta, 1.0), counts,
+        np.where(protected & col_coin, beta, 1.0),
     )
     return acc_h, acc_s
 
@@ -446,20 +424,6 @@ def bias_draw_key(params: dict):
     return tuple(params.get(name) for name in ("n", "d", "sigma", "alpha", "lambda", "gamma"))
 
 
-def bias_class_maxima(values: np.ndarray, disadvantaged: np.ndarray, hol_rows0: np.ndarray):
-    """Best value ``(B, 4, 1)`` and size ``(B, 4)`` of each class of ``values (B, n, 1)``.
-
-    Classes follow the class patterns (disadvantaged x holistic owner).  An
-    empty class gets 0.0, below every value, as in ``max_of_draws``.
-    """
-    # (B, 4, n) masks, so the maximum runs along the contiguous last axis
-    classes = (disadvantaged[:, None, :] == _CLASS_DISADVANTAGED[:, None]) & (
-        hol_rows0[:, None, :] == _CLASS_OWNER0[:, None]
-    )
-    maxima = np.where(classes, values[:, None, :, 0], 0.0).max(axis=2)[..., None]
-    return maxima, classes.sum(axis=2)
-
-
 def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     """Score every member of a draw group on one shared draw.
 
@@ -468,10 +432,8 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     alive at a time.  A run whose best applicant ties under any member's
     values gets fresh uniforms, and every member is scored again.
 
-    At ``sigma = 1`` an estimate is a per-class constant times the value, so
-    each run is scored on its four class maxima and class sizes
-    (``bias_class_maxima``), which gives the full pool's accuracies bit for
-    bit; the ``(size, 4, 1)`` maxima broadcast against the ``d`` columns.
+    At ``sigma = 1`` the values are ``(size, n, 1)``, one per applicant, and
+    broadcast against the ``d`` columns in the row totals and the scorer.
     """
     shared = members[0]
     n = int(shared["n"])
@@ -488,12 +450,6 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         float(shared["lambda"]),
         None if gamma is None else float(gamma),
     )
-    classes = None
-    if sigma == 1.0:
-        # score each run's four class maxima in place of its n applicants
-        classes = (labels[0], labels[2])
-        labels[0] = np.broadcast_to(_CLASS_DISADVANTAGED, (size, 4))
-        labels[2] = np.broadcast_to(_CLASS_OWNER0, (size, 4))
     by_marginal = {}
     for index, params in enumerate(members):
         by_marginal.setdefault(params["marginal"], []).append(index)
@@ -503,15 +459,11 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         tied = np.zeros(size, dtype=bool)
         for marginal, indices in by_marginal.items():
             values = marginal.inv_cdf(u)
-            total = values.sum(axis=2)
+            total = np.broadcast_to(values, (size, n, d)).sum(axis=2)
             tied |= _best_is_tied(total)
-            counts = None
-            if classes is not None:
-                values, counts = bias_class_maxima(values, *classes)
-                total = None  # the scorer sums the maxima over the d columns
             for index in indices:
                 beta = float(members[index]["beta"])
-                acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta, counts, total)
+                acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta, total)
                 scores[index] = {
                     "holistic": acc_h,
                     "segmented": acc_s,
@@ -530,6 +482,14 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
 
 # ---------------------------------------------------------------------------
 # theorem setting: two attributes, sigma = 1, committee of two
+
+
+# Class patterns of a fully correlated pool's four classes, in which an
+# estimate is a per-class constant times the value: (disadvantaged, owner 0),
+# (disadvantaged, owner 1), (advantaged, owner 0), (advantaged, owner 1).
+# The theorem draw scores one column per class.
+_CLASS_DISADVANTAGED = np.array([True, True, False, False])
+_CLASS_OWNER0 = np.array([True, False, True, False])
 
 
 def theorem_error_pairs(

@@ -529,13 +529,18 @@ def test_bias_grid_rejects_an_odd_count(capsys, tmp_path):
             "4b67aa3d08e2da5492fe4a73f568882ab183c1cbd8e087ad3dd29e9925afe58c",
         ),
         (
-            # alpha = 1 discounts every segmented row, and at sigma = 1 some
-            # runs score class maxima of empty classes and all-zero estimates
+            # alpha = 1 discounts every segmented row
             ("--axis1", "alpha=0.5,1", "--axis2", "sigma=0.5,1"),
             "169087df37890ffdb1f140e42e53b180e3f22b1efb9192ffd44773e08d8bfc74",
         ),
+        (
+            # at alpha = 1 with both coins biased every estimate is 0, so all
+            # n applicants tie for the top pick
+            ("--gamma", "0.5", "--axis1", "alpha=0.5,1", "--axis2", "sigma=0.9,1"),
+            "bee063badc2d0635aa1f9f738addcfad3434d07e644bc21fa0057b0958aa2193",
+        ),
     ],
-    ids=["delta-sigma", "gamma-beta-lambda", "alpha-sigma"],
+    ids=["delta-sigma", "gamma-beta-lambda", "alpha-sigma", "gamma-alpha-sigma"],
 )
 def test_bias_grid_bytes_are_pinned(capsys, tmp_path, args, csv_sha256):
     code = run_cli("bias-grid", "--seed", "5", "--runs", "300", *args, "--outdir", str(tmp_path))

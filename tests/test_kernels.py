@@ -27,7 +27,6 @@ from evalsim.experiments.kernels import (
     MAX_TIE_REDRAWS,
     _best_is_tied,
     _redraw_tied_rows,
-    bias_class_maxima,
     bias_scheme_accuracies,
     bias_worker,
     calibration_worker,
@@ -416,31 +415,15 @@ def test_grouped_bias_worker_matches_object_route(gamma):
         assert np.array_equal(scores["difference"], slow_s - slow_h)
 
 
-def _class_batch(values, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1):
-    """A sigma = 1 batch reduced to its four class maxima, one column per attribute."""
-    batch, _, d = values.shape
-    maxima, counts = bias_class_maxima(values[:, :, :1], disadvantaged, hol_rows0)
-    return (
-        np.repeat(maxima, d, axis=2),
-        np.broadcast_to([True, True, False, False], (batch, 4)),
-        protected,
-        np.broadcast_to([True, False, True, False], (batch, 4)),
-        seg_cols0,
-        coin0,
-        coin1,
-    ), counts
-
-
 @pytest.mark.parametrize("n", [6, 20])
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 @pytest.mark.parametrize("gamma", [None, 0.5])
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 def test_bias_class_maxima_score_like_the_full_pool(n, alpha, lam, gamma, beta):
-    # at sigma = 1 an estimate is a per-class constant times the value, so
-    # scoring each class's best applicant, with the class sizes for the runs
-    # where every estimate is 0 and so ties n ways, gives the full pool's
-    # accuracies
+    # at sigma = 1 the worker scores (size, n, 1) values broadcast against the
+    # d columns, which must give the repeated full pool's accuracies, also
+    # where every estimate is 0 and ties n ways
     d, size = 20, 512
     point = {
         "n": n, "d": d, "sigma": 1.0, "alpha": alpha, "lambda": lam, "beta": beta,
@@ -456,19 +439,6 @@ def test_bias_class_maxima_score_like_the_full_pool(n, alpha, lam, gamma, beta):
     (out,) = bias_worker((point,), derive_stream(58, 8), size)
     assert np.array_equal(out["holistic"], want[0])
     assert np.array_equal(out["segmented"], want[1])
-
-    batch, counts = _class_batch(*full)
-    assert np.array_equal(counts.sum(axis=1), np.full(size, n))
-    got = bias_scheme_accuracies(*batch, beta, counts)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-
-    # the (B, 4, 1) class maxima broadcast against the d columns: no repeat
-    maxima, _ = bias_class_maxima(values, labels[0], labels[2])
-    assert maxima.shape == (size, 4, 1)
-    got = bias_scheme_accuracies(maxima, *batch[1:], beta, counts)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize(
@@ -556,16 +526,15 @@ def test_bias_scorer_decisions_match_object_route(case):
 
 def test_bias_scorer_decides_class_maxima_like_the_full_pool():
     # sigma = 1 pools.  Run 0 has alpha = 1, both evaluators biased, beta = 0
-    # and every attribute protected: every estimate is 0 and ties 4 ways,
-    # and the two advantaged classes are empty.  In run 1 the classes
-    # (disadvantaged, owner 1) and (advantaged, owner 0) are empty.
+    # and every attribute protected: every estimate is 0 and ties 4 ways.
+    # In run 1 evaluator 0 owns both disadvantaged rows and only advantaged
+    # rows are left for evaluator 1.
     runs = (
         _hand_run([[3, 3], [1, 1], [4, 4], [2, 2]], [T, T, T, T], coins=(T, T)),
         _hand_run([[5, 5], [1, 1], [2, 2], [1, 1]], [T, T, F, F]),
     )
     full = tuple(np.concatenate(parts) for parts in zip(*runs))
-    batch, counts = _class_batch(*full)
-    got = bias_scheme_accuracies(*batch, 0.0, counts)
+    got = bias_scheme_accuracies(*full, 0.0)
     slow = _bias_object_route(full, 0.0)
     assert np.array_equal(got[0], slow[0]) and np.array_equal(got[1], slow[1])
     assert np.array_equal(got[0], [0.25, 0.0]) and np.array_equal(got[1], [0.25, 1.0])
