@@ -11,16 +11,18 @@ the cell is discounted and 1.0 elsewhere: ``x * 1.0`` is ``x`` and ``x *
 beta`` is ``beta * x``, so each row holds the object layer's reported
 values, summed along the same axis, and equality is exact, not approximate.
 
-The screening scorer, ``efficiency_accuracies``, is the one rank count: the
-true best is unique, so a run scores 1.0 when the best's place in its
-owner's screening order is below the cutoff and 0.0 otherwise, with no sort.
-The bias scorer, ``bias_scheme_accuracies``, first decides each run from the
-true best's own estimate: discounting never raises an estimate, so the best
-wins outright when it is not discounted and its total is the unique top, and
-loses when it is discounted below the top total that is not.  Only the runs
-this cannot settle build every applicant's estimate.  Those runs, and the
-theorem scorer, compare every estimate with the top one
-(``_tie_adjusted_hits``), since discounted estimates can tie there.
+Every top-choice scorer takes runs whose true best, the top row total, is
+unique: ``_redraw_tied_rows`` redraws each tied run before a score is kept.
+The screening scorer, ``efficiency_accuracies``, is the one rank count: a run
+scores 1.0 when the best's place in its owner's screening order is below the
+cutoff and 0.0 otherwise, with no sort.  The bias scorer,
+``bias_scheme_accuracies``, first decides each run from the true best's own
+estimate (``_decide_then_score``): discounting never raises an estimate, so
+the best wins outright when it is not discounted, and loses when it is
+discounted below the top total that is not.  Only the runs this cannot
+settle build every applicant's estimate and compare each with the top one
+(``_tie_adjusted_hits``), since discounted estimates can tie there.  The
+theorem scorer, ``theorem_error_pairs``, is the same core at ``d = 2``.
 
 The two extreme correlations skip the Gaussian copula:
 ``draw_correlated_values`` draws plain uniforms at ``sigma = 0`` and one
@@ -302,21 +304,21 @@ def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
 # bias grids: holistic versus segmented committees of two, shared pools
 
 
-def _decide_then_score(values, total, best, unique, hit, factor):
+def _decide_then_score(values, total, best, hit, factor):
     """One scheme's accuracies: decide each run from ``best``'s own estimate.
 
     ``hit (B, n)`` marks the discounted rows and ``factor (B, d)`` holds each
-    column's factor in them; every other row reports its total.  A run is
-    open when its best total is tied, or when ``best`` is hit but reports at
-    least the largest total of the rows that are not; open runs alone build
-    every row's estimate.
+    column's factor in them; every other row reports its total.  ``best`` is
+    the row of each run's unique top total.  A run is open when ``best`` is hit but
+    reports at least the largest total of the rows that are not; open runs
+    alone build every row's estimate.
     """
     runs = np.arange(best.size)
     hit_b = hit[runs, best]
     own = (values[runs, best] * factor).sum(axis=1)
     rest = np.where(hit, -np.inf, total).max(axis=1)
     acc = np.where(hit_b, 0.0, 1.0)
-    open_runs = np.flatnonzero(~unique | (hit_b & ~(own < rest)))
+    open_runs = np.flatnonzero(hit_b & ~(own < rest))
     if open_runs.size:
         est = np.where(
             hit[open_runs],
@@ -346,7 +348,8 @@ def bias_scheme_accuracies(
     bias coins.  Both schemes score the same pools (common random numbers),
     so the per-run difference is a low-variance paired estimate.  ``values``
     may be ``(B, n, 1)`` when its d columns are equal, and ``total (B, n)``
-    passes row totals already summed.
+    passes row totals already summed.  Each run's best row total must be
+    unique, as ``bias_worker`` makes it by redrawing tied runs.
 
     Each run is first decided from the true best ``b``'s own estimate.  A
     row is hit when it is discounted: disadvantaged and owned by a biased
@@ -358,25 +361,24 @@ def bias_scheme_accuracies(
     when ``b`` is hit and its estimate is below the largest total of a row
     that is not.  ``b``'s estimate is the same products summed along the
     same contiguous axis as the full computation, so it has the same bits.
-    Every other run, and every run whose best total is tied, is scored in
-    full, so the result is the object layer's bit for bit.
+    Every other run is scored in full, so the result is the object layer's
+    bit for bit.
     """
     if total is None:
         total = np.broadcast_to(values, disadvantaged.shape + protected.shape[1:]).sum(axis=2)
     best = np.argmax(total, axis=1)
-    unique = ~_best_is_tied(total)
 
     # holistic: a row's owner reports every attribute of that row
     row_coin = np.where(hol_rows0, coin0[:, None], coin1[:, None])
     acc_h = _decide_then_score(
-        values, total, best, unique, disadvantaged & row_coin,
+        values, total, best, disadvantaged & row_coin,
         np.where(protected, beta, 1.0),
     )
 
     # segmented: a column's owner reports that attribute for every row
     col_coin = np.where(seg_cols0, coin0[:, None], coin1[:, None])
     acc_s = _decide_then_score(
-        values, total, best, unique, disadvantaged,
+        values, total, best, disadvantaged,
         np.where(protected & col_coin, beta, 1.0),
     )
     return acc_h, acc_s
@@ -509,33 +511,27 @@ def theorem_error_pairs(
     ``seg_first`` is True where evaluator 0 owns attribute 0 under the
     segmented scheme.  Returns ``(err_hol, err_seg, best_is_dis)``.
 
-    The columns may be whole pools or the four class maxima of
-    ``draw_theorem_batch``: an estimate is a per-class positive constant
-    times the value, so only a class's best applicant can be picked.
+    This is the bias scorer at ``d = 2``: each scheme is one
+    ``_decide_then_score`` call on ``values`` as one broadcast column, whose
+    two-column row total is ``values + values``.  Each run's best value must
+    be unique, as ``draw_theorem_batch`` makes it.  The columns may be whole
+    pools or the four class maxima of ``draw_theorem_batch``: an estimate is
+    a per-class positive constant times the value, so only a class's best
+    applicant can be picked.
     """
-    batch, n = values.shape
+    total = values + values
     best = np.argmax(values, axis=1)
-
+    values = values[..., None]
     row_coin = np.where(hol_rows0, coin0[:, None], coin1[:, None])
-    hit_h = disadvantaged & row_coin
-    rep_h0 = np.where(hit_h & protected2[:, 0:1], beta * values, values)
-    rep_h1 = np.where(hit_h & protected2[:, 1:2], beta * values, values)
-    est_h = rep_h0 + rep_h1
-
-    coin_a0 = np.where(seg_first, coin0, coin1)[:, None]
-    coin_a1 = np.where(seg_first, coin1, coin0)[:, None]
-    rep_s0 = np.where(
-        disadvantaged & protected2[:, 0:1] & coin_a0, beta * values, values
+    acc_h = _decide_then_score(
+        values, total, best, disadvantaged & row_coin, np.where(protected2, beta, 1.0)
     )
-    rep_s1 = np.where(
-        disadvantaged & protected2[:, 1:2] & coin_a1, beta * values, values
+    col_coin = np.stack([np.where(seg_first, coin0, coin1), np.where(seg_first, coin1, coin0)], 1)
+    acc_s = _decide_then_score(
+        values, total, best, disadvantaged, np.where(protected2 & col_coin, beta, 1.0)
     )
-    est_s = rep_s0 + rep_s1
-
-    err_h = 1.0 - _tie_adjusted_hits(est_h, best)
-    err_s = 1.0 - _tie_adjusted_hits(est_s, best)
-    best_is_dis = disadvantaged[np.arange(batch), best]
-    return err_h, err_s, best_is_dis
+    best_is_dis = disadvantaged[np.arange(best.size), best]
+    return 1.0 - acc_h, 1.0 - acc_s, best_is_dis
 
 
 def max_of_draws(rng: np.random.Generator, counts, delta: float) -> np.ndarray:

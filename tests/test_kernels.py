@@ -469,6 +469,39 @@ def test_bias_worker_at_extreme_correlations_matches_object_route(sigma, shared)
         assert np.array_equal(scores["segmented"], slow_s)
 
 
+def test_bias_worker_scores_the_redrawn_values(monkeypatch):
+    # the first draw ties applicants 0 and 1 of run 0 under both marginals;
+    # the worker redraws run 0, and every kept score is the object route's on
+    # the redrawn values, so the scorer never meets a tied best
+    tied = np.array([[[0.9, 0.5], [0.5, 0.9], [0.1, 0.2], [0.3, 0.1]],
+                     [[0.1, 0.2], [0.8, 0.7], [0.3, 0.3], [0.2, 0.6]]])
+    fresh = np.array([[[0.2, 0.3], [0.1, 0.1], [0.4, 0.5], [0.95, 0.3]]])
+    calls = []
+
+    def stub(rng, batch, n, d, sigma, marginal):
+        calls.append(batch)
+        return (tied if len(calls) % 2 else fresh).copy()
+
+    settings = [(1.0, 0.0), (2.0, 0.3)]
+    members = tuple(
+        {**BIAS_POINT, "n": 4, "d": 2, "gamma": 0.5, "marginal": PowerLaw(de), "beta": beta}
+        for de, beta in settings
+    )
+    for de, _ in settings:
+        assert list(_best_is_tied(PowerLaw(de).inv_cdf(tied))) == [True, False]
+    monkeypatch.setattr(kernels, "draw_correlated_values", stub)
+    out = bias_worker(members, derive_stream(47, 12), 2)
+    assert calls == [2, 1]
+    _, *labels = draw_bias_batch(derive_stream(47, 12), 2, 4, 2, 0.5, 0.5, 0.5, 0.5)
+    redrawn = np.stack([fresh[0], tied[1]])
+    for (de, beta), scores in zip(settings, out):
+        slow_h, slow_s = _bias_object_route((PowerLaw(de).inv_cdf(redrawn), *labels), beta)
+        assert np.array_equal(scores["holistic"], slow_h)
+        assert np.array_equal(scores["segmented"], slow_s)
+        # the redrawn best is discounted below row 2 by the holistic scheme only
+        assert list(slow_h) == [0.0, 1.0] and list(slow_s) == [1.0, 1.0]
+
+
 T, F = True, False
 
 
@@ -491,7 +524,7 @@ def _hand_run(values, disadvantaged, protected=(T, T), coins=(T, F)):
 
 # Each way the bias scorer settles a run: values, disadvantaged rows,
 # protected columns, beta and the (holistic, segmented) accuracies.  Row 0
-# holds the best total.
+# holds the best total, which is unique, as after a tie redraw.
 _DECISION_CASES = {
     # the best is not discounted and its total is the unique top
     "best-not-hit": ([[5, 5], [1, 1], [2, 2], [3, 3]], [F, T, T, F], (T, T), 0.0, (1.0, 1.0)),
@@ -509,8 +542,6 @@ _DECISION_CASES = {
     "own-equals-rest": ([[4, 4], [1, 1], [1, 2], [2, 2]], [T, F, F, F], (T, T), 0.5, (0.5, 1.0)),
     # alpha = 1: every segmented row is discounted, so none bounds the best
     "all-hit": ([[4, 6], [1, 1], [2, 2], [5, 1]], [T, T, T, T], (T, T), 0.0, (0.0, 1.0)),
-    # rows 0 and 3 tie for the best total, as before a tie redraw
-    "tied-best": ([[5, 5], [1, 1], [2, 2], [4, 6]], [F, T, T, F], (T, T), 0.0, (0.5, 0.5)),
 }
 
 
@@ -629,19 +660,22 @@ def _theorem_object_route(batch_arrays, beta):
     return err_h, err_s
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.25])
-@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 0.25, 1e-300, 0.999999])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_theorem_kernel_matches_object_route(beta, lam):
-    rng = derive_stream(49, 8)
-    batch_arrays = _draw_full_pool_theorem_batch(rng, 64, 4, 1.0, lam, 0.5)
-    fast_h, fast_s, best_is_dis = theorem_error_pairs(*batch_arrays, beta)
-    slow_h, slow_s = _theorem_object_route(batch_arrays, beta)
-    assert np.array_equal(fast_h, slow_h)
-    assert np.array_equal(fast_s, slow_s)
+    # also where beta * x is subnormal or a heavy tail's values span many
+    # orders of magnitude, as in the bias scorer's extremes test
+    for delta in (1.0, 0.05, 50.0):
+        rng = derive_stream(49, 8)
+        batch_arrays = _draw_full_pool_theorem_batch(rng, 64, 4, delta, lam, 0.5)
+        fast_h, fast_s, best_is_dis = theorem_error_pairs(*batch_arrays, beta)
+        slow_h, slow_s = _theorem_object_route(batch_arrays, beta)
+        assert np.array_equal(fast_h, slow_h), delta
+        assert np.array_equal(fast_s, slow_s), delta
 
-    values, disadvantaged = batch_arrays[0], batch_arrays[1]
-    best = values.argmax(axis=1)
-    assert np.array_equal(best_is_dis, disadvantaged[np.arange(64), best])
+        values, disadvantaged = batch_arrays[0], batch_arrays[1]
+        best = values.argmax(axis=1)
+        assert np.array_equal(best_is_dis, disadvantaged[np.arange(64), best])
 
 
 def test_theorem_errors_only_hit_disadvantaged_bests():
