@@ -16,9 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEMES = ("holistic", "segmented", "blocked")
-
-
 @dataclass(frozen=True)
 class AllocationPlan:
     """A partition of the evaluation grid into per-evaluator blocks.
@@ -30,12 +27,9 @@ class AllocationPlan:
 
     n: int
     d: int
-    scheme: str
     blocks: tuple
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.blocks:
             raise ValueError("a plan needs at least one evaluator")
 
@@ -94,7 +88,7 @@ def allocate_holistic(
     cols = np.arange(d)
     row_groups = _split_indices(n, n // evaluators, rng)
     blocks = tuple((rows, cols) for rows in row_groups)
-    return AllocationPlan(n, d, "holistic", blocks)
+    return AllocationPlan(n, d, blocks)
 
 
 def allocate_segmented(
@@ -109,7 +103,7 @@ def allocate_segmented(
     rows = np.arange(n)
     col_groups = _split_indices(d, d // evaluators, rng)
     blocks = tuple((rows, cols) for cols in col_groups)
-    return AllocationPlan(n, d, "segmented", blocks)
+    return AllocationPlan(n, d, blocks)
 
 
 def allocate_blocked(
@@ -140,4 +134,4 @@ def allocate_blocked(
     blocks = tuple(
         (rows, cols) for rows in row_groups for cols in col_groups
     )
-    return AllocationPlan(n, d, "blocked", blocks)
+    return AllocationPlan(n, d, blocks)

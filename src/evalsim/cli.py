@@ -119,17 +119,18 @@ class Option:
 _COMMON = (
     Option("seed", int, None, "master seed (required)"),
     Option("outdir", str, None, f"output directory (default ${OUTPUT_DIR_ENV} or .)"),
-    Option("workers", int, "1", "worker processes"),
 )
+# pool-dump draws one pool in-process; the experiments can spread runs over a pool
+_EXPERIMENT = _COMMON + (Option("workers", int, "1", "worker processes"),)
 
 OPTIONS = {
-    "calibration": _COMMON
+    "calibration": _EXPERIMENT
     + (
         Option("runs", int, "1000", "pools per pool size"),
         Option("n_values", _parse_int_list, "5,10,20,50,100,200,500,1000", "pool sizes"),
         Option("num_bins", int, "5", "quantile bins"),
     ),
-    "efficiency": _COMMON
+    "efficiency": _EXPERIMENT
     + (
         Option("runs", int, "1000", "pools per grid point"),
         Option("n", _parse_committee_pool, "200", "pool size"),
@@ -137,7 +138,7 @@ OPTIONS = {
         Option("tau", _parse_float_list, "0.05,0.1,0.2,0.5,1.0", "screening depths"),
         Option("sigma", _parse_float_list, "0,0.5,0.9,1", "attribute correlations"),
     ),
-    "bias-grid": _COMMON
+    "bias-grid": _EXPERIMENT
     + (
         Option("runs", int, "50000", "pools per grid point"),
         Option("axis1", _parse_axis, "delta=0.2,0.6,1.0,1.5,2.0", "first grid axis, name=v1,v2,..."),
@@ -151,7 +152,7 @@ OPTIONS = {
         Option("delta", float, None, "tail exponent override"),
         Option("gamma", float, None, "probability each evaluator is biased (independent coins)"),
     ),
-    "theorem-verify": _COMMON
+    "theorem-verify": _EXPERIMENT
     + (
         Option("n", _parse_even_pool_list, "2,20", "pool sizes for the paired checks"),
         Option("delta", _parse_float_list, "0.3,1.0", "tail exponents"),

@@ -10,7 +10,7 @@ scores for them.  Behaviors:
   probability ``gamma``.
 * quantile binner: owns a single attribute for ``m`` applicants and reports
   only which local quantile bin each applicant falls in; it reports labels,
-  not scores, so it is :func:`local_quantile_bins` and has no profile.
+  not scores, so it is :func:`local_quantile_bins`.
 * screener: owns exactly two attributes; reports the first for everyone but
   evaluates the second only for the top ``ceil(tau * m)`` applicants by
   first-attribute value (ties broken toward the lower applicant index).
@@ -24,32 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .population import AttributeMatrix
-
-EVALUATOR_KINDS = ("truthful", "biased", "screener")
-
-
-@dataclass(frozen=True)
-class EvaluatorProfile:
-    """Behavioral model of a single evaluator.
-
-    ``is_biased`` holds the realized coin for kind ``"biased"``: the discount
-    is applied only when it is True.
-    """
-
-    kind: str
-    beta: float | None = None
-    tau: float | None = None
-    is_biased: bool = False
-
-    def __post_init__(self):
-        if self.kind not in EVALUATOR_KINDS:
-            raise ValueError(f"unknown evaluator kind {self.kind!r}")
-        if self.kind == "biased":
-            if self.beta is None or not 0.0 <= self.beta < 1.0:
-                raise ValueError("biased evaluators need beta in [0, 1)")
-        if self.kind == "screener":
-            if self.tau is None or not 0.0 < self.tau <= 1.0:
-                raise ValueError("screeners need tau in (0, 1]")
 
 
 @dataclass
@@ -114,18 +88,6 @@ def report_biased(rows, cols, pool: AttributeMatrix, beta: float) -> ScoreMatrix
     out.scores[block] = np.where(hit, beta * values, values)
     out.evaluated[block] = True
     return out
-
-
-def report(profile: EvaluatorProfile, rows, cols, pool: AttributeMatrix) -> ScoreMatrix:
-    """Dispatch an evaluator profile onto its block.
-
-    A biased profile whose coin came up False reports truthfully.
-    """
-    if profile.kind == "screener":
-        return report_screened(rows, cols, pool, profile.tau)
-    if profile.kind == "biased" and profile.is_biased:
-        return report_biased(rows, cols, pool, profile.beta)
-    return report_truthful(rows, cols, pool)
 
 
 def local_quantile_bins(values: np.ndarray, num_bins: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 Each kernel separates drawing from scoring.  ``draw_*`` helpers consume a
 Generator and return batched input arrays; the scoring cores are pure
 functions of those explicit arrays.  The cores reproduce, run for run and
-bit for bit, what the object layer (report, report_screened, merge_scores,
-top1_accuracy, local_quantile_bins, mean_bin_error) computes, and the test
-suite drives both routes on identical inputs and requires exact agreement.
+bit for bit, what the object layer (report_truthful, report_biased,
+report_screened, merge_scores, top1_accuracy, local_quantile_bins,
+mean_bin_error) computes, and the test suite drives both routes on
+identical inputs and requires exact agreement.
 The bias scorer multiplies each row by a per-column factor, ``beta`` where
 the cell is discounted and 1.0 elsewhere: ``x * 1.0`` is ``x`` and ``x *
 beta`` is ``beta * x``, so each row holds the object layer's reported

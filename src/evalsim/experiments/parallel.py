@@ -82,7 +82,9 @@ def run_points(
         for gi, members in enumerate(groups)
         for ci, size in enumerate(sizes)
     ]
-    if workers == 1:
+    # a pool forks all its workers up front, so never ask for more than the tasks
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         outputs = map(_run_one, tasks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -20,7 +20,6 @@ def _rng(seed=0):
 
 def test_holistic_shape_and_partition():
     plan = allocate_holistic(6, 4, 3, _rng())
-    assert plan.scheme == "holistic"
     assert len(plan.blocks) == 3
     owner = plan.cell_map()
     assert owner.shape == (6, 4)
@@ -33,7 +32,6 @@ def test_holistic_shape_and_partition():
 
 def test_segmented_shape_and_partition():
     plan = allocate_segmented(5, 6, 2, _rng())
-    assert plan.scheme == "segmented"
     owner = plan.cell_map()
     for rows, cols in plan.blocks:
         assert np.array_equal(rows, np.arange(5))
@@ -115,22 +113,20 @@ def test_divisibility_and_bounds_errors():
 def test_overlapping_blocks_rejected():
     rows = np.arange(2)
     cols = np.arange(2)
-    plan = AllocationPlan(2, 2, "blocked", ((rows, cols), (rows[:1], cols)))
+    plan = AllocationPlan(2, 2, ((rows, cols), (rows[:1], cols)))
     with pytest.raises(ValueError):
         plan.cell_map()
 
 
 def test_uncovered_cells_rejected():
-    plan = AllocationPlan(2, 2, "blocked", ((np.arange(1), np.arange(2)),))
+    plan = AllocationPlan(2, 2, ((np.arange(1), np.arange(2)),))
     with pytest.raises(ValueError):
         plan.cell_map()
 
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        AllocationPlan(2, 2, "diagonal", ((np.arange(2), np.arange(2)),))
-    with pytest.raises(ValueError):
-        AllocationPlan(2, 2, "holistic", ())
+        AllocationPlan(2, 2, ())
 
 
 def test_plan_csv_schema(tmp_path):

@@ -759,6 +759,24 @@ def test_pool_dump_writes_pool_and_plan(capsys, tmp_path):
     assert evaluators == {"0", "1", "2", "3"}
 
 
+def test_pool_dump_takes_no_workers(capsys, tmp_path):
+    # one pool is drawn in-process, so no option spreads it over workers
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pool-dump", "--seed", "1", "--workers", "2", "--outdir", str(outdir))
+    assert exc.value.code == 2
+    assert run_cli("pool-dump", "--seed", "1", "--outdir", str(outdir)) == 0
+    meta = json.loads((outdir / "pool_metadata.json").read_text())
+    assert "workers" not in meta["config"]
+    # metadata written while pool-dump still took --workers
+    old = tmp_path / "pool_metadata.json"
+    old.write_text(json.dumps({"config": {**meta["config"], "workers": "1"}}))
+    capsys.readouterr()
+    assert run_cli("pool-dump", "--config", str(old), "--outdir", str(tmp_path / "again")) == 2
+    assert "'workers'" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
 def test_pool_dump_blocked_needs_dimensions(capsys, tmp_path):
     code = run_cli(
         "pool-dump", "--seed", "11", "--scheme", "blocked", "--outdir", str(tmp_path)
@@ -800,11 +818,19 @@ _POOL_SHA256 = "ba0e4c49d243ff44fd4918ac04e6e0c91f189ae3a59938ca1f392ed5c848bfb6
     [
         ((), None),
         (
+            ("--scheme", "holistic"),
+            "ba65d81384fbed832fa5e2166441432caf11475483309b42d1c10fde5d4aa549",
+        ),
+        (
+            ("--scheme", "segmented"),
+            "5ce2c648eeb5adf508c49a8a4e0230d10b6d73ea3981ff16c09d6ab18e7e33d9",
+        ),
+        (
             ("--scheme", "blocked", "--rows-per-eval", "5", "--cols-per-eval", "4"),
             "d2d530ac75b0eb6a173e76a8a7a7e05c16e7080593b57539fb0e78ac010d2e48",
         ),
     ],
-    ids=["defaults", "blocked"],
+    ids=["defaults", "holistic", "segmented", "blocked"],
 )
 def test_pool_dump_bytes_are_pinned(capsys, tmp_path, args, plan_sha256):
     assert run_cli("pool-dump", "--seed", "0", *args, "--outdir", str(tmp_path)) == 0

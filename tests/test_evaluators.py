@@ -5,11 +5,9 @@ import pytest
 
 from evalsim.distributions import PowerLaw
 from evalsim.evaluators import (
-    EvaluatorProfile,
     ScoreMatrix,
     local_quantile_bins,
     merge_scores,
-    report,
     report_biased,
     report_screened,
     report_truthful,
@@ -29,20 +27,6 @@ def _pool(values, disadvantaged=None, protected=None):
     if protected is None:
         protected = np.zeros(d, dtype=bool)
     return AttributeMatrix(values, np.asarray(disadvantaged), np.asarray(protected))
-
-
-def test_profile_validation():
-    EvaluatorProfile("truthful")
-    EvaluatorProfile("biased", beta=0.0)
-    EvaluatorProfile("screener", tau=0.5)
-    with pytest.raises(ValueError):
-        EvaluatorProfile("oracle")
-    with pytest.raises(ValueError):
-        EvaluatorProfile("biased", beta=1.0)
-    with pytest.raises(ValueError):
-        EvaluatorProfile("biased")
-    with pytest.raises(ValueError):
-        EvaluatorProfile("screener", tau=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +67,6 @@ def test_biased_report_validates_beta():
         report_biased(range(2), range(2), pool, beta=1.0)
     with pytest.raises(ValueError):
         report_biased(range(2), range(2), pool, beta=-0.1)
-
-
-def test_report_dispatch_uses_the_realized_coin():
-    values = np.arange(1.0, 5.0).reshape(2, 2)
-    pool = _pool(values, disadvantaged=[True, True], protected=[True, True])
-    quiet = report(EvaluatorProfile("biased", beta=0.0, is_biased=False), range(2), range(2), pool)
-    assert np.array_equal(quiet.scores, values)
-    loud = report(EvaluatorProfile("biased", beta=0.0, is_biased=True), range(2), range(2), pool)
-    assert np.all(loud.scores == 0.0)
 
 
 def test_merge_scores_combines_disjoint_blocks():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalsim.distributions import PowerLaw
-from evalsim.experiments import bias
+from evalsim.experiments import bias, parallel
 from evalsim.experiments.bias import run_bias_grid
 from evalsim.experiments.calibration import run_calibration_sweep
 from evalsim.experiments.efficiency import efficiency_grid, run_efficiency_sweep
@@ -64,6 +64,37 @@ def test_run_points_is_worker_count_invariant():
     )
     assert serial == pooled
     assert [s["binner"][2] for s in serial] == [300, 300]
+
+
+def test_run_points_starts_no_more_workers_than_tasks(monkeypatch):
+    # a pool forks every worker it is asked for, so an oversized --workers is
+    # cut to the task count; the fake maps serially and starts no process
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    points = [CAL_POINT, {**CAL_POINT, "n": 20}]
+    serial = run_points(calibration_worker, points, 300, 9, (7, 3), chunk_size=64)
+    wide = run_points(
+        calibration_worker, points, 300, 9, (7, 3), chunk_size=64, workers=100_000
+    )
+    assert asked == [10]  # 2 points x 5 chunks
+    assert wide == serial
+    # one task runs in-process whatever the worker count
+    run_points(calibration_worker, [CAL_POINT], 64, 9, (7, 3), chunk_size=64, workers=8)
+    assert asked == [10]
 
 
 def test_run_points_reduces_per_run_arrays_in_chunk_order():

@@ -17,10 +17,10 @@ from scipy import stats
 
 from evalsim.distributions import PowerLaw, power_law_inv_cdf
 from evalsim.evaluators import (
-    EvaluatorProfile,
     merge_scores,
-    report,
+    report_biased,
     report_screened,
+    report_truthful,
 )
 from evalsim.experiments import kernels
 from evalsim.experiments.kernels import (
@@ -346,21 +346,19 @@ def _bias_object_route(batch_arrays, beta):
     acc_s = np.empty(batch)
     for b in range(batch):
         pool = AttributeMatrix(values[b], disadvantaged[b], protected[b])
-        profiles = [
-            EvaluatorProfile("biased", beta=beta, is_biased=bool(coin0[b])),
-            EvaluatorProfile("biased", beta=beta, is_biased=bool(coin1[b])),
-        ]
-        hol = merge_scores(
-            [
-                report(profiles[0], np.flatnonzero(hol_rows0[b]), all_cols, pool),
-                report(profiles[1], np.flatnonzero(~hol_rows0[b]), all_cols, pool),
-            ]
+
+        def committee(blocks):
+            # an evaluator discounts only when its own coin came up True
+            return merge_scores(
+                report_biased(rows, cols, pool, beta) if coin else report_truthful(rows, cols, pool)
+                for (rows, cols), coin in zip(blocks, (coin0[b], coin1[b]))
+            )
+
+        hol = committee(
+            [(np.flatnonzero(hol_rows0[b]), all_cols), (np.flatnonzero(~hol_rows0[b]), all_cols)]
         )
-        seg = merge_scores(
-            [
-                report(profiles[0], all_rows, np.flatnonzero(seg_cols0[b]), pool),
-                report(profiles[1], all_rows, np.flatnonzero(~seg_cols0[b]), pool),
-            ]
+        seg = committee(
+            [(all_rows, np.flatnonzero(seg_cols0[b])), (all_rows, np.flatnonzero(~seg_cols0[b]))]
         )
         acc_h[b] = top1_accuracy(hol, pool)
         acc_s[b] = top1_accuracy(seg, pool)
@@ -630,34 +628,15 @@ def _class_maxima(batch_arrays):
 
 
 def _theorem_object_route(batch_arrays, beta):
+    # the theorem pool is the bias pool with each value in both columns; the
+    # segmented coin hands column 0 to evaluator 0 exactly when seg_first
     values, disadvantaged, protected2, hol_rows0, seg_first, coin0, coin1 = batch_arrays
-    batch, n = values.shape
-    all_rows = np.arange(n)
-    err_h = np.empty(batch)
-    err_s = np.empty(batch)
-    for b in range(batch):
-        two_col = np.repeat(values[b][:, None], 2, axis=1)
-        pool = AttributeMatrix(two_col, disadvantaged[b], protected2[b])
-        profiles = [
-            EvaluatorProfile("biased", beta=beta, is_biased=bool(coin0[b])),
-            EvaluatorProfile("biased", beta=beta, is_biased=bool(coin1[b])),
-        ]
-        hol = merge_scores(
-            [
-                report(profiles[0], np.flatnonzero(hol_rows0[b]), np.array([0, 1]), pool),
-                report(profiles[1], np.flatnonzero(~hol_rows0[b]), np.array([0, 1]), pool),
-            ]
-        )
-        first_owner, second_owner = (0, 1) if seg_first[b] else (1, 0)
-        seg = merge_scores(
-            [
-                report(profiles[first_owner], all_rows, np.array([0]), pool),
-                report(profiles[second_owner], all_rows, np.array([1]), pool),
-            ]
-        )
-        err_h[b] = 1.0 - top1_accuracy(hol, pool)
-        err_s[b] = 1.0 - top1_accuracy(seg, pool)
-    return err_h, err_s
+    two_col = np.repeat(values[:, :, None], 2, axis=2)
+    seg_cols0 = np.stack([seg_first, ~seg_first], axis=1)
+    acc_h, acc_s = _bias_object_route(
+        (two_col, disadvantaged, protected2, hol_rows0, seg_cols0, coin0, coin1), beta
+    )
+    return 1.0 - acc_h, 1.0 - acc_s
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.25, 1e-300, 0.999999])

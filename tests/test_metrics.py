@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from evalsim.allocation import allocate_blocked, allocate_holistic
 from evalsim.distributions import PowerLaw
 from evalsim.evaluators import (
-    EvaluatorProfile,
     ScoreMatrix,
     local_quantile_bins,
     merge_scores,
-    report,
+    report_truthful,
 )
 from evalsim.experiments.kernels import build_pool, calibration_worker
 from evalsim.metrics import mean_bin_error, percentile_bin, top1_accuracy
@@ -177,7 +176,6 @@ def test_top1_accuracy_validation():
 
 def test_noiseless_committee_is_always_right():
     rng = derive_stream(27, 31)
-    profile = EvaluatorProfile("truthful")
     for _ in range(30):
         pool = build_pool(8, 4, 0.5, 0.5, 1.0, PowerLaw(1.0), rng)
         plans = (
@@ -186,6 +184,6 @@ def test_noiseless_committee_is_always_right():
         )
         for plan in plans:
             merged = merge_scores(
-                [report(profile, rows, cols, pool) for rows, cols in plan.blocks]
+                [report_truthful(rows, cols, pool) for rows, cols in plan.blocks]
             )
             assert top1_accuracy(merged, pool) == 1.0
