@@ -31,6 +31,7 @@ from .experiments.kernels import build_pool
 from .experiments.results import (
     GridSpec,
     check_distinct,
+    sig4,
     write_metadata_json,
     write_results_csv,
 )
@@ -49,11 +50,6 @@ OUTPUT_DIR_ENV = "EVALSIM_OUTPUT_DIR"
 
 class ConfigError(Exception):
     """A problem with options or config files (exit code 2)."""
-
-
-def sig4(x: float) -> str:
-    """Format a number to 4 significant figures for summaries."""
-    return f"{float(x):.4g}"
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +355,10 @@ def _cmd_theorem_verify(cfg: dict) -> int:
     }
     _write_outputs(cfg, "theorem-verify", "theorem", tables)
 
-    for c in part_a:
-        print(
-            f"part_a n={c.n} delta={sig4(c.delta)} beta={sig4(c.beta)}"
-            f" gamma={sig4(c.gamma)}: err_hol {sig4(c.pair.err_hol)}"
-            f" err_seg {sig4(c.pair.err_seg)}"
-            f" {'PASS' if c.passed else 'FAIL'}"
-        )
-    for c in formula:
-        sym = c.symmetry_hol_ok and c.symmetry_seg_ok
-        print(
-            f"formula n={c.n} delta={sig4(c.delta)}: diff {sig4(c.pair.diff)}"
-            f" predicted {sig4(c.predicted)} (se {sig4(c.pair.se_diff)})"
-            f" {'PASS' if c.passed else 'FAIL'}"
-            f" symmetry {'PASS' if sym else 'FAIL'}"
-        )
-    for c in threshold:
-        side = "positive" if c.expect_positive else "negative"
-        print(
-            f"threshold n={c.n} delta={sig4(c.delta)}: diff {sig4(c.pair.diff)}"
-            f" (se {sig4(c.pair.se_diff)}), expected {side}"
-            f" {'PASS' if c.passed else 'FAIL'}"
-        )
-    for c in tail:
-        print(
-            f"tail m={c.n_per_group} delta={sig4(c.delta)}: below {sig4(c.p_below)}"
-            f" predicted {sig4(c.predicted_below)} limit {sig4(c.limit_below)}"
-            f" {'PASS' if c.passed else 'FAIL'}"
-        )
-    verdicts = [c.passed for c in part_a + threshold + tail] + [
-        c.passed and c.symmetry_hol_ok and c.symmetry_seg_ok for c in formula
-    ]
-    if all(verdicts):
+    checks = part_a + formula + threshold + tail
+    for c in checks:
+        print(c.summary())
+    if all(c.passed for c in checks):
         print("ALL CHECKS PASSED")
         return 0
     print("SOME CHECKS FAILED")

@@ -23,6 +23,11 @@ PARAM_NAMES = (
 )
 
 
+def sig4(x: float) -> str:
+    """Format a number to 4 significant figures for summaries."""
+    return f"{float(x):.4g}"
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """One Monte Carlo estimate at one grid point.

@@ -18,7 +18,9 @@ tails favor holistic review.  When only half the attributes are protected
 
 This module estimates the gaps by paired Monte Carlo, computes p by
 quadrature (and checks it against simulated maxima), and packages the
-comparisons as pass/fail checks that render their own result rows.  It also
+comparisons as checks that decide and summarise themselves: a check holds
+only its evidence, and its verdict, derived values, summary line and result
+rows are all computed from that evidence.  It also
 verifies the symmetry identity behind the closed form: an error can only
 occur when the true best applicant is disadvantaged, which happens with
 probability 1/2, so the unconditional error must equal half the error
@@ -32,10 +34,10 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from ..distributions import PowerLaw
+from ..distributions import PowerLaw, _U_BELOW_ONE
 from ..rng import STREAM_THEOREM
 from .parallel import mean_and_se, run_points
-from .results import ExperimentResult, check_distinct
+from .results import ExperimentResult, check_distinct, sig4
 from .kernels import tail_worker, theorem_worker
 
 THEOREM_CHUNK = 8192
@@ -62,13 +64,16 @@ def predicted_tail_above(m: int, delta: float) -> float:
     integral into a smooth one over (0, 1):
 
         P = integral_0^1 (1 - F(2 * F^-1(q^(1/m)))^m) dq
+
+    At very large m, ``q^(1/m)`` rounds to 1 near q = 1, so it is clipped
+    below 1 as the sampled maxima are.
     """
     if m < 1:
         raise ValueError("group size must be positive")
     law = PowerLaw(delta)
 
     def integrand(q):
-        y = law.inv_cdf(q ** (1.0 / m))
+        y = law.inv_cdf(min(q ** (1.0 / m), _U_BELOW_ONE))
         return 1.0 - law.cdf(2.0 * y) ** m
 
     value, _ = quad(integrand, 0.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12)
@@ -228,6 +233,10 @@ def tail_probability(
 # the packaged checks
 
 
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
 @dataclass(frozen=True)
 class PartACheck:
     """Half-protected case: segmentation should never be worse."""
@@ -237,7 +246,17 @@ class PartACheck:
     beta: float
     gamma: float
     pair: PairEstimate
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.pair.err_seg <= self.pair.err_hol + 3.0 * self.pair.se_diff
+
+    def summary(self) -> str:
+        return (
+            f"part_a n={self.n} delta={sig4(self.delta)} beta={sig4(self.beta)}"
+            f" gamma={sig4(self.gamma)}: err_hol {sig4(self.pair.err_hol)}"
+            f" err_seg {sig4(self.pair.err_seg)} {_verdict(self.passed)}"
+        )
 
     def rows(self, seed: int) -> list:
         params = {"n": self.n, "delta": self.delta, "beta": self.beta, "gamma": self.gamma}
@@ -253,10 +272,37 @@ class FormulaCheck:
     gamma: float
     pair: PairEstimate
     p_above: float  # quadrature tail probability at m = n/2
-    predicted: float  # closed-form gap at p_above
-    passed: bool
-    symmetry_hol_ok: bool
-    symmetry_seg_ok: bool
+
+    @property
+    def predicted(self) -> float:
+        """Closed-form gap at ``p_above``."""
+        return predicted_gap(self.gamma, self.p_above)
+
+    @property
+    def matches(self) -> bool:
+        """The formula gate alone: the paired gap within 3 SE of ``predicted``."""
+        return abs(self.pair.diff - self.predicted) <= 3.0 * self.pair.se_diff
+
+    @property
+    def symmetry_hol_ok(self) -> bool:
+        return abs(self.pair.gap_hol) <= 3.0 * self.pair.gap_hol_se
+
+    @property
+    def symmetry_seg_ok(self) -> bool:
+        return abs(self.pair.gap_seg) <= 3.0 * self.pair.gap_seg_se
+
+    @property
+    def passed(self) -> bool:
+        """The formula gate and both conditional symmetry identities."""
+        return self.matches and self.symmetry_hol_ok and self.symmetry_seg_ok
+
+    def summary(self) -> str:
+        symmetry = self.symmetry_hol_ok and self.symmetry_seg_ok
+        return (
+            f"formula n={self.n} delta={sig4(self.delta)}: diff {sig4(self.pair.diff)}"
+            f" predicted {sig4(self.predicted)} (se {sig4(self.pair.se_diff)})"
+            f" {_verdict(self.matches)} symmetry {_verdict(symmetry)}"
+        )
 
     def rows(self, seed: int) -> list:
         params = {"n": self.n, "delta": self.delta, "gamma": self.gamma}
@@ -272,8 +318,23 @@ class ThresholdCheck:
     delta: float
     gamma: float
     pair: PairEstimate
-    expect_positive: bool
-    passed: bool
+
+    @property
+    def expect_positive(self) -> bool:
+        return self.delta < threshold_delta()
+
+    @property
+    def passed(self) -> bool:
+        if self.expect_positive:
+            return self.pair.diff > 3.0 * self.pair.se_diff
+        return self.pair.diff < -3.0 * self.pair.se_diff
+
+    def summary(self) -> str:
+        side = "positive" if self.expect_positive else "negative"
+        return (
+            f"threshold n={self.n} delta={sig4(self.delta)}: diff {sig4(self.pair.diff)}"
+            f" (se {sig4(self.pair.se_diff)}), expected {side} {_verdict(self.passed)}"
+        )
 
     def rows(self, seed: int) -> list:
         params = {"n": self.n, "delta": self.delta, "gamma": self.gamma}
@@ -290,8 +351,21 @@ class TailCheck:
     p_below: float
     se: float
     predicted_below: float
-    limit_below: float
-    passed: bool
+
+    @property
+    def limit_below(self) -> float:
+        return 1.0 - tail_above_limit(self.delta)
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.p_below - self.predicted_below) <= 3.0 * self.se
+
+    def summary(self) -> str:
+        return (
+            f"tail m={self.n_per_group} delta={sig4(self.delta)}: below {sig4(self.p_below)}"
+            f" predicted {sig4(self.predicted_below)} limit {sig4(self.limit_below)}"
+            f" {_verdict(self.passed)}"
+        )
 
     def rows(self, seed: int) -> list:
         params = {"n": self.n_per_group, "delta": self.delta}
@@ -323,20 +397,10 @@ def run_part_a(
         for n in n_values
     ]
     pairs = run_error_pairs(points, runs, seed, _PART_A, workers)
-    checks = []
-    for point, pair in zip(points, pairs):
-        passed = pair.err_seg <= pair.err_hol + 3.0 * pair.se_diff
-        checks.append(
-            PartACheck(
-                n=point["n"],
-                delta=point["delta"],
-                beta=point["beta"],
-                gamma=point["gamma"],
-                pair=pair,
-                passed=passed,
-            )
-        )
-    return tuple(checks)
+    return tuple(
+        PartACheck(p["n"], p["delta"], p["beta"], p["gamma"], pair)
+        for p, pair in zip(points, pairs)
+    )
 
 
 def run_formula_check(
@@ -360,24 +424,12 @@ def run_formula_check(
         for de in delta_values
     ]
     pairs = run_error_pairs(points, runs, seed, _FORMULA, workers)
-    checks = []
-    for point, pair in zip(points, pairs):
-        p_above = predicted_tail_above(point["n"] // 2, point["delta"])
-        predicted = predicted_gap(gamma, p_above)
-        checks.append(
-            FormulaCheck(
-                n=point["n"],
-                delta=point["delta"],
-                gamma=gamma,
-                pair=pair,
-                p_above=p_above,
-                predicted=predicted,
-                passed=abs(pair.diff - predicted) <= 3.0 * pair.se_diff,
-                symmetry_hol_ok=abs(pair.gap_hol) <= 3.0 * pair.gap_hol_se,
-                symmetry_seg_ok=abs(pair.gap_seg) <= 3.0 * pair.gap_seg_se,
-            )
+    return tuple(
+        FormulaCheck(
+            p["n"], p["delta"], gamma, pair, predicted_tail_above(p["n"] // 2, p["delta"])
         )
-    return tuple(checks)
+        for p, pair in zip(points, pairs)
+    )
 
 
 def run_threshold_check(
@@ -395,25 +447,9 @@ def run_threshold_check(
         for de in delta_values
     ]
     pairs = run_error_pairs(points, runs, seed, _THRESHOLD, workers)
-    critical = threshold_delta()
-    checks = []
-    for point, pair in zip(points, pairs):
-        expect_positive = point["delta"] < critical
-        if expect_positive:
-            passed = pair.diff > 3.0 * pair.se_diff
-        else:
-            passed = pair.diff < -3.0 * pair.se_diff
-        checks.append(
-            ThresholdCheck(
-                n=point["n"],
-                delta=point["delta"],
-                gamma=gamma,
-                pair=pair,
-                expect_positive=expect_positive,
-                passed=passed,
-            )
-        )
-    return tuple(checks)
+    return tuple(
+        ThresholdCheck(p["n"], p["delta"], gamma, pair) for p, pair in zip(points, pairs)
+    )
 
 
 def run_tail_check(
@@ -436,16 +472,5 @@ def run_tail_check(
             stream_tag=(STREAM_THEOREM, _TAIL, index),
         )
         predicted_below = 1.0 - predicted_tail_above(n_per_group, delta)
-        checks.append(
-            TailCheck(
-                n_per_group=n_per_group,
-                delta=delta,
-                pools=pools,
-                p_below=p,
-                se=se,
-                predicted_below=predicted_below,
-                limit_below=1.0 - tail_above_limit(delta),
-                passed=abs(p - predicted_below) <= 3.0 * se,
-            )
-        )
+        checks.append(TailCheck(n_per_group, delta, pools, p, se, predicted_below))
     return tuple(checks)

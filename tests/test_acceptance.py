@@ -152,7 +152,7 @@ def test_criterion_4_formula_match():
 
     failures = []
     for c in checks:
-        if not c.passed:
+        if not c.matches:
             failures.append(
                 f"n={c.n} delta={c.delta}: diff {c.pair.diff:.6f} vs"
                 f" predicted {c.predicted:.6f} beyond 3x{c.pair.se_diff:.6f}"

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: options, outputs, exit codes."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -572,6 +571,8 @@ _THEOREM_SHA256 = {
     "theorem_threshold.csv": "e9fa442aac1d697c086cad5a584c1378d5aed15fbb05b19121a8d129ec1a5ed6",
     "theorem_tail.csv": "9af540731a5ad76dc0f8f438dbb5c2cab2f4438bc1b5ba9cac9b945dad73ee03",
 }
+# sha256 of the same run's 13 summary lines (stdout without the "wrote " lines)
+_THEOREM_SUMMARY_SHA256 = "3e997956fae3a94b1369b7a85986f825521d60a42d70f3d5cf4cb3a9e1717a8a"
 
 
 def test_theorem_verify_reduced_scale(capsys, tmp_path):
@@ -599,20 +600,24 @@ def test_theorem_verify_reduced_scale(capsys, tmp_path):
     assert formula[2].split(",")[3] == "predicted"
     for name, csv_sha256 in _THEOREM_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == csv_sha256
+    summary = "".join(line + "\n" for line in out.splitlines() if not line.startswith("wrote "))
+    assert hashlib.sha256(summary.encode()).hexdigest() == _THEOREM_SUMMARY_SHA256
 
 
+# the verdict properties each family's check class decides from; the formula
+# check's own `passed` is left to combine its three
 _VERDICT_FLAGS = {
-    "run_part_a": ("passed",),
-    "run_formula_check": ("passed", "symmetry_hol_ok", "symmetry_seg_ok"),
-    "run_threshold_check": ("passed",),
-    "run_tail_check": ("passed",),
+    "run_part_a": (theorem.PartACheck, ("passed",)),
+    "run_formula_check": (theorem.FormulaCheck, ("matches", "symmetry_hol_ok", "symmetry_seg_ok")),
+    "run_threshold_check": (theorem.ThresholdCheck, ("passed",)),
+    "run_tail_check": (theorem.TailCheck, ("passed",)),
 }
 
 
 @pytest.fixture(scope="module")
-def passing_checks():
-    """Each check family at a tiny scale, with every verdict forced to pass."""
-    runs = {
+def tiny_checks():
+    """Each check family at a tiny scale, verdicts as they fall."""
+    return {
         "run_part_a": theorem.run_part_a(
             beta_values=(0.0,), gamma_values=(0.5,), delta_values=(1.0,), n_values=(2,),
             runs=100, seed=3,
@@ -627,12 +632,6 @@ def passing_checks():
             delta_values=(1.0,), n_per_group=10, pools=100, seed=3
         ),
     }
-    return {
-        name: tuple(
-            dataclasses.replace(c, **dict.fromkeys(_VERDICT_FLAGS[name], True)) for c in checks
-        )
-        for name, checks in runs.items()
-    }
 
 
 @pytest.mark.parametrize(
@@ -640,11 +639,15 @@ def passing_checks():
     [(None, None)] + [(name, "passed") for name in _VERDICT_FLAGS]
     + [("run_formula_check", "symmetry_hol_ok"), ("run_formula_check", "symmetry_seg_ok")],
 )
-def test_theorem_verify_verdict(monkeypatch, capsys, tmp_path, passing_checks, family, flag):
+def test_theorem_verify_verdict(monkeypatch, capsys, tmp_path, tiny_checks, family, flag):
     # one failing check in any family, or one failed symmetry check, fails the run
-    for name, checks in passing_checks.items():
+    for name, checks in tiny_checks.items():
+        cls, flags = _VERDICT_FLAGS[name]
+        for f in flags:
+            monkeypatch.setattr(cls, f, property(lambda self: True))
         if name == family:
-            checks = (dataclasses.replace(checks[0], **{flag: False}),) + checks[1:]
+            failing = checks[0]
+            monkeypatch.setattr(cls, flag, property(lambda self: self is not failing))
         monkeypatch.setattr(cli, name, lambda checks=checks, **_: checks)
     code = run_cli("theorem-verify", "--seed", "3", "--outdir", str(tmp_path))
     out = capsys.readouterr().out

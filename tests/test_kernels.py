@@ -418,7 +418,7 @@ def test_grouped_bias_worker_matches_object_route(gamma):
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 @pytest.mark.parametrize("gamma", [None, 0.5])
 @pytest.mark.parametrize("beta", [0.0, 0.3])
-def test_bias_class_maxima_score_like_the_full_pool(n, alpha, lam, gamma, beta):
+def test_bias_worker_at_sigma_one_scores_like_the_full_pool(n, alpha, lam, gamma, beta):
     # at sigma = 1 the worker scores (size, n, 1) values broadcast against the
     # d columns, which must give the repeated full pool's accuracies, also
     # where every estimate is 0 and ties n ways

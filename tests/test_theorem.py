@@ -6,6 +6,7 @@ closed form 2**-(2 + delta).
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -67,6 +68,13 @@ def test_quadrature_approaches_its_limit():
     assert predicted_tail_above(10_000, 1.0) == pytest.approx(0.2, abs=1e-4)
     with pytest.raises(ValueError):
         predicted_tail_above(0, 1.0)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.5, 1.0, 2.0])
+def test_quadrature_at_a_huge_group(delta):
+    # q ** (1/m) rounds to 1.0 near q = 1 at m = 10**12; the quadrature used to
+    # raise there, after every Monte Carlo check of theorem-verify had run
+    assert predicted_tail_above(10**12, delta) == pytest.approx(tail_above_limit(delta), abs=1e-5)
 
 
 def test_predicted_gap_values():
@@ -155,6 +163,16 @@ def test_formula_check_small():
     assert abs(check.pair.diff - check.predicted) <= 3.0 * check.pair.se_diff
     assert check.passed and check.symmetry_hol_ok and check.symmetry_seg_ok
 
+    # the verdicts follow the evidence: a diff 4 SE off the prediction fails
+    # the formula gate, a conditional gap beyond 3 SE fails only the symmetry
+    pair = check.pair
+    off = replace(check, pair=replace(pair, diff=check.predicted + 4.0 * pair.se_diff))
+    assert not off.matches and not off.passed
+    asym_hol = replace(check, pair=replace(pair, gap_hol=3.5 * pair.gap_hol_se))
+    assert asym_hol.matches and not asym_hol.symmetry_hol_ok and not asym_hol.passed
+    asym_seg = replace(check, pair=replace(pair, gap_seg=-3.5 * pair.gap_seg_se))
+    assert asym_seg.matches and not asym_seg.symmetry_seg_ok and not asym_seg.passed
+
 
 def test_threshold_check_flags():
     checks = run_threshold_check(
@@ -162,6 +180,9 @@ def test_threshold_check_flags():
     )
     assert [c.expect_positive for c in checks] == [True, False]
     assert all(c.delta in (0.3, 0.9) for c in checks)
+    # a bool on each side of the critical exponent, so `is` comparisons hold
+    for delta, side in ((threshold_delta() - 1e-9, True), (threshold_delta(), False)):
+        assert replace(checks[0], delta=delta).expect_positive is side
 
 
 def test_tail_check_small():
