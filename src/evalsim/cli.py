@@ -9,16 +9,20 @@ metadata JSON whose config block reproduces the run when fed back through
 
 Exit codes: 0 on success, 2 for configuration problems (unknown keys, bad
 values, missing seed, an output directory that cannot be created, settings
-an experiment rejects with ``ValueError``), 1 for runtime failures.  The
-output directory is created before anything runs.  ``theorem-verify`` also
-exits 1 when a check fails, since reporting that is its purpose.
+an experiment rejects with ``ValueError``), 1 for runtime failures such as
+a write that fails after the run.  The output directory is created before
+anything runs, and a run that exits 2 removes the directories it created
+while they are empty.  ``theorem-verify`` also exits 1 when a check fails,
+since reporting that is its purpose.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import pathlib
 import sys
 from dataclasses import dataclass
 
@@ -31,6 +35,7 @@ from .experiments.kernels import build_pool
 from .experiments.results import (
     GridSpec,
     check_distinct,
+    check_params,
     sig4,
     write_metadata_json,
     write_results_csv,
@@ -40,7 +45,6 @@ from .experiments.theorem import (
     run_part_a,
     run_tail_check,
     run_threshold_check,
-    validate_setting,
 )
 from .population import pool_to_csv
 from .rng import STREAM_POOL, derive_stream
@@ -79,19 +83,14 @@ def _parse_count(text: str) -> int:
     return value
 
 
-def _parse_even_pool(text: str, setting: str = "the theorem setting") -> int:
+def _parse_pool(text: str) -> int:
     value = int(text)
-    if value < 2 or value % 2:
-        raise ValueError(f"{setting} needs an even pool of >= 2, got {value}")
+    check_params({"n": value})
     return value
 
 
-def _parse_committee_pool(text: str) -> int:
-    return _parse_even_pool(text, "the two-screener committee")
-
-
-def _parse_even_pool_list(text: str) -> tuple:
-    return _parse_list(_parse_even_pool, text)
+def _parse_pool_list(text: str) -> tuple:
+    return _parse_list(_parse_pool, text)
 
 
 def _parse_axis(text: str) -> tuple:
@@ -129,7 +128,7 @@ OPTIONS = {
     "efficiency": _EXPERIMENT
     + (
         Option("runs", int, "1000", "pools per grid point"),
-        Option("n", _parse_committee_pool, "200", "pool size"),
+        Option("n", _parse_pool, "200", "pool size"),
         Option("delta", float, "1.0", "power-law tail exponent"),
         Option("tau", _parse_float_list, "0.05,0.1,0.2,0.5,1.0", "screening depths"),
         Option("sigma", _parse_float_list, "0,0.5,0.9,1", "attribute correlations"),
@@ -150,11 +149,11 @@ OPTIONS = {
     ),
     "theorem-verify": _EXPERIMENT
     + (
-        Option("n", _parse_even_pool_list, "2,20", "pool sizes for the paired checks"),
+        Option("n", _parse_pool_list, "2,20", "pool sizes for the paired checks"),
         Option("delta", _parse_float_list, "0.3,1.0", "tail exponents"),
         Option("gamma", float, "0.5", "bias-coin probability"),
         Option("runs", int, "100000", "paired runs per grid point"),
-        Option("threshold_n", _parse_even_pool, "1000", "pool size for the sign check"),
+        Option("threshold_n", _parse_pool, "1000", "pool size for the sign check"),
         Option("tail_group", _parse_count, "10000", "group size for the tail check"),
         Option("tail_pools", _parse_count, "10000", "pools for the tail check"),
     ),
@@ -329,7 +328,7 @@ def _cmd_theorem_verify(cfg: dict) -> int:
     common = {"seed": cfg["seed"], "workers": cfg["workers"]}
     paired = {"delta_values": cfg["delta"], "runs": cfg["runs"], **common}
     # part A does not read gamma: check it before part A runs
-    validate_setting(cfg["threshold_n"], cfg["gamma"], 0.0, 1.0)
+    check_params({"gamma": cfg["gamma"]})
     part_a = run_part_a(n_values=cfg["n"], **paired)
     formula = run_formula_check(n_values=cfg["n"], gamma=cfg["gamma"], **paired)
     # the threshold check reuses --delta at a large fixed pool, and the tail
@@ -427,17 +426,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    created = []
     try:
         cfg = resolve_options(args.command, args)
         # an unusable output directory fails here, before anything runs
+        outdir = pathlib.Path(cfg["outdir"]).absolute()
+        missing = [path for path in (outdir, *outdir.parents) if not os.path.exists(path)]
         try:
             os.makedirs(cfg["outdir"], exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {cfg['outdir']!r}: {exc}") from exc
+        created = missing  # deepest first
         return _RUNNERS[args.command](cfg)
     except (ConfigError, ValueError) as exc:
-        # the library rejects bad settings with ValueError: a config problem
+        # the library rejects bad settings with ValueError: a config problem,
+        # which leaves behind no directory this run made while it is empty
         print(f"error: {exc}", file=sys.stderr)
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"error: {exc}", file=sys.stderr)

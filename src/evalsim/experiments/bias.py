@@ -13,12 +13,10 @@ attribute carries independent signal.
 
 from __future__ import annotations
 
-import math
-
 from ..rng import STREAM_BIAS_GRID
 from .kernels import bias_draw_key, bias_worker
 from .parallel import run_points
-from .results import GridSpec, rows_from_moments
+from .results import GridSpec, check_params, rows_from_moments
 
 BIAS_CHUNK = 2048
 
@@ -35,22 +33,6 @@ BIAS_DEFAULTS = {
     "beta": 0.0,
     "delta": 1.0,
 }
-
-
-def _validate_point(point: dict) -> None:
-    """Reject settings the object layer or the committee of two cannot take."""
-    for name in ("n", "d"):  # the committee of two splits rows and columns in half
-        if point[name] < 2 or point[name] % 2:
-            raise ValueError(f"{name} must be even and at least 2, got {point[name]!r}")
-    for name in ("sigma", "alpha", "lambda"):
-        if not 0.0 <= point[name] <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {point[name]!r}")
-    if not 0.0 <= point["beta"] < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {point['beta']!r}")
-    if "gamma" in point and not 0.0 < point["gamma"] < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {point['gamma']!r}")
-    if not 0.0 < point["delta"] < math.inf:
-        raise ValueError(f"delta must lie in (0, inf), got {point['delta']!r}")
 
 
 def run_bias_grid(
@@ -80,7 +62,7 @@ def run_bias_grid(
     points = grid.points()
     worker_points = [{**BIAS_DEFAULTS, **point} for point in points]
     for point in worker_points:
-        _validate_point(point)
+        check_params(point)
 
     moments = run_points(
         bias_worker,

@@ -10,33 +10,26 @@ discards the true best.
 
 from __future__ import annotations
 
-import math
-
 from ..rng import STREAM_EFFICIENCY
 from .kernels import efficiency_cells, efficiency_draw_key, efficiency_worker
 from .parallel import run_points
-from .results import ExperimentResult, GridSpec, rows_from_moments
+from .results import ExperimentResult, GridSpec, check_params, rows_from_moments
 
 EFFICIENCY_CHUNK = 2048
 
 
 def efficiency_grid(tau_values, sigma_values, n: int, delta: float, runs: int) -> GridSpec:
     """The (tau, sigma) grid of a sweep, with ``n`` and ``delta`` fixed."""
-    if n < 2 or n % 2:
-        raise ValueError("the two-screener committee needs an even pool of >= 2")
     tau_values = tuple(float(t) for t in tau_values)
     sigma_values = tuple(float(s) for s in sigma_values)
-    if any(not 0.0 < t <= 1.0 for t in tau_values):
-        raise ValueError("tau must lie in (0, 1]")
-    if any(not 0.0 <= s <= 1.0 for s in sigma_values):
-        raise ValueError("sigma must lie in [0, 1]")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must lie in (0, inf), got {delta!r}")
-    return GridSpec(
+    grid = GridSpec(
         axes=(("tau", tau_values), ("sigma", sigma_values)),
         fixed={"n": n, "delta": delta},
         runs=runs,
     )
+    for point in grid.points():
+        check_params(point)
+    return grid
 
 
 def run_efficiency_sweep(

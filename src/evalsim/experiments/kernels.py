@@ -67,6 +67,7 @@ from ..distributions import _U_BELOW_ONE, power_law_inv_cdf
 from ..evaluators import screening_cutoff
 from ..metrics import percentile_bin
 from ..population import AttributeMatrix, round_half_up
+from .results import check_params
 
 # A tie for the best applicant has probability zero under a continuous
 # marginal, so a run still tied after this many redraws means the marginal
@@ -189,12 +190,7 @@ def build_pool(
         raise ValueError("a pool needs at least 2 applicants")
     if d < 1:
         raise ValueError("a pool needs at least 1 attribute")
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    check_params({"sigma": sigma, "alpha": alpha, "lambda": lam, "delta": delta})
 
     values = draw_correlated_values(rng, 1, n, d, sigma, delta)
     _redraw_tied_rows(

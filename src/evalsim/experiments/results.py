@@ -3,24 +3,38 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 from .parallel import mean_and_se
 
-# The closed vocabulary of sweep parameter names.  Keeping it fixed makes
-# result tables self-describing and catches typos in config files early.
-PARAM_NAMES = (
-    "n",
-    "d",
-    "sigma",
-    "alpha",
-    "lambda",
-    "beta",
-    "gamma",
-    "delta",
-    "tau",
-)
+# The closed vocabulary of sweep parameter names, each with its valid range
+# for the committee of two: the rule text of its message and the predicate
+# that decides it.  The committee halves the pool's rows and columns, so n
+# and d are even.  A fixed vocabulary makes result tables self-describing
+# and catches typos in config files early.
+_EVEN = ("be even and at least 2", lambda v: v >= 2 and v % 2 == 0)
+_UNIT = ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+PARAM_RANGES = {
+    "n": _EVEN,
+    "d": _EVEN,
+    "sigma": _UNIT,
+    "alpha": _UNIT,
+    "lambda": _UNIT,
+    "beta": ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "gamma": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "delta": ("lie in (0, inf)", lambda v: 0.0 < v < math.inf),
+    "tau": ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+}
+PARAM_NAMES = tuple(PARAM_RANGES)
+
+
+def check_params(point: dict) -> None:
+    """Raise ``ValueError`` naming the first parameter of ``point`` out of range."""
+    for name, (rule, ok) in PARAM_RANGES.items():
+        if name in point and not ok(point[name]):
+            raise ValueError(f"{name} must {rule}, got {point[name]!r}")
 
 
 def sig4(x: float) -> str:

@@ -37,7 +37,7 @@ from scipy.integrate import quad
 from ..distributions import PowerLaw, _U_BELOW_ONE
 from ..rng import STREAM_THEOREM
 from .parallel import mean_and_se, run_points
-from .results import ExperimentResult, check_distinct, sig4
+from .results import ExperimentResult, check_distinct, check_params, sig4
 from .kernels import tail_worker, theorem_worker
 
 THEOREM_CHUNK = 8192
@@ -160,18 +160,6 @@ def _pair_from_sums(sums: dict) -> PairEstimate:
     )
 
 
-def validate_setting(n: int, gamma: float, beta: float, lam: float) -> None:
-    """Raise ``ValueError`` unless the point lies in the theorem setting."""
-    if n < 2 or n % 2:
-        raise ValueError("the theorem setting needs an even pool of >= 2")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-
-
 def run_error_pairs(
     points,
     runs: int,
@@ -185,12 +173,7 @@ def run_error_pairs(
     fixed at 1/2, sigma at 1, d at 2, the setting the closed form covers).
     """
     for point in points:
-        validate_setting(
-            int(point["n"]),
-            float(point["gamma"]),
-            float(point["beta"]),
-            float(point["lambda"]),
-        )
+        check_params(point)
     moments = run_points(
         theorem_worker,
         points,
@@ -461,6 +444,8 @@ def run_tail_check(
 ) -> tuple:
     """Check the simulated tail probability against its quadrature value."""
     check_distinct(delta_values, "delta_values")
+    for delta in delta_values:
+        check_params({"delta": delta})
     checks = []
     for index, delta in enumerate(delta_values):
         p, se = tail_probability(

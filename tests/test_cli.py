@@ -127,9 +127,8 @@ def _axes(draw):
 _VALUES = {
     int: st.integers(),
     cli._parse_count: st.integers(min_value=1),
-    cli._parse_even_pool: st.integers(min_value=1).map(lambda k: 2 * k),
-    cli._parse_committee_pool: st.integers(min_value=1).map(lambda k: 2 * k),
-    cli._parse_even_pool_list: st.lists(
+    cli._parse_pool: st.integers(min_value=1).map(lambda k: 2 * k),
+    cli._parse_pool_list: st.lists(
         st.integers(min_value=1).map(lambda k: 2 * k), min_size=1, unique=True
     ).map(tuple),
     float: _FLOATS,
@@ -224,6 +223,26 @@ def test_outdir_collision_exits_2_before_any_run(capsys, tmp_path):
         assert out == ""
         assert err.startswith(f"error: cannot create output directory {str(outdir)!r}")
     assert blocker.read_text() == "occupied"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bias-grid", "--seed", "1", "--runs", "10", "--axis1", "delta=-1", "--axis2", "sigma=0.5"),
+        ("pool-dump", "--seed", "1", "--scheme", "diagonal"),
+        ("calibration", "--seed", "-1", "--runs", "2", "--n-values", "5"),
+    ],
+    ids=["bias-grid", "pool-dump", "calibration"],
+)
+def test_a_rejected_run_leaves_no_directory_it_created(capsys, tmp_path, argv):
+    assert run_cli(*argv, "--outdir", str(tmp_path / "new" / "sub")) == 2
+    assert not (tmp_path / "new").exists()
+    # a directory that existed before the run is left in place
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run_cli(*argv, "--outdir", str(existing)) == 2
+    assert existing.is_dir() and os.listdir(existing) == []
+    assert capsys.readouterr().out == ""
 
 
 def test_calibration_rejects_one_bin(capsys, tmp_path):
@@ -352,7 +371,7 @@ def test_efficiency_rejects_odd_pool(capsys, tmp_path):
         "--outdir", str(tmp_path),
     )
     assert code == 2
-    assert "even pool" in capsys.readouterr().err
+    assert "n must be even and at least 2, got 9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["21", "0", "-4"])
@@ -365,10 +384,7 @@ def test_efficiency_names_the_odd_pool(capsys, tmp_path, value):
         code = run_cli("efficiency", *argv, "--runs", "10", "--outdir", str(outdir))
         assert code == 2
         err = capsys.readouterr().err
-        assert err == (
-            "error: bad value for 'n': the two-screener committee needs an even"
-            f" pool of >= 2, got {value}\n"
-        )
+        assert err == f"error: bad value for 'n': n must be even and at least 2, got {value}\n"
         assert not outdir.exists()
 
 
@@ -729,7 +745,7 @@ def test_theorem_verify_rejects_a_non_positive_count(capsys, tmp_path, flag):
     "flags, message",
     [
         (("--gamma", "2"), "gamma must lie in (0, 1)"),
-        (("--threshold-n", "3"), "bad value for 'threshold_n': the theorem setting needs an even pool"),
+        (("--threshold-n", "3"), "bad value for 'threshold_n': n must be even and at least 2, got 3"),
         (("--tail-group", "0"), "bad value for 'tail_group'"),
     ],
     ids=["gamma", "threshold_n", "tail_group"],
@@ -758,7 +774,7 @@ def test_theorem_verify_rejects_odd_pool(capsys, tmp_path):
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"bad value for 'n': the theorem setting needs an even pool of >= 2, got {value}" in err
+        assert f"bad value for 'n': n must be even and at least 2, got {value}" in err
         assert os.listdir(tmp_path) == []
 
 
@@ -830,6 +846,14 @@ def test_pool_dump_rejects_a_nan_sigma(capsys, tmp_path):
     assert code == 2
     assert "sigma" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "inf", "nan"])
+def test_pool_dump_names_a_bad_delta(capsys, tmp_path, delta):
+    code = run_cli("pool-dump", "--seed", "11", "--delta", delta, "--outdir", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: delta must lie in (0, inf), got {float(delta)!r}\n"
+    assert not (tmp_path / "pool.csv").exists()
 
 
 # sha256 of pool-dump's files at seed 0, pinned so a change to the pool

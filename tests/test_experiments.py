@@ -1,6 +1,7 @@
 """Experiment plumbing: chunked reduction, grids, result tables, drivers."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from evalsim.experiments.efficiency import efficiency_grid, run_efficiency_sweep
 from evalsim.experiments.kernels import (
     bias_draw_key,
     bias_worker,
+    build_pool,
     calibration_worker,
     efficiency_cells,
     efficiency_draw_key,
@@ -24,9 +26,11 @@ from evalsim.experiments.parallel import chunk_sizes, mean_and_se, run_points
 from evalsim.experiments.results import (
     ExperimentResult,
     GridSpec,
+    check_params,
     write_metadata_json,
     write_results_csv,
 )
+from evalsim.experiments.theorem import run_error_pairs
 from evalsim.rng import derive_stream
 
 CAL_POINT = {"n": 10, "num_bins": 5}
@@ -334,6 +338,65 @@ def test_metadata_json_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# parameter ranges
+
+
+def test_check_params_accepts_the_closed_ends():
+    check_params({"n": 2, "d": 4, "sigma": 0.0, "alpha": 1.0, "beta": 0.0, "tau": 1.0})
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ({"n": 3}, "n must be even and at least 2, got 3"),
+        ({"d": 0}, "d must be even and at least 2, got 0"),
+        ({"lambda": -0.5}, "lambda must lie in [0, 1], got -0.5"),
+        ({"beta": 1.0}, "beta must lie in [0, 1), got 1.0"),
+        ({"gamma": 0.0}, "gamma must lie in (0, 1), got 0.0"),
+        ({"tau": 0.0}, "tau must lie in (0, 1], got 0.0"),
+        # the first name in table order is the one reported
+        ({"delta": -1.0, "sigma": 2.0}, "sigma must lie in [0, 1], got 2.0"),
+    ],
+)
+def test_check_params_names_the_parameter_and_value(point, message):
+    with pytest.raises(ValueError) as info:
+        check_params(point)
+    assert str(info.value) == message
+
+
+def _rejection(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        *[("delta", v, f"delta must lie in (0, inf), got {v!r}") for v in (0.0, -1.0, math.inf)],
+        ("delta", math.nan, "delta must lie in (0, inf), got nan"),
+        *[("sigma", v, f"sigma must lie in [0, 1], got {v!r}") for v in (-0.1, 1.5)],
+        ("sigma", math.nan, "sigma must lie in [0, 1], got nan"),
+    ],
+)
+def test_every_driver_words_a_bad_value_alike(name, value, message):
+    p = {"delta": 1.0, "sigma": 0.5, name: value}
+    grid = GridSpec(
+        axes=(("delta", (p["delta"],)), ("sigma", (p["sigma"],))), fixed={"n": 4, "d": 4}, runs=16
+    )
+    calls = {
+        "bias": lambda: run_bias_grid(grid, seed=1),
+        "efficiency": lambda: run_efficiency_sweep((0.5,), (p["sigma"],), 4, p["delta"], 16, 1),
+        "build_pool": lambda: build_pool(4, 4, p["sigma"], 0.5, 0.5, p["delta"], derive_stream(1, 6)),
+    }
+    if name == "delta":  # the theorem setting fixes sigma at 1
+        point = {"n": 4, "delta": value, "beta": 0.0, "gamma": 0.5, "lambda": 1.0}
+        calls["theorem"] = lambda: run_error_pairs([point], runs=16, seed=1, sub_tag=1)
+    messages = {driver: _rejection(call) for driver, call in calls.items()}
+    assert messages == dict.fromkeys(calls, message)
+
+
+# ---------------------------------------------------------------------------
 # calibration driver
 
 
@@ -408,7 +471,7 @@ def test_efficiency_grid_is_the_grid_the_sweep_runs():
     assert [r.params for r in rows if r.scheme == "holistic"] == [
         {"tau": p["tau"], "sigma": p["sigma"]} for p in grid.points()
     ]
-    with pytest.raises(ValueError, match="even pool"):
+    with pytest.raises(ValueError, match="^n must be even and at least 2, got 9$"):
         efficiency_grid((0.5,), (0.0,), n=9, delta=1.0, runs=10)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evalsim.experiments import kernels
 from evalsim.experiments.kernels import build_pool
 from evalsim.population import AttributeMatrix, pool_to_csv, round_half_up, true_best
 from evalsim.rng import derive_stream
@@ -96,6 +97,16 @@ def test_build_pool_validation():
     for sigma in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match="sigma"):
             build_pool(4, 2, sigma, 0.5, 0.5, 1.0, rng)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+def test_build_pool_checks_delta_before_any_draw(monkeypatch, delta):
+    def fail(*_):
+        raise AssertionError("draw_correlated_values was called")
+
+    monkeypatch.setattr(kernels, "draw_correlated_values", fail)
+    with pytest.raises(ValueError, match=rf"^delta must lie in \(0, inf\), got {delta!r}$"):
+        build_pool(4, 2, 0.5, 0.5, 0.5, delta, derive_stream(1, 6))
 
 
 def test_build_pool_gives_up_on_a_constant_marginal():

@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from evalsim.cli import sig4
+from evalsim.experiments import theorem
 from evalsim.experiments.theorem import (
     PairEstimate,
     predicted_gap,
@@ -112,6 +113,19 @@ def test_run_error_pairs_validation():
     ):
         with pytest.raises(ValueError):
             run_error_pairs([bad], runs=10, seed=5, sub_tag=1)
+
+
+def test_drivers_check_every_delta_before_any_run(monkeypatch):
+    # part A would otherwise spend its delta = 1 runs before reaching -1
+    def fail(*_):
+        raise AssertionError("run_points was called")
+
+    monkeypatch.setattr(theorem, "run_points", fail)
+    message = r"^delta must lie in \(0, inf\), got -1.0$"
+    with pytest.raises(ValueError, match=message):
+        run_part_a(delta_values=(1.0, -1.0))
+    with pytest.raises(ValueError, match=message):
+        run_tail_check(delta_values=(-1.0,))
 
 
 def test_run_error_pairs_estimates():
