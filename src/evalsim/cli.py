@@ -83,6 +83,13 @@ def _parse_count(text: str) -> int:
     return value
 
 
+def _parse_seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _parse_pool(text: str) -> int:
     value = int(text)
     check_params({"n": value})
@@ -112,22 +119,22 @@ class Option:
 
 
 _COMMON = (
-    Option("seed", int, None, "master seed (required)"),
+    Option("seed", _parse_seed, None, "master seed (required)"),
     Option("outdir", str, None, f"output directory (default ${OUTPUT_DIR_ENV} or .)"),
 )
 # pool-dump draws one pool in-process; the experiments can spread runs over a pool
-_EXPERIMENT = _COMMON + (Option("workers", int, "1", "worker processes"),)
+_EXPERIMENT = _COMMON + (Option("workers", _parse_count, "1", "worker processes"),)
 
 OPTIONS = {
     "calibration": _EXPERIMENT
     + (
-        Option("runs", int, "1000", "pools per pool size"),
+        Option("runs", _parse_count, "1000", "pools per pool size"),
         Option("n_values", _parse_int_list, "5,10,20,50,100,200,500,1000", "pool sizes"),
         Option("num_bins", int, "5", "quantile bins"),
     ),
     "efficiency": _EXPERIMENT
     + (
-        Option("runs", int, "1000", "pools per grid point"),
+        Option("runs", _parse_count, "1000", "pools per grid point"),
         Option("n", _parse_pool, "200", "pool size"),
         Option("delta", float, "1.0", "power-law tail exponent"),
         Option("tau", _parse_float_list, "0.05,0.1,0.2,0.5,1.0", "screening depths"),
@@ -135,7 +142,7 @@ OPTIONS = {
     ),
     "bias-grid": _EXPERIMENT
     + (
-        Option("runs", int, "50000", "pools per grid point"),
+        Option("runs", _parse_count, "50000", "pools per grid point"),
         Option("axis1", _parse_axis, "delta=0.2,0.6,1.0,1.5,2.0", "first grid axis, name=v1,v2,..."),
         Option("axis2", _parse_axis, "sigma=0,0.5,0.9", "second grid axis"),
         Option("n", int, None, "pool size override"),
@@ -152,7 +159,7 @@ OPTIONS = {
         Option("n", _parse_pool_list, "2,20", "pool sizes for the paired checks"),
         Option("delta", _parse_float_list, "0.3,1.0", "tail exponents"),
         Option("gamma", float, "0.5", "bias-coin probability"),
-        Option("runs", int, "100000", "paired runs per grid point"),
+        Option("runs", _parse_count, "100000", "paired runs per grid point"),
         Option("threshold_n", _parse_pool, "1000", "pool size for the sign check"),
         Option("tail_group", _parse_count, "10000", "group size for the tail check"),
         Option("tail_pools", _parse_count, "10000", "pools for the tail check"),

@@ -26,17 +26,22 @@ import numpy as np
 _U_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
-def power_law_inv_cdf(u, delta: float):
+def power_law_inv_cdf(u, delta: float, out=None):
     """Invert the power-law CDF ``F(t) = 1 - t**-(1 + delta)`` on [1, inf).
 
     Accepts scalars or arrays in ``[0, 1)`` and returns values of matching
-    shape.  ``u = 0`` maps to the support minimum 1.
+    shape.  ``u = 0`` maps to the support minimum 1.  A float array ``out``
+    of ``u``'s shape, which may be ``u`` itself, receives the values and is
+    returned, so no float array is allocated; the bits are the same.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("u must lie in [0, 1)")
+    if out is not None:
+        np.subtract(1.0, arr, out=out)
+        return np.power(out, -1.0 / (1.0 + delta), out=out)
     out = (1.0 - arr) ** (-1.0 / (1.0 + delta))
     return float(out) if out.ndim == 0 else out
 

@@ -111,8 +111,8 @@ def draw_correlated_values(
     covariance exactly; each is mapped through the normal CDF and then the
     power law's inverse CDF at ``delta``.  With ``delta`` None it returns the
     copula's uniforms, which a caller can map at several deltas.  The normals
-    become the uniforms in place, so one ``(batch, n, d)`` array is alive
-    until the inverse CDF.
+    become the uniforms and the uniforms the values, each in place, so no
+    second ``(batch, n, d)`` array is made.
 
     The two extreme correlations take exact shortcuts.  At ``sigma = 0`` the
     copula's uniforms are independent, so they are drawn directly.  At
@@ -136,7 +136,7 @@ def draw_correlated_values(
             z += math.sqrt(sigma) * common[..., None]
         u = ndtr(z, out=z)
         np.minimum(u, _U_BELOW_ONE, out=u)
-    values = u if delta is None else power_law_inv_cdf(u, delta)
+    values = u if delta is None else power_law_inv_cdf(u, delta, out=u)
     return np.repeat(values, d, axis=2) if sigma == 1.0 else values
 
 
@@ -428,10 +428,11 @@ def bias_draw_key(params: dict):
 def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     """Score every member of a draw group on one shared draw.
 
-    Each distinct ``delta``'s values are computed once and scored at the beta
-    of every member that has it, so one ``(size, n, d)`` values array is
-    alive at a time.  A run whose best applicant ties under any member's
-    values gets fresh uniforms, and every member is scored again.
+    Each distinct ``delta``'s values are computed once, into one ``(size, n,
+    d)`` buffer that every delta of the chunk reuses, and scored at the beta
+    of every member that has it; no score is a view of the buffer.  A run
+    whose best applicant ties under any member's values gets fresh uniforms,
+    and every member is scored again.
 
     At ``sigma = 1`` the values are ``(size, n, 1)``, one per applicant, and
     broadcast against the ``d`` columns in the row totals and the scorer.
@@ -458,8 +459,9 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
 
     def score_all(u):
         tied = np.zeros(size, dtype=bool)
+        values = np.empty_like(u)
         for delta, indices in by_delta.items():
-            values = power_law_inv_cdf(u, delta)
+            power_law_inv_cdf(u, delta, out=values)
             total = np.broadcast_to(values, (size, n, d)).sum(axis=2)
             tied |= _best_is_tied(total)
             for index in indices:

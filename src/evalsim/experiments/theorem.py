@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from ..distributions import PowerLaw, _U_BELOW_ONE
 from ..rng import STREAM_THEOREM
 from .parallel import mean_and_se, run_points
@@ -68,6 +66,9 @@ def predicted_tail_above(m: int, delta: float) -> float:
     At very large m, ``q^(1/m)`` rounds to 1 near q = 1, so it is clipped
     below 1 as the sampled maxima are.
     """
+    # imported here, its one use, so that importing the CLI skips scipy.integrate
+    from scipy.integrate import quad
+
     if m < 1:
         raise ValueError("group size must be positive")
     law = PowerLaw(delta)

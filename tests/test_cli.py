@@ -126,6 +126,7 @@ def _axes(draw):
 
 _VALUES = {
     int: st.integers(),
+    cli._parse_seed: st.integers(min_value=0),
     cli._parse_count: st.integers(min_value=1),
     cli._parse_pool: st.integers(min_value=1).map(lambda k: 2 * k),
     cli._parse_pool_list: st.lists(
@@ -189,6 +190,23 @@ def test_rejected_values_exit_2(command, opt, data):
         assert code == 2
         assert f"bad value for {opt.name!r}" in err.getvalue()
         assert os.listdir(tmp) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, rule",
+    [
+        ("seed", "-1", "must be a non-negative integer"),
+        ("runs", "0", "must be positive"),
+        ("workers", "0", "must be positive"),
+    ],
+)
+def test_rejected_values_name_option_and_value(capsys, tmp_path, flag, value, rule):
+    # parsed up front, so the message names the option and its value, not an
+    # internal argument such as derive_stream's master_seed
+    code = run_cli("calibration", "--seed", "1", "--outdir", str(tmp_path), f"--{flag}={value}")
+    assert code == 2
+    assert f"bad value for {flag!r}: {rule}, got {value}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command, opt", _PARSED, ids=[f"{c}-{o.name}" for c, o in _PARSED])

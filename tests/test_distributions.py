@@ -46,6 +46,30 @@ def test_power_law_inv_cdf_domain_errors():
         PowerLaw(-0.2)
 
 
+@pytest.mark.parametrize("delta", [0.001, 0.3, 0.5, 0.9, 1.0, 2.0, 7.0])
+def test_power_law_inv_cdf_into_a_buffer_is_bit_equal(delta):
+    u = derive_stream(103, 1).random((64, 5, 3))
+    u[0, 0, 0] = 0.0
+    u[0, 0, 1] = np.nextafter(1.0, 0.0)
+    want = power_law_inv_cdf(u, delta)
+    buf = np.empty_like(u)
+    assert power_law_inv_cdf(u, delta, out=buf) is buf
+    assert np.array_equal(buf.view(np.int64), want.view(np.int64))
+    # in place, the uniforms become the values
+    assert power_law_inv_cdf(u, delta, out=u) is u
+    assert np.array_equal(u.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("u, delta", [(1.0, 1.0), (-0.1, 1.0), (0.5, 0.0), (0.5, -1.0)])
+def test_power_law_inv_cdf_into_a_buffer_checks_its_domain(u, delta):
+    arr = np.full((2, 3), 0.5)
+    arr[1, 2] = u
+    with pytest.raises(ValueError):
+        power_law_inv_cdf(arr, delta, out=np.empty_like(arr))
+    with pytest.raises(ValueError):
+        power_law_inv_cdf(arr, delta, out=arr)
+
+
 def test_power_law_rejects_an_infinite_exponent():
     # every draw of an infinite exponent is 1.0, a constant that ties every pool
     with pytest.raises(ValueError, match="finite"):

@@ -466,6 +466,26 @@ def test_bias_worker_at_extreme_correlations_matches_object_route(sigma, shared)
         assert np.array_equal(scores["segmented"], slow_s)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+def test_bias_worker_scores_own_their_memory(sigma):
+    # every delta of a chunk is inverted into one reused buffer, so no score
+    # may be a view of it: each member's scores stay those it gets alone
+    members = tuple(
+        {**BIAS_POINT, "sigma": sigma, "delta": de, "beta": beta}
+        for de in (0.5, 1.0, 2.0)
+        for beta in (0.0, 0.3)
+    )
+    out = bias_worker(members, derive_stream(47, 13), 48)
+    arrays = [scores[key] for scores in out for key in ("holistic", "segmented", "difference")]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    for point, scores in zip(members, out):
+        (alone,) = bias_worker((point,), derive_stream(47, 13), 48)
+        for key in ("holistic", "segmented", "difference"):
+            assert np.array_equal(scores[key], alone[key])
+
+
 def test_bias_worker_scores_the_redrawn_values(monkeypatch):
     # the first draw ties applicants 0 and 1 of run 0 under both deltas;
     # the worker redraws run 0, and every kept score is the object route's on
