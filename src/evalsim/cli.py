@@ -83,6 +83,13 @@ def _parse_count(text: str) -> int:
     return value
 
 
+def _parse_bins(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise ValueError(f"must be at least 2, got {value}")
+    return value
+
+
 def _parse_seed(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -130,7 +137,7 @@ OPTIONS = {
     + (
         Option("runs", _parse_count, "1000", "pools per pool size"),
         Option("n_values", _parse_int_list, "5,10,20,50,100,200,500,1000", "pool sizes"),
-        Option("num_bins", int, "5", "quantile bins"),
+        Option("num_bins", _parse_bins, "5", "quantile bins"),
     ),
     "efficiency": _EXPERIMENT
     + (
@@ -173,9 +180,9 @@ OPTIONS = {
         Option("lambda", float, "1.0", "protected fraction"),
         Option("delta", float, "1.0", "power-law tail exponent"),
         Option("scheme", str, None, "also write a plan: holistic, segmented, or blocked"),
-        Option("evaluators", int, "2", "committee size for holistic or segmented plans"),
-        Option("rows_per_eval", int, None, "rows per evaluator (blocked plans)"),
-        Option("cols_per_eval", int, None, "columns per evaluator (blocked plans)"),
+        Option("evaluators", _parse_count, "2", "committee size for holistic or segmented plans"),
+        Option("rows_per_eval", _parse_count, None, "rows per evaluator (blocked plans)"),
+        Option("cols_per_eval", _parse_count, None, "columns per evaluator (blocked plans)"),
     ),
 }
 

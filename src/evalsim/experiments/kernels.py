@@ -21,8 +21,9 @@ cutoff and 0.0 otherwise, with no sort.  The bias scorer,
 estimate (``_decide_then_score``): discounting never raises an estimate, so
 the best wins outright when it is not discounted, and loses when it is
 discounted below the top total that is not.  Only the runs this cannot
-settle build every applicant's estimate and compare each with the top one,
-since discounted estimates can tie there.  The theorem scorer,
+settle build further estimates, since discounted estimates can tie there,
+and only for the discounted rows whose totals reach the best's estimate:
+no other row can tie or beat it.  The theorem scorer,
 ``theorem_error_pairs``, takes the bias scorer's arguments at ``d = 2``, as
 ``draw_theorem_batch`` returns them, and runs the same committee core
 (``_score_schemes``).
@@ -53,7 +54,11 @@ and calls ``power_law_inv_cdf`` itself.  ``calibration_worker`` draws
 percentiles and reads no delta.
 
 Sweeps run millions of pools on one core, so everything is vectorized over
-the batch axis, and the chunked runner keeps per-chunk memory modest.
+the batch axis.  A chunk's large arrays live in a per-process workspace
+(``_workspace``): one buffer per name, reused by every chunk the process
+runs, so a chunk writes into memory that is already mapped.  A buffer is
+never returned, and no returned array is a view of one.  A process must
+therefore run one chunk at a time, as ``parallel.run_points`` does.
 """
 
 from __future__ import annotations
@@ -73,6 +78,24 @@ from .results import check_params
 # marginal, so a run still tied after this many redraws means the marginal
 # is numerically constant, as a power law with a huge delta is.
 MAX_TIE_REDRAWS = 10
+
+# name -> flat float64 buffer; see ``_workspace``
+_WORKSPACE = {}
+
+
+def _workspace(name: str, shape: tuple) -> np.ndarray:
+    """A C-contiguous float64 array of ``shape`` over this process's buffer ``name``.
+
+    The buffer is made anew only when a chunk needs more than it holds, so
+    chunks of alternating shapes reuse it too.  Its contents are undefined:
+    the caller fills the array before reading it, and returns neither the
+    array nor a view of it.
+    """
+    size = math.prod(shape)
+    buf = _WORKSPACE.get(name)
+    if buf is None or buf.size < size:
+        buf = _WORKSPACE[name] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def random_subset_mask(
@@ -101,7 +124,7 @@ def random_subset_mask(
 
 
 def draw_correlated_values(
-    rng: np.random.Generator, batch: int, n: int, d: int, sigma: float, delta
+    rng: np.random.Generator, batch: int, n: int, d: int, sigma: float, delta, out=None
 ) -> np.ndarray:
     """Draw ``batch`` pools of attribute values, ``(batch, n, d)``.
 
@@ -111,33 +134,39 @@ def draw_correlated_values(
     covariance exactly; each is mapped through the normal CDF and then the
     power law's inverse CDF at ``delta``.  With ``delta`` None it returns the
     copula's uniforms, which a caller can map at several deltas.  The normals
-    become the uniforms and the uniforms the values, each in place, so no
-    second ``(batch, n, d)`` array is made.
+    are drawn into ``out``, a C-contiguous float64 array of shape ``(batch,
+    n, d)``, or into a fresh one without it; they become the uniforms and
+    the uniforms the values, each in place, and ``out`` is returned.  The
+    values are the same either way.
 
     The two extreme correlations take exact shortcuts.  At ``sigma = 0`` the
     copula's uniforms are independent, so they are drawn directly.  At
     ``sigma = 1`` every attribute of an applicant is the same number, so one
     normal is drawn per applicant and its value copied into the ``d``
-    columns of a writable array.
+    columns.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     if not 0.0 <= sigma <= 1.0:
         raise ValueError("sigma must lie in [0, 1]")
+    if out is None:
+        out = np.empty((batch, n, d))
     if sigma == 0.0:
-        u = rng.random((batch, n, d))
+        u = rng.random(out=out)
     else:
         if sigma == 1.0:
-            z = rng.standard_normal((batch, n, 1))
+            z = rng.standard_normal(out=out if d == 1 else np.empty((batch, n, 1)))
         else:
             common = rng.standard_normal((batch, n))
-            z = rng.standard_normal((batch, n, d))
+            z = rng.standard_normal(out=out)
             z *= math.sqrt(1.0 - sigma)
             z += math.sqrt(sigma) * common[..., None]
         u = ndtr(z, out=z)
         np.minimum(u, _U_BELOW_ONE, out=u)
     values = u if delta is None else power_law_inv_cdf(u, delta, out=u)
-    return np.repeat(values, d, axis=2) if sigma == 1.0 else values
+    if values is not out:
+        out[...] = values
+    return out
 
 
 def _best_is_tied(values: np.ndarray) -> np.ndarray:
@@ -254,9 +283,14 @@ def efficiency_cells(n: int, tau: float) -> int:
     return n + 2 * screening_cutoff(tau, n // 2)
 
 
-def draw_efficiency_batch(rng: np.random.Generator, size: int, n: int, sigma: float, delta: float):
-    """Draw pools (redrawing any run whose true best is tied) and ownership."""
-    values = draw_correlated_values(rng, size, n, 2, sigma, delta)
+def draw_efficiency_batch(
+    rng: np.random.Generator, size: int, n: int, sigma: float, delta: float, out=None
+):
+    """Draw pools (redrawing any run whose true best is tied) and ownership.
+
+    The pools are drawn into ``out``, as ``draw_correlated_values`` takes it.
+    """
+    values = draw_correlated_values(rng, size, n, 2, sigma, delta, out=out)
     _redraw_tied_rows(
         values,
         lambda k: draw_correlated_values(rng, k, n, 2, sigma, delta),
@@ -279,9 +313,9 @@ def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
     if n % 2:
         raise ValueError("the two-screener committee needs an even pool")
 
-    values, rows0 = draw_efficiency_batch(
-        rng, size, n, float(shared["sigma"]), float(shared["delta"])
-    )
+    sigma, delta = float(shared["sigma"]), float(shared["delta"])
+    out = _workspace("copula", (size, n, 2))
+    values, rows0 = draw_efficiency_batch(rng, size, n, sigma, delta, out=out)
     taus = [float(params["tau"]) for params in members]
     return [{"holistic": acc} for acc in efficiency_accuracies(values, rows0, taus)]
 
@@ -295,26 +329,29 @@ def _decide_then_score(values, total, best, hit, factor):
 
     ``hit (B, n)`` marks the discounted rows and ``factor (B, d)`` holds each
     column's factor in them; every other row reports its total.  ``best`` is
-    the row of each run's unique top total.  A run is open when ``best`` is hit but
-    reports at least the largest total of the rows that are not; open runs
-    alone build every row's estimate, and score the chance that a uniform
-    pick among the top estimates lands on ``best``.
+    the row of each run's unique top total.  A run where ``best`` is not hit
+    scores 1.0, and only the others are looked at further.  Such a run is
+    open when ``best`` reports at least the largest total of the rows that
+    are not hit; open runs score the chance that a uniform pick among the
+    top estimates lands on ``best``.  A hit row's estimate is never above
+    its total, so a hit row whose total is below ``best``'s estimate can
+    neither top nor tie it, and keeps its total: only the other hit rows'
+    estimates are built, each summed along its row as in ``best``'s.
     """
-    runs = np.arange(best.size)
-    hit_b = hit[runs, best]
-    own = (values[runs, best] * factor).sum(axis=1)
-    rest = np.where(hit, -np.inf, total).max(axis=1)
-    acc = np.where(hit_b, 0.0, 1.0)
-    open_runs = np.flatnonzero(hit_b & ~(own < rest))
-    if open_runs.size:
-        est = np.where(
-            hit[open_runs],
-            (values[open_runs] * factor[open_runs, None, :]).sum(axis=2),
-            total[open_runs],
-        )
+    acc = np.ones(best.size)
+    runs = np.flatnonzero(hit[np.arange(best.size), best])
+    acc[runs] = 0.0
+    own = (values[runs, best[runs]] * factor[runs]).sum(axis=1)
+    hit, total = hit[runs], total[runs]
+    is_open = ~(own < np.where(hit, -np.inf, total).max(axis=1))
+    if is_open.any():
+        runs, own, hit, est = runs[is_open], own[is_open], hit[is_open], total[is_open]
+        r, c = np.nonzero(hit & (est >= own[:, None]))
+        rows = runs[r]
+        est[r, c] = (values[rows, c] * factor[rows]).sum(axis=1)
         top = est.max(axis=1)
         ties = (est == top[:, None]).sum(axis=1)
-        acc[open_runs] = (est[np.arange(open_runs.size), best[open_runs]] == top) / ties
+        acc[runs] = (est[np.arange(runs.size), best[runs]] == top) / ties
     return acc
 
 
@@ -328,12 +365,12 @@ def _score_schemes(
     """
     best = np.argmax(total, axis=1)
     # holistic: a row's owner reports every attribute of that row
-    row_coin = np.where(hol_rows0, coin0[:, None], coin1[:, None])
+    row_coin = (hol_rows0 & coin0[:, None]) | (~hol_rows0 & coin1[:, None])
     acc_h = _decide_then_score(
         values, total, best, disadvantaged & row_coin, np.where(protected, beta, 1.0)
     )
     # segmented: a column's owner reports that attribute for every row
-    col_coin = np.where(seg_cols0, coin0[:, None], coin1[:, None])
+    col_coin = (seg_cols0 & coin0[:, None]) | (~seg_cols0 & coin1[:, None])
     acc_s = _decide_then_score(
         values, total, best, disadvantaged, np.where(protected & col_coin, beta, 1.0)
     )
@@ -372,8 +409,9 @@ def bias_scheme_accuracies(
     when ``b`` is hit and its estimate is below the largest total of a row
     that is not.  ``b``'s estimate is the same products summed along the
     same contiguous axis as the full computation, so it has the same bits.
-    Every other run is scored in full, so the result is the object layer's
-    bit for bit.
+    Every other run builds the estimate of each hit row whose total reaches
+    ``b``'s estimate, in the same way; the remaining hit rows lie below it
+    whatever they report.  So the result is the object layer's bit for bit.
     """
     if total is None:
         total = np.broadcast_to(values, disadvantaged.shape + protected.shape[1:]).sum(axis=2)
@@ -392,6 +430,7 @@ def draw_bias_batch(
     alpha: float,
     lam: float,
     gamma: float | None,
+    out=None,
 ):
     """Draw what one bias-grid chunk shares across its draw group, in a fixed order.
 
@@ -402,11 +441,12 @@ def draw_bias_batch(
     column, ``(size, n, 1)``.  With ``gamma`` None the committee is the
     fixed one-biased, one-unbiased pair (evaluator 0 biased); otherwise each
     evaluator's coin is an independent Bernoulli(gamma).  Ties depend on the
-    members' deltas, so ``bias_worker`` redraws them.
+    members' deltas, so ``bias_worker`` redraws them.  ``u`` is drawn into
+    ``out``, as ``draw_correlated_values`` takes it.
     """
     if n % 2 or d % 2:
         raise ValueError("two-evaluator committees need even n and d")
-    u = draw_correlated_values(rng, size, n, 1 if sigma == 1.0 else d, sigma, None)
+    u = draw_correlated_values(rng, size, n, 1 if sigma == 1.0 else d, sigma, None, out=out)
     disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
     protected = random_subset_mask(rng, size, d, round_half_up(lam * d))
     hol_rows0 = random_subset_mask(rng, size, n, n // 2)
@@ -428,9 +468,10 @@ def bias_draw_key(params: dict):
 def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     """Score every member of a draw group on one shared draw.
 
-    Each distinct ``delta``'s values are computed once, into one ``(size, n,
-    d)`` buffer that every delta of the chunk reuses, and scored at the beta
-    of every member that has it; no score is a view of the buffer.  A run
+    The uniforms are drawn into the process's ``copula`` workspace.  Each
+    distinct ``delta``'s values are computed once, into the ``values``
+    workspace that every delta reuses, and scored at the beta of every
+    member that has it; no score is a view of either buffer.  A run
     whose best applicant ties under any member's values gets fresh uniforms,
     and every member is scored again.
 
@@ -451,6 +492,7 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         float(shared["alpha"]),
         float(shared["lambda"]),
         None if gamma is None else float(gamma),
+        out=_workspace("copula", (size, n, 1 if sigma == 1.0 else d)),
     )
     by_delta = {}
     for index, params in enumerate(members):
@@ -459,7 +501,7 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
 
     def score_all(u):
         tied = np.zeros(size, dtype=bool)
-        values = np.empty_like(u)
+        values = _workspace("values", u.shape)
         for delta, indices in by_delta.items():
             power_law_inv_cdf(u, delta, out=values)
             total = np.broadcast_to(values, (size, n, d)).sum(axis=2)

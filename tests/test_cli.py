@@ -127,6 +127,7 @@ def _axes(draw):
 _VALUES = {
     int: st.integers(),
     cli._parse_seed: st.integers(min_value=0),
+    cli._parse_bins: st.integers(min_value=2),
     cli._parse_count: st.integers(min_value=1),
     cli._parse_pool: st.integers(min_value=1).map(lambda k: 2 * k),
     cli._parse_pool_list: st.lists(
@@ -204,6 +205,27 @@ def test_rejected_values_name_option_and_value(capsys, tmp_path, flag, value, ru
     # parsed up front, so the message names the option and its value, not an
     # internal argument such as derive_stream's master_seed
     code = run_cli("calibration", "--seed", "1", "--outdir", str(tmp_path), f"--{flag}={value}")
+    assert code == 2
+    assert f"bad value for {flag!r}: {rule}, got {value}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, rule",
+    [
+        (("calibration",), "num_bins", "1", "must be at least 2"),
+        (("pool-dump", "--scheme", "holistic"), "evaluators", "0", "must be positive"),
+        (("pool-dump", "--scheme", "blocked", "--cols-per-eval", "2"), "rows_per_eval", "-3",
+         "must be positive"),
+        (("pool-dump", "--scheme", "blocked", "--rows-per-eval", "2"), "cols_per_eval", "0",
+         "must be positive"),
+    ],
+)
+def test_counts_name_option_and_value(capsys, tmp_path, argv, flag, value, rule):
+    # parsed up front like --runs, not left to the allocator or the binner,
+    # whose messages name no value
+    option = "--" + flag.replace("_", "-")
+    code = run_cli(*argv, "--seed", "1", "--outdir", str(tmp_path), f"{option}={value}")
     assert code == 2
     assert f"bad value for {flag!r}: {rule}, got {value}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []

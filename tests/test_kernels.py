@@ -9,7 +9,12 @@ exactly interchangeable.  The theorem kernel draws class maxima instead of
 whole pools; the full-pool draw kept here is the oracle it is checked against.
 """
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,7 +312,7 @@ def test_efficiency_tie_check_sums_the_two_columns(monkeypatch):
     draws = iter([tied, fresh])
     calls = []
 
-    def stub(rng, batch, n, d, sigma, delta):
+    def stub(rng, batch, n, d, sigma, delta, out=None):
         calls.append(batch)
         return next(draws).copy()
 
@@ -486,6 +491,61 @@ def test_bias_worker_scores_own_their_memory(sigma):
             assert np.array_equal(scores[key], alone[key])
 
 
+# Worker groups run one after another in one process, as a pool worker runs
+# its chunks: the workspace changes shape back and forth, sigma = 1 draws one
+# column, and chunk sizes differ.  (worker, members, chunk size, stream index)
+_WORKSPACE_SEQUENCE = (
+    ("bias", (BIAS_POINT, {**BIAS_POINT, "delta": 2.0, "beta": 0.3}), 48, 1),
+    ("bias", ({**BIAS_POINT, "sigma": 1.0, "beta": 0.3, "gamma": 0.5},), 64, 2),
+    ("efficiency", ({"n": 10, "sigma": 0.5, "delta": 1.0, "tau": 0.3},), 80, 3),
+    ("bias", ({**BIAS_POINT, "n": 8, "d": 6, "sigma": 0.0},), 96, 4),
+    ("bias", (BIAS_POINT, {**BIAS_POINT, "delta": 2.0, "beta": 0.3}), 48, 1),
+    ("efficiency", ({"n": 6, "sigma": 1.0, "delta": 2.0, "tau": 0.5},), 32, 5),
+    ("bias", ({**BIAS_POINT, "sigma": 1.0, "beta": 0.3, "gamma": 0.5},), 64, 2),
+    ("efficiency", ({"n": 10, "sigma": 0.5, "delta": 1.0, "tau": 0.3},), 80, 3),
+)
+
+_RUN_FIRST = """
+import json, sys
+from evalsim.experiments import kernels
+from evalsim.rng import derive_stream
+kind, members, size, index = json.loads(sys.argv[1])
+out = getattr(kernels, kind + "_worker")(tuple(members), derive_stream(52, index), size)
+print(json.dumps([{name: x.tolist() for name, x in scores.items()} for scores in out]))
+"""
+
+
+def test_workers_reuse_the_workspace_without_moving_a_bit():
+    # each distinct group, run first in a fresh interpreter, against the
+    # same group run here after the others
+    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[2])}
+    distinct = list(dict.fromkeys(json.dumps(group) for group in _WORKSPACE_SEQUENCE))
+    procs = {
+        key: subprocess.Popen(
+            [sys.executable, "-c", _RUN_FIRST, key], stdout=subprocess.PIPE, text=True, env=env
+        )
+        for key in distinct
+    }
+    fresh = {}
+    for key, proc in procs.items():
+        stdout, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        fresh[key] = json.loads(stdout)
+
+    for group in _WORKSPACE_SEQUENCE:
+        kind, members, size, index = group
+        worker = bias_worker if kind == "bias" else efficiency_worker
+        out = worker(members, derive_stream(52, index), size)
+        assert len(out) == len(members)
+        for scores, want in zip(out, fresh[json.dumps(group)]):
+            assert scores.keys() == want.keys()
+            for name, x in scores.items():
+                assert x.tolist() == want[name], (group, name)
+                for buf in kernels._WORKSPACE.values():
+                    assert not np.shares_memory(x, buf), (group, name)
+    assert set(kernels._WORKSPACE) == {"copula", "values"}
+
+
 def test_bias_worker_scores_the_redrawn_values(monkeypatch):
     # the first draw ties applicants 0 and 1 of run 0 under both deltas;
     # the worker redraws run 0, and every kept score is the object route's on
@@ -495,7 +555,7 @@ def test_bias_worker_scores_the_redrawn_values(monkeypatch):
     fresh = np.array([[[0.2, 0.3], [0.1, 0.1], [0.4, 0.5], [0.95, 0.3]]])
     calls = []
 
-    def stub(rng, batch, n, d, sigma, delta):
+    def stub(rng, batch, n, d, sigma, delta, out=None):
         calls.append(batch)
         return (tied if len(calls) % 2 else fresh).copy()
 
@@ -559,6 +619,21 @@ _DECISION_CASES = {
     "own-equals-rest": ([[4, 4], [1, 1], [1, 2], [2, 2]], [T, F, F, F], (T, T), 0.5, (0.5, 1.0)),
     # alpha = 1: every segmented row is discounted, so none bounds the best
     "all-hit": ([[4, 6], [1, 1], [2, 2], [5, 1]], [T, T, T, T], (T, T), 0.0, (0.0, 1.0)),
+    # open, and the other discounted row's estimate ties the best's and a
+    # total that is not discounted: 2 + 4, 1 + 5 and 3 + 3
+    "open-hit-rows-tie": (
+        [[4, 4], [2, 5], [1, 1], [3, 3]], [T, T, F, F], (T, F), 0.5, (1 / 3, 1 / 3)
+    ),
+    # open, and the other discounted row's total, 2, lies below the best's
+    # estimate, 6, so its own estimate is never built
+    "open-hit-row-below-best": (
+        [[4, 4], [1, 1], [2, 2], [3, 3]], [T, T, F, F], (T, F), 0.5, (0.5, 0.5)
+    ),
+    # open, and the other discounted row's total equals the best's estimate,
+    # 6, but its own estimate, 1 + 4, does not
+    "open-hit-row-at-best": (
+        [[4, 4], [2, 4], [1, 1], [2, 2]], [T, T, F, F], (T, F), 0.5, (1.0, 1.0)
+    ),
 }
 
 
@@ -586,6 +661,30 @@ def test_bias_scorer_decides_class_maxima_like_the_full_pool():
     slow = _bias_object_route(full, 0.0)
     assert np.array_equal(got[0], slow[0]) and np.array_equal(got[1], slow[1])
     assert np.array_equal(got[0], [0.25, 0.0]) and np.array_equal(got[1], [0.25, 1.0])
+
+
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_bias_scorer_open_runs_at_sigma_one(gamma):
+    # at sigma = 1 with 0 < beta < 1 a discounted best keeps most of its
+    # total, so both schemes leave many runs open, each with several
+    # discounted rows whose estimates are built or skipped
+    n, d, size, beta = 6, 4, 256, 0.6
+    u, *labels = draw_bias_batch(derive_stream(47, 14), size, n, d, 1.0, 0.5, 0.5, gamma)
+    values = np.repeat(POWER_LAW.inv_cdf(u), d, axis=2)
+    assert not _best_is_tied(values).any()
+    fast = bias_scheme_accuracies(values, *labels, beta)
+    slow = _bias_object_route((values, *labels), beta)
+    assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
+
+    # a run whose best is discounted scores above 0 only when it is open
+    disadvantaged, _, hol_rows0, _, coin0, coin1 = labels
+    runs = np.arange(size)
+    best = values.sum(axis=2).argmax(axis=1)
+    best_dis = disadvantaged[runs, best]
+    owner_coin = np.where(hol_rows0[runs, best], coin0, coin1)
+    for hit_b, acc in ((best_dis & owner_coin, fast[0]), (best_dis, fast[1])):
+        assert (hit_b & (acc > 0.0)).sum() >= 10
+        assert (hit_b & (acc == 0.0)).any()
 
 
 def test_bias_batch_fixed_committee_and_validation():
