@@ -61,7 +61,12 @@ class AllocationPlan:
 
 
 def _split_indices(total: int, per_block: int, rng: np.random.Generator) -> list:
-    """Randomly partition ``range(total)`` into sorted groups of equal size."""
+    """Randomly partition ``range(total)`` into sorted groups of equal size.
+
+    A single group is the whole range and draws nothing from ``rng``.
+    """
+    if per_block == total:
+        return [np.arange(total)]
     perm = rng.permutation(total)
     return [
         np.sort(perm[start : start + per_block])
@@ -85,10 +90,7 @@ def allocate_holistic(
         raise ValueError("more evaluators than applicants")
     if n % evaluators:
         raise ValueError("the evaluator count must divide the number of applicants")
-    cols = np.arange(d)
-    row_groups = _split_indices(n, n // evaluators, rng)
-    blocks = tuple((rows, cols) for rows in row_groups)
-    return AllocationPlan(n, d, blocks)
+    return allocate_blocked(n, d, n // evaluators, d, rng)
 
 
 def allocate_segmented(
@@ -100,10 +102,7 @@ def allocate_segmented(
         raise ValueError("more evaluators than attributes")
     if d % evaluators:
         raise ValueError("the evaluator count must divide the number of attributes")
-    rows = np.arange(n)
-    col_groups = _split_indices(d, d // evaluators, rng)
-    blocks = tuple((rows, cols) for cols in col_groups)
-    return AllocationPlan(n, d, blocks)
+    return allocate_blocked(n, d, n, d // evaluators, rng)
 
 
 def allocate_blocked(

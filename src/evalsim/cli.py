@@ -76,25 +76,20 @@ def _parse_float_list(text: str) -> tuple:
     return _parse_list(float, text)
 
 
-def _parse_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be positive, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Return a parser of integers no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_bins(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise ValueError(f"must be at least 2, got {value}")
-    return value
-
-
-def _parse_seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must be a non-negative integer, got {value}")
-    return value
+_parse_seed = _int_at_least(0)
+_parse_count = _int_at_least(1)
+_parse_bins = _int_at_least(2)
 
 
 def _parse_pool(text: str) -> int:

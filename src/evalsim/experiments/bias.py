@@ -39,7 +39,6 @@ def run_bias_grid(
     grid: GridSpec,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = BIAS_CHUNK,
 ) -> list:
     """Run the paired comparison over a two-axis grid.
 
@@ -70,7 +69,7 @@ def run_bias_grid(
         grid.runs,
         seed,
         STREAM_BIAS_GRID,
-        chunk_size,
+        BIAS_CHUNK,
         workers,
         bias_draw_key,
     )

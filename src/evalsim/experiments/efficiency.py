@@ -40,7 +40,6 @@ def run_efficiency_sweep(
     runs: int = 1000,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = EFFICIENCY_CHUNK,
 ) -> list:
     """Accuracy and workload over the (tau, sigma) grid.
 
@@ -56,7 +55,7 @@ def run_efficiency_sweep(
         runs,
         seed,
         STREAM_EFFICIENCY,
-        chunk_size,
+        EFFICIENCY_CHUNK,
         workers,
         efficiency_draw_key,
     )

@@ -187,32 +187,6 @@ def run_error_pairs(
     return [_pair_from_sums(sums) for sums in moments]
 
 
-def tail_probability(
-    n_per_group: int,
-    delta: float,
-    pools: int,
-    seed: int,
-    workers: int = 1,
-    *,
-    stream_tag,
-):
-    """Monte Carlo P(best of one group < 2 * best of the other) and its SE."""
-    if n_per_group < 1:
-        raise ValueError("group size must be positive")
-    below, _, count = run_points(
-        tail_worker,
-        [{"n_per_group": n_per_group, "delta": delta}],
-        pools,
-        seed,
-        stream_tag,
-        THEOREM_CHUNK,
-        workers,
-    )[0]["below"]
-    p = below / count
-    se = math.sqrt(max(0.0, p * (1.0 - p)) / count)
-    return p, se
-
-
 # ---------------------------------------------------------------------------
 # the packaged checks
 
@@ -447,16 +421,22 @@ def run_tail_check(
     check_distinct(delta_values, "delta_values")
     for delta in delta_values:
         check_params({"delta": delta})
+    if n_per_group < 1:
+        raise ValueError("group size must be positive")
     checks = []
     for index, delta in enumerate(delta_values):
-        p, se = tail_probability(
-            n_per_group,
-            delta,
+        # P(best of one group < 2 * best of the other), each delta on its own stream
+        below = run_points(
+            tail_worker,
+            [{"n_per_group": n_per_group, "delta": delta}],
             pools,
             seed,
+            (STREAM_THEOREM, _TAIL, index),
+            THEOREM_CHUNK,
             workers,
-            stream_tag=(STREAM_THEOREM, _TAIL, index),
-        )
+        )[0]["below"][0]
+        p = below / pools
+        se = math.sqrt(p * (1.0 - p) / pools)
         predicted_below = 1.0 - predicted_tail_above(n_per_group, delta)
         checks.append(TailCheck(n_per_group, delta, pools, p, se, predicted_below))
     return tuple(checks)

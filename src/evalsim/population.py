@@ -4,9 +4,9 @@ A pool is an ``(n, d)`` matrix of true attribute values together with a
 per-applicant group label (a fraction ``alpha`` of applicants belong to the
 disadvantaged group) and a per-attribute protected flag (a fraction
 ``lambda`` of attributes can carry evaluator bias).  The ground-truth ranking
-is by row mean.  Pools are drawn by ``experiments.kernels.build_pool``, from
-the same sampler as every experiment; this module holds the pool itself,
-its ground truth and its CSV form.
+is by row total, as in every kernel.  Pools are drawn by
+``experiments.kernels.build_pool``, from the same sampler as every experiment;
+this module holds the pool itself, its ground truth and its CSV form.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class AttributeMatrix:
 
 
 def true_best(pool: AttributeMatrix) -> int:
-    """Index of the applicant with the highest mean true attribute value."""
-    return int(np.argmax(pool.values.mean(axis=1)))
+    """Index of the applicant with the highest total true attribute value."""
+    return int(np.argmax(pool.values.sum(axis=1)))
 
 
 def pool_to_csv(pool: AttributeMatrix, path) -> None:

@@ -16,6 +16,7 @@ from scipy import stats
 
 from evalsim.allocation import allocate_blocked, allocate_holistic, allocate_segmented
 from evalsim.distributions import PowerLaw
+from evalsim.experiments import bias, efficiency
 from evalsim.experiments.bias import run_bias_grid
 from evalsim.experiments.calibration import run_calibration_sweep
 from evalsim.experiments.efficiency import run_efficiency_sweep
@@ -318,8 +319,10 @@ def test_criterion_7_bias_grid_structure():
 # 8. determinism, exhaustive partitions, copula marginals
 
 
-def test_criterion_8_determinism_and_partitions(tmp_path):
+def test_criterion_8_determinism_and_partitions(tmp_path, monkeypatch):
     failures = []
+    monkeypatch.setattr(bias, "BIAS_CHUNK", 128)
+    monkeypatch.setattr(efficiency, "EFFICIENCY_CHUNK", 128)
 
     # identical seeds give byte-identical CSVs whatever the worker count
     grid = GridSpec(
@@ -328,11 +331,11 @@ def test_criterion_8_determinism_and_partitions(tmp_path):
         runs=512,
     )
     for name, runner in (
-        ("bias", lambda w: run_bias_grid(grid, seed=3, chunk_size=128, workers=w)),
+        ("bias", lambda w: run_bias_grid(grid, seed=3, workers=w)),
         (
             "efficiency",
             lambda w: run_efficiency_sweep(
-                (0.2, 1.0), (0.0, 0.5), n=10, runs=512, seed=3, chunk_size=128, workers=w
+                (0.2, 1.0), (0.0, 0.5), n=10, runs=512, seed=3, workers=w
             ),
         ),
     ):

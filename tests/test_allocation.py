@@ -10,6 +10,7 @@ from evalsim.allocation import (
     allocate_blocked,
     allocate_holistic,
     allocate_segmented,
+    _split_indices,
 )
 from evalsim.rng import derive_stream
 
@@ -75,6 +76,37 @@ def test_partition_is_exhaustive_on_small_grids():
                     if n % rpe == 0 and d % cpe == 0:
                         seed += 1
                         allocate_blocked(n, d, rpe, cpe, _rng(seed)).cell_map()
+
+
+def test_committee_plans_are_their_blocked_tilings():
+    # holistic is the tiling with every column, segmented the one with every
+    # row: same blocks, and the same draws taken from the stream
+    for n in range(1, 7):
+        for d in range(1, 7):
+            for e in range(1, 7):
+                cases = []
+                if e <= n and n % e == 0:
+                    cases.append((allocate_holistic, (n, d, e), (n, d, n // e, d)))
+                if e <= d and d % e == 0:
+                    cases.append((allocate_segmented, (n, d, e), (n, d, n, d // e)))
+                for allocate, args, tiling in cases:
+                    seed = 100 * n + 10 * d + e
+                    rng, twin = _rng(seed), _rng(seed)
+                    plan = allocate(*args, rng)
+                    want = allocate_blocked(*tiling, twin)
+                    assert len(plan.blocks) == len(want.blocks) == e
+                    for (rows, cols), (want_rows, want_cols) in zip(plan.blocks, want.blocks):
+                        assert np.array_equal(rows, want_rows)
+                        assert np.array_equal(cols, want_cols)
+                    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_a_single_group_draws_nothing():
+    rng = _rng(5)
+    before = rng.bit_generator.state
+    (group,) = _split_indices(7, 7, rng)
+    assert np.array_equal(group, np.arange(7))
+    assert rng.bit_generator.state == before
 
 
 def test_assignment_uniformity():

@@ -196,9 +196,9 @@ def test_rejected_values_exit_2(command, opt, data):
 @pytest.mark.parametrize(
     "flag, value, rule",
     [
-        ("seed", "-1", "must be a non-negative integer"),
-        ("runs", "0", "must be positive"),
-        ("workers", "0", "must be positive"),
+        ("seed", "-1", "must be at least 0"),
+        ("runs", "0", "must be at least 1"),
+        ("workers", "0", "must be at least 1"),
     ],
 )
 def test_rejected_values_name_option_and_value(capsys, tmp_path, flag, value, rule):
@@ -214,11 +214,11 @@ def test_rejected_values_name_option_and_value(capsys, tmp_path, flag, value, ru
     "argv, flag, value, rule",
     [
         (("calibration",), "num_bins", "1", "must be at least 2"),
-        (("pool-dump", "--scheme", "holistic"), "evaluators", "0", "must be positive"),
+        (("pool-dump", "--scheme", "holistic"), "evaluators", "0", "must be at least 1"),
         (("pool-dump", "--scheme", "blocked", "--cols-per-eval", "2"), "rows_per_eval", "-3",
-         "must be positive"),
+         "must be at least 1"),
         (("pool-dump", "--scheme", "blocked", "--rows-per-eval", "2"), "cols_per_eval", "0",
-         "must be positive"),
+         "must be at least 1"),
     ],
 )
 def test_counts_name_option_and_value(capsys, tmp_path, argv, flag, value, rule):
@@ -777,7 +777,7 @@ def test_theorem_verify_rejects_a_non_positive_count(capsys, tmp_path, flag):
                    "--outdir", str(tmp_path))
     assert code == 2
     err = capsys.readouterr().err
-    assert f"bad value for {flag[2:].replace('-', '_')!r}: must be positive, got 0" in err
+    assert f"bad value for {flag[2:].replace('-', '_')!r}: must be at least 1, got 0" in err
     assert os.listdir(tmp_path) == []
 
 

@@ -46,6 +46,32 @@ def test_power_law_inv_cdf_domain_errors():
         PowerLaw(-0.2)
 
 
+@pytest.mark.parametrize(
+    "u, bad",
+    [
+        (np.array(0.5), False),
+        (np.array([]), False),
+        (np.array([np.nan]), False),
+        (np.array([np.nan, -5e-324]), True),
+        (np.array([-0.0]), False),
+        (np.array([np.inf]), True),
+        (np.array([-np.inf]), True),
+        (np.array([np.nextafter(1.0, 0.0)]), False),
+        (np.array([1.0]), True),
+    ],
+)
+def test_power_law_inv_cdf_checks_u_like_the_comparisons(u, bad):
+    # the verdicts any cheaper check must keep: NaN passes, as it passes
+    # u < 0 and u >= 1, and an empty u passes
+    assert bool(np.any(u < 0.0) or np.any(u >= 1.0)) is bad
+    for out in (None, np.empty_like(u)):
+        if bad:
+            with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+                power_law_inv_cdf(u, 1.0, out=out)
+        else:
+            power_law_inv_cdf(u, 1.0, out=out)
+
+
 @pytest.mark.parametrize("delta", [0.001, 0.3, 0.5, 0.9, 1.0, 2.0, 7.0])
 def test_power_law_inv_cdf_into_a_buffer_is_bit_equal(delta):
     u = derive_stream(103, 1).random((64, 5, 3))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalsim.experiments import bias, parallel
+from evalsim.experiments import bias, efficiency, parallel
 from evalsim.experiments.bias import run_bias_grid
 from evalsim.experiments.calibration import run_calibration_sweep
 from evalsim.experiments.efficiency import efficiency_grid, run_efficiency_sweep
@@ -204,28 +204,30 @@ def test_efficiency_accuracy_is_non_decreasing_in_tau(seed, n, sigma, taus):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
-def test_efficiency_row_is_the_same_alone_or_in_its_group(sigma):
+def test_efficiency_row_is_the_same_alone_or_in_its_group(sigma, monkeypatch):
     # the tau = 0.2 point is group 0 either way
-    alone = run_efficiency_sweep((0.2,), (sigma,), n=10, runs=300, seed=9, chunk_size=128)
-    grouped = run_efficiency_sweep((0.1, 0.2, 0.5), (sigma,), n=10, runs=300, seed=9, chunk_size=128)
+    monkeypatch.setattr(efficiency, "EFFICIENCY_CHUNK", 128)
+    alone = run_efficiency_sweep((0.2,), (sigma,), n=10, runs=300, seed=9)
+    grouped = run_efficiency_sweep((0.1, 0.2, 0.5), (sigma,), n=10, runs=300, seed=9)
     assert [r for r in grouped if r.params["tau"] == 0.2] == alone
 
 
 @pytest.mark.parametrize(
     "second", [("sigma", (0.0, 0.9)), ("beta", (0.0, 0.5)), ("sigma", (1.0, 0.0))]
 )
-def test_bias_row_is_the_same_alone_or_in_its_group(second):
+def test_bias_row_is_the_same_alone_or_in_its_group(second, monkeypatch):
     # grids group by everything but delta and beta; the delta = 1 rows sit at
     # the same group index in both grids
     def grid(deltas):
         return GridSpec(axes=(("delta", deltas), second), fixed={"n": 6, "d": 4}, runs=300)
 
-    alone = run_bias_grid(grid((1.0,)), seed=9, chunk_size=128)
-    grouped = run_bias_grid(grid((0.5, 1.0, 2.0)), seed=9, chunk_size=128)
+    monkeypatch.setattr(bias, "BIAS_CHUNK", 128)
+    alone = run_bias_grid(grid((1.0,)), seed=9)
+    grouped = run_bias_grid(grid((0.5, 1.0, 2.0)), seed=9)
     assert [r for r in grouped if r.params["delta"] == 1.0] == alone
 
 
-def test_fully_correlated_bias_row_is_the_same_alone_or_in_its_group():
+def test_fully_correlated_bias_row_is_the_same_alone_or_in_its_group(monkeypatch):
     # with beta = 0 in the group every estimate of a run can be 0, so the
     # group is scored on the full pool; alone, beta = 0.3 is scored on class
     # maxima.  Both routes must give the same rows.
@@ -234,8 +236,9 @@ def test_fully_correlated_bias_row_is_the_same_alone_or_in_its_group():
     def grid(betas):
         return GridSpec(axes=(("delta", (1.0, 2.0)), ("beta", betas)), fixed=fixed, runs=300)
 
-    alone = run_bias_grid(grid((0.3,)), seed=9, chunk_size=128)
-    grouped = run_bias_grid(grid((0.0, 0.3)), seed=9, chunk_size=128)
+    monkeypatch.setattr(bias, "BIAS_CHUNK", 128)
+    alone = run_bias_grid(grid((0.3,)), seed=9)
+    grouped = run_bias_grid(grid((0.0, 0.3)), seed=9)
     assert [r for r in grouped if r.params["beta"] == 0.3] == alone
 
 
@@ -509,9 +512,10 @@ def test_bias_grid_reproduces_and_honors_grid_runs():
     assert rows != shifted
 
 
-def test_bias_grid_worker_count_invariance():
-    one = run_bias_grid(_small_grid(runs=256), seed=9, chunk_size=64, workers=1)
-    two = run_bias_grid(_small_grid(runs=256), seed=9, chunk_size=64, workers=2)
+def test_bias_grid_worker_count_invariance(monkeypatch):
+    monkeypatch.setattr(bias, "BIAS_CHUNK", 64)
+    one = run_bias_grid(_small_grid(runs=256), seed=9, workers=1)
+    two = run_bias_grid(_small_grid(runs=256), seed=9, workers=2)
     assert one == two
 
 

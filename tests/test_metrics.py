@@ -139,6 +139,19 @@ def test_top1_accuracy_picks_the_true_best():
     assert top1_accuracy(wrong, pool) == 0.0
 
 
+def test_true_best_ranks_by_row_total_as_the_committee_does():
+    # equal row means, different row totals: the committee's estimate is the
+    # row total, so the true best must be ranked the same way
+    values = [[46.88347634181287, 1.0, 1.0], [46.88347634181288, 1.0, 1.0]]
+    pool = _pool(values)
+    means = pool.values.mean(axis=1)
+    totals = pool.values.sum(axis=1)
+    assert means[0] == means[1] and totals[1] > totals[0]
+    assert true_best(pool) == 1
+    truthful = report_truthful(np.arange(2), np.arange(3), pool)
+    assert top1_accuracy(truthful, pool) == 1.0
+
+
 def test_top1_accuracy_splits_exact_ties():
     pool = _pool([[4.0, 2.0], [4.0, 1.9], [1.0, 1.0]])
     tied = _sheet([[4.0, 2.0], [4.0, 2.0], [1.0, 1.0]])

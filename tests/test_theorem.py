@@ -22,7 +22,6 @@ from evalsim.experiments.theorem import (
     run_tail_check,
     run_threshold_check,
     tail_above_limit,
-    tail_probability,
     threshold_delta,
 )
 
@@ -89,11 +88,19 @@ def test_predicted_gap_values():
 
 
 def test_tail_probability_single_draw():
-    p, se = tail_probability(1, 1.0, 200_000, seed=3, stream_tag=5)
+    (check,) = run_tail_check((1.0,), n_per_group=1, pools=200_000, seed=3)
+    p, se = check.p_below, check.se
     assert se == pytest.approx(math.sqrt(0.875 * 0.125 / 200_000), rel=0.05)
     assert abs(p - 0.875) <= 3.0 * se
-    with pytest.raises(ValueError):
-        tail_probability(0, 1.0, 100, seed=3, stream_tag=5)
+
+
+def test_tail_check_rejects_an_empty_group_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_points was called")
+
+    monkeypatch.setattr(theorem, "run_points", no_run)
+    with pytest.raises(ValueError, match="group size must be positive"):
+        run_tail_check((1.0,), n_per_group=0, pools=100, seed=3)
 
 
 def _point(**overrides):
