@@ -1,7 +1,9 @@
 """Evaluator behavior: truthful reports, group bias, binning, screening.
 
 Each evaluator owns a block of (applicant, attribute) cells and reports
-scores for them.  Behaviors:
+scores for them.  A score sheet is an ``(n, d)`` float array with NaN at the
+cells not evaluated; pool values are at least 1 and discounts are
+non-negative, so no reported score is NaN.  Behaviors:
 
 * truthful: report the true value of every owned cell.
 * biased: as truthful, except values of protected attributes for
@@ -19,60 +21,37 @@ scores for them.  Behaviors:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .population import AttributeMatrix
 
 
-@dataclass
-class ScoreMatrix:
-    """Partially filled score sheet for a pool.
-
-    ``scores`` is ``(n, d)`` float with NaN at unevaluated cells and
-    ``evaluated`` the matching bool mask.  Reports from disjoint blocks are
-    combined with :func:`merge_scores`.
-    """
-
-    scores: np.ndarray
-    evaluated: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int, d: int) -> "ScoreMatrix":
-        return cls(
-            scores=np.full((n, d), np.nan),
-            evaluated=np.zeros((n, d), dtype=bool),
-        )
-
-
-def merge_scores(parts) -> ScoreMatrix:
+def merge_scores(parts) -> np.ndarray:
     """Combine block reports into one sheet, rejecting any cell overlap."""
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to merge")
-    n, d = parts[0].scores.shape
-    out = ScoreMatrix.empty(n, d)
+    out = np.full(parts[0].shape, np.nan)
     for part in parts:
-        if part.scores.shape != (n, d):
+        if part.shape != out.shape:
             raise ValueError("score sheets have mismatched shapes")
-        if (out.evaluated & part.evaluated).any():
+        evaluated = ~np.isnan(part)
+        if (evaluated & ~np.isnan(out)).any():
             raise ValueError("score sheets overlap")
-        np.copyto(out.scores, part.scores, where=part.evaluated)
-        out.evaluated |= part.evaluated
+        np.copyto(out, part, where=evaluated)
     return out
 
 
-def report_truthful(rows, cols, pool: AttributeMatrix) -> ScoreMatrix:
+def report_truthful(rows, cols, pool: AttributeMatrix) -> np.ndarray:
     """Report true values for the block ``rows x cols``."""
-    out = ScoreMatrix.empty(pool.n, pool.d)
+    out = np.full(pool.values.shape, np.nan)
     block = np.ix_(rows, cols)
-    out.scores[block] = pool.values[block]
-    out.evaluated[block] = True
+    out[block] = pool.values[block]
     return out
 
 
-def report_biased(rows, cols, pool: AttributeMatrix, beta: float) -> ScoreMatrix:
+def report_biased(rows, cols, pool: AttributeMatrix, beta: float) -> np.ndarray:
     """Report the block with the group discount applied.
 
     A cell is discounted to ``beta`` times its true value exactly when the
@@ -81,12 +60,11 @@ def report_biased(rows, cols, pool: AttributeMatrix, beta: float) -> ScoreMatrix
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    out = ScoreMatrix.empty(pool.n, pool.d)
+    out = np.full(pool.values.shape, np.nan)
     block = np.ix_(rows, cols)
     values = pool.values[block]
     hit = np.outer(pool.disadvantaged[rows], pool.protected[cols])
-    out.scores[block] = np.where(hit, beta * values, values)
-    out.evaluated[block] = True
+    out[block] = np.where(hit, beta * values, values)
     return out
 
 
@@ -123,7 +101,7 @@ def screening_cutoff(tau: float, m: int) -> int:
     return max(1, math.ceil(tau * m - 1e-9))
 
 
-def report_screened(rows, cols, pool: AttributeMatrix, tau: float) -> ScoreMatrix:
+def report_screened(rows, cols, pool: AttributeMatrix, tau: float) -> np.ndarray:
     """Screen on the first owned attribute, then evaluate the second.
 
     The first attribute (lower column index) is reported truthfully for all
@@ -143,9 +121,7 @@ def report_screened(rows, cols, pool: AttributeMatrix, tau: float) -> ScoreMatri
     order = np.lexsort((rows, -first))
     survivors = rows[order[:keep]]
 
-    out = ScoreMatrix.empty(pool.n, pool.d)
-    out.scores[rows, cols[0]] = first
-    out.evaluated[rows, cols[0]] = True
-    out.scores[survivors, cols[1]] = pool.values[survivors, cols[1]]
-    out.evaluated[survivors, cols[1]] = True
+    out = np.full(pool.values.shape, np.nan)
+    out[rows, cols[0]] = first
+    out[survivors, cols[1]] = pool.values[survivors, cols[1]]
     return out

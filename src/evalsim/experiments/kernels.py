@@ -147,8 +147,7 @@ def draw_correlated_values(
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
+    check_params({"sigma": sigma})
     if out is None:
         out = np.empty((batch, n, d))
     if sigma == 0.0:
@@ -310,9 +309,7 @@ def efficiency_draw_key(params: dict):
 def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
     shared = members[0]
     n = int(shared["n"])
-    if n % 2:
-        raise ValueError("the two-screener committee needs an even pool")
-
+    check_params({"n": n})
     sigma, delta = float(shared["sigma"]), float(shared["delta"])
     out = _workspace("copula", (size, n, 2))
     values, rows0 = draw_efficiency_batch(rng, size, n, sigma, delta, out=out)
@@ -444,8 +441,7 @@ def draw_bias_batch(
     members' deltas, so ``bias_worker`` redraws them.  ``u`` is drawn into
     ``out``, as ``draw_correlated_values`` takes it.
     """
-    if n % 2 or d % 2:
-        raise ValueError("two-evaluator committees need even n and d")
+    check_params({"n": n, "d": d})
     u = draw_correlated_values(rng, size, n, 1 if sigma == 1.0 else d, sigma, None, out=out)
     disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
     protected = random_subset_mask(rng, size, d, round_half_up(lam * d))
@@ -607,8 +603,7 @@ def draw_theorem_batch(
     so its cost does not grow with ``n``.  Returns the arrays that
     ``theorem_error_pairs`` takes before ``beta``.
     """
-    if n % 2:
-        raise ValueError("the theorem setting needs an even pool")
+    check_params({"n": n})
 
     def draw(k):
         return max_of_draws(rng, theorem_class_sizes(rng, k, n), delta)

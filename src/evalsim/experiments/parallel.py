@@ -21,6 +21,7 @@ fixed when exact reproducibility across runs matters.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from ..rng import derive_stream
@@ -34,6 +35,13 @@ def chunk_sizes(runs: int, chunk_size: int) -> list:
         raise ValueError("chunk_size must be positive")
     full, rest = divmod(runs, chunk_size)
     return [chunk_size] * full + ([rest] if rest else [])
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (all of the machine's where that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_one(task):
@@ -82,8 +90,9 @@ def run_points(
         for gi, members in enumerate(groups)
         for ci, size in enumerate(sizes)
     ]
-    # a pool forks all its workers up front, so never ask for more than the tasks
-    workers = min(workers, len(tasks))
+    # a pool forks all its workers up front, so never ask for more than the
+    # tasks or the CPUs this process may run on
+    workers = min(workers, len(tasks), _cpu_count())
     if workers <= 1:
         outputs = map(_run_one, tasks)
     else:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evaluators import ScoreMatrix
 from .population import AttributeMatrix, true_best
 
 # Bin labels are plain ints in [1, num_bins]; top-choice outcomes are floats
@@ -40,7 +39,7 @@ def mean_bin_error(reported_bins, true_percentiles, num_bins: int = 5) -> float:
     return float(np.mean(np.abs(reported - truth)))
 
 
-def top1_accuracy(scores: ScoreMatrix, pool: AttributeMatrix) -> float:
+def top1_accuracy(scores: np.ndarray, pool: AttributeMatrix) -> float:
     """Probability the committee's top choice is the true best applicant.
 
     The estimated score of an applicant is the sum of reported values, and
@@ -50,12 +49,12 @@ def top1_accuracy(scores: ScoreMatrix, pool: AttributeMatrix) -> float:
     ``1 / |tie|`` when the true best is in the tie set.  A true best that was
     screened out scores 0.
     """
-    if scores.scores.shape != pool.values.shape:
+    if scores.shape != pool.values.shape:
         raise ValueError("score sheet does not match the pool")
-    eligible = scores.evaluated.all(axis=1)
+    eligible = ~np.isnan(scores).any(axis=1)
     if not eligible.any():
         raise ValueError("no applicant was fully evaluated")
-    estimates = scores.scores.sum(axis=1)
+    estimates = scores.sum(axis=1)
     top = estimates[eligible].max()
     best = true_best(pool)
     if not (eligible[best] and estimates[best] == top):

@@ -56,14 +56,6 @@ class AttributeMatrix:
         if self.protected.shape != (d,):
             raise ValueError("protected must have one entry per attribute")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 def true_best(pool: AttributeMatrix) -> int:
     """Index of the applicant with the highest total true attribute value."""
@@ -81,12 +73,12 @@ def pool_to_csv(pool: AttributeMatrix, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["applicant", "group"]
-        header += [f"attr_{j}" for j in range(pool.d)]
+        header += [f"attr_{j}" for j in range(pool.protected.size)]
         header.append("protected_mask")
         writer.writerow(header)
-        for i in range(pool.n):
+        for i, values in enumerate(pool.values):
             group = "disadvantaged" if pool.disadvantaged[i] else "advantaged"
             row = [i, group]
-            row += [repr(float(v)) for v in pool.values[i]]
+            row += [repr(float(v)) for v in values]
             row.append(mask)
             writer.writerow(row)

@@ -140,6 +140,11 @@ def test_divisibility_and_bounds_errors():
         allocate_blocked(6, 4, 0, 2, _rng())
     with pytest.raises(ValueError):
         allocate_holistic(0, 4, 1, _rng())
+    with pytest.raises(ValueError, match="need at least one evaluator"):
+        allocate_holistic(4, 2, 0, _rng())
+    for cols_per_eval in (0, 5):
+        with pytest.raises(ValueError, match=r"cols_per_eval must lie in \[1, d\]"):
+            allocate_blocked(6, 4, 2, cols_per_eval, _rng())
 
 
 def test_overlapping_blocks_rejected():

@@ -265,6 +265,20 @@ def test_outdir_collision_exits_2_before_any_run(capsys, tmp_path):
     assert blocker.read_text() == "occupied"
 
 
+def test_a_failing_write_exits_1(capsys, tmp_path):
+    # a directory where the CSV should go fails after the run: a runtime
+    # failure, reported in one line, not a configuration problem
+    (tmp_path / "calibration.csv").mkdir()
+    code = run_cli(
+        "calibration", "--seed", "1", "--runs", "2", "--n-values", "5,10",
+        "--outdir", str(tmp_path),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

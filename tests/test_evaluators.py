@@ -5,7 +5,6 @@ import pytest
 
 from evalsim.distributions import PowerLaw
 from evalsim.evaluators import (
-    ScoreMatrix,
     local_quantile_bins,
     merge_scores,
     report_biased,
@@ -14,7 +13,7 @@ from evalsim.evaluators import (
     screening_cutoff,
 )
 from evalsim.experiments.kernels import draw_correlated_values
-from evalsim.metrics import percentile_bin
+from evalsim.metrics import percentile_bin, top1_accuracy
 from evalsim.population import AttributeMatrix
 from evalsim.rng import derive_stream
 
@@ -36,9 +35,9 @@ def _pool(values, disadvantaged=None, protected=None):
 def test_truthful_report_covers_block_only():
     pool = _pool(np.arange(12.0).reshape(4, 3) + 1.0)
     out = report_truthful([0, 2], [1, 2], pool)
-    assert out.evaluated.sum() == 4
-    assert np.array_equal(out.scores[np.ix_([0, 2], [1, 2])], pool.values[np.ix_([0, 2], [1, 2])])
-    assert np.isnan(out.scores[1, 1])
+    assert np.count_nonzero(~np.isnan(out)) == 4
+    assert np.array_equal(out[np.ix_([0, 2], [1, 2])], pool.values[np.ix_([0, 2], [1, 2])])
+    assert np.isnan(out[1, 1])
 
 
 def test_biased_report_discounts_exactly_the_conjunction():
@@ -48,7 +47,7 @@ def test_biased_report_discounts_exactly_the_conjunction():
     for i in range(4):
         for j in range(3):
             expected = 0.25 * values[i, j] if (pool.disadvantaged[i] and pool.protected[j]) else values[i, j]
-            assert out.scores[i, j] == expected
+            assert out[i, j] == expected
 
 
 def test_biased_report_never_raises_a_score():
@@ -56,9 +55,9 @@ def test_biased_report_never_raises_a_score():
     values = PowerLaw(1.0).inv_cdf(rng.random((6, 4)))
     pool = _pool(values, disadvantaged=rng.random(6) < 0.5, protected=rng.random(4) < 0.5)
     out = report_biased(range(6), range(4), pool, beta=0.7)
-    assert np.all(out.scores <= pool.values)
+    assert np.all(out <= pool.values)
     hit = np.outer(pool.disadvantaged, pool.protected)
-    assert np.array_equal(out.scores < pool.values, hit)
+    assert np.array_equal(out < pool.values, hit)
 
 
 def test_biased_report_validates_beta():
@@ -74,8 +73,8 @@ def test_merge_scores_combines_disjoint_blocks():
     left = report_truthful([0, 1], [0, 1, 2], pool)
     right = report_truthful([2, 3], [0, 1, 2], pool)
     merged = merge_scores([left, right])
-    assert merged.evaluated.all()
-    assert np.array_equal(merged.scores, pool.values)
+    assert not np.isnan(merged).any()
+    assert np.array_equal(merged, pool.values)
 
 
 def test_merge_scores_rejects_overlap_and_empty():
@@ -86,7 +85,19 @@ def test_merge_scores_rejects_overlap_and_empty():
     with pytest.raises(ValueError):
         merge_scores([])
     with pytest.raises(ValueError):
-        merge_scores([a, ScoreMatrix.empty(3, 2)])
+        merge_scores([a, np.full((3, 2), np.nan)])
+
+
+def test_a_zero_discount_is_an_evaluated_score():
+    # beta = 0 reports 0.0, not NaN, so the cell counts as evaluated
+    pool = _pool([[3.0, 5.0], [1.5, 1.5]], disadvantaged=[True, False], protected=[True, False])
+    top = report_biased([0], range(2), pool, beta=0.0)
+    assert top[0, 0] == 0.0
+    with pytest.raises(ValueError, match="overlap"):
+        merge_scores([top, report_truthful([0], [0], pool)])
+    sheet = merge_scores([top, report_truthful([1], range(2), pool)])
+    # the discounted best still leads (5.0 against 3.0) and stays eligible
+    assert top1_accuracy(sheet, pool) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +169,8 @@ def test_screened_report_cell_count():
     for tau in (0.05, 0.1, 0.5, 1.0):
         out = report_screened(np.arange(20), np.array([0, 1]), pool, tau)
         expected = 20 + screening_cutoff(tau, 20)
-        assert int(out.evaluated.sum()) == expected
-        assert out.evaluated[:, 0].all()
+        assert np.count_nonzero(~np.isnan(out)) == expected
+        assert not np.isnan(out[:, 0]).any()
 
 
 def test_screened_report_keeps_top_first_attribute():
@@ -169,10 +180,10 @@ def test_screened_report_keeps_top_first_attribute():
     pool = _pool(values)
     out = report_screened(np.arange(6), np.array([0, 1]), pool, tau=0.5)
     # top three by first attribute: the 9.0 pair (tie resolved to index 1) and 8.0
-    assert set(np.flatnonzero(out.evaluated[:, 1])) == {1, 3, 5}
+    assert set(np.flatnonzero(~np.isnan(out[:, 1]))) == {1, 3, 5}
 
     out2 = report_screened(np.arange(6), np.array([0, 1]), pool, tau=1 / 3)
-    assert set(np.flatnonzero(out2.evaluated[:, 1])) == {1, 3}
+    assert set(np.flatnonzero(~np.isnan(out2[:, 1]))) == {1, 3}
 
 
 def test_screened_report_screens_on_the_lower_column():
@@ -180,7 +191,7 @@ def test_screened_report_screens_on_the_lower_column():
     pool = _pool(values)
     # column order handed in reversed; screening still ranks by column 0
     out = report_screened(np.arange(4), np.array([1, 0]), pool, tau=0.25)
-    assert set(np.flatnonzero(out.evaluated[:, 1])) == {3}
+    assert set(np.flatnonzero(~np.isnan(out[:, 1]))) == {3}
 
 
 def test_screened_report_on_a_subset_of_rows():
@@ -188,8 +199,8 @@ def test_screened_report_on_a_subset_of_rows():
     pool = _pool(values)
     rows = np.array([1, 2, 3])
     out = report_screened(rows, np.array([0, 1]), pool, tau=0.4)
-    assert not out.evaluated[0].any()
-    assert set(np.flatnonzero(out.evaluated[:, 1])) == {2, 3}
+    assert np.isnan(out[0]).all()
+    assert set(np.flatnonzero(~np.isnan(out[:, 1]))) == {2, 3}
 
 
 def test_screener_owns_exactly_two_columns():
@@ -206,4 +217,4 @@ def test_perfect_proxy_keeps_the_best_applicant():
         pool = _pool(values)
         out = report_screened(np.arange(10), np.array([0, 1]), pool, tau=0.1)
         best = int(values.sum(axis=1).argmax())
-        assert out.evaluated[best].all()
+        assert not np.isnan(out[best]).any()

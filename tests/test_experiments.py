@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -69,9 +70,9 @@ def test_run_points_is_worker_count_invariant():
     assert [s["binner"][2] for s in serial] == [300, 300]
 
 
-def test_run_points_starts_no_more_workers_than_tasks(monkeypatch):
-    # a pool forks every worker it is asked for, so an oversized --workers is
-    # cut to the task count; the fake maps serially and starts no process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Record each pool's ``max_workers``; the fake maps serially and starts no process."""
     asked = []
 
     class FakePool:
@@ -88,16 +89,37 @@ def test_run_points_starts_no_more_workers_than_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+    return asked
+
+
+def test_run_points_starts_no_more_workers_than_tasks(monkeypatch, pool_sizes):
+    # a pool forks every worker it is asked for, so an oversized --workers is
+    # cut to the task count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     points = [CAL_POINT, {**CAL_POINT, "n": 20}]
     serial = run_points(calibration_worker, points, 300, 9, (7, 3), chunk_size=64)
     wide = run_points(
         calibration_worker, points, 300, 9, (7, 3), chunk_size=64, workers=100_000
     )
-    assert asked == [10]  # 2 points x 5 chunks
+    assert pool_sizes == [10]  # 2 points x 5 chunks
     assert wide == serial
     # one task runs in-process whatever the worker count
     run_points(calibration_worker, [CAL_POINT], 64, 9, (7, 3), chunk_size=64, workers=8)
-    assert asked == [10]
+    assert pool_sizes == [10]
+
+
+def test_run_points_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
+    args = (calibration_worker, [CAL_POINT, {**CAL_POINT, "n": 20}], 300, 9, (7, 3))
+    serial = run_points(*args, chunk_size=64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert run_points(*args, chunk_size=64, workers=8) == serial
+    # without an affinity call (macOS) the machine's count, and one if unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert run_points(*args, chunk_size=64, workers=8) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_points(*args, chunk_size=64, workers=8) == serial
+    assert pool_sizes == [3, 4]
 
 
 def test_run_points_reduces_per_run_arrays_in_chunk_order():
@@ -429,6 +451,8 @@ def test_calibration_sweep_validation():
         run_calibration_sweep(n_values=(5, 50), num_bins=1, runs=10)
     with pytest.raises(ValueError):
         run_calibration_sweep(n_values=(5, 50), runs=0)
+    with pytest.raises(ValueError, match="pool sizes must be at least 2"):
+        run_calibration_sweep(n_values=(1, 5), num_bins=2)
 
 
 # ---------------------------------------------------------------------------

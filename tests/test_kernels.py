@@ -148,6 +148,28 @@ def test_draw_correlated_values_full_correlation_is_exact():
     assert np.all(values >= 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rng: draw_correlated_values(rng, 2, 4, 4, 1.5, 1.0), "sigma must lie in [0, 1], got 1.5"),
+        # pool-dump draws odd sizes, so the copula takes any size from 1
+        (lambda rng: draw_correlated_values(rng, 2, 0, 3, 0.5, 1.0), "n and d must be at least 1"),
+        (lambda rng: efficiency_worker(({"n": 0, "sigma": 0.5, "tau": 0.5, "delta": 1.0},), rng, 4),
+         "n must be even and at least 2, got 0"),
+        (lambda rng: draw_bias_batch(rng, 4, 0, 2, 0.0, 0.5, 0.5, None),
+         "n must be even and at least 2, got 0"),
+        (lambda rng: draw_bias_batch(rng, 4, 4, 3, 0.0, 0.5, 0.5, None),
+         "d must be even and at least 2, got 3"),
+        (lambda rng: draw_theorem_batch(rng, 8, 0, 1.0, 1.0, 0.5), "n must be even and at least 2, got 0"),
+    ],
+    ids=["sigma", "copula-size", "efficiency-n", "bias-n", "bias-d", "theorem-n"],
+)
+def test_kernels_word_a_bad_value_as_the_drivers_do(call, message):
+    with pytest.raises(ValueError) as info:
+        call(derive_stream(43, 10))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
 def test_extreme_correlations_draw_uniform_copulas(sigma):
     # sigma = 0 draws the uniforms directly and sigma = 1 one uniform per

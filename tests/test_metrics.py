@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from evalsim.allocation import allocate_blocked, allocate_holistic
 from evalsim.distributions import PowerLaw
 from evalsim.evaluators import (
-    ScoreMatrix,
     local_quantile_bins,
     merge_scores,
     report_truthful,
@@ -36,8 +35,7 @@ def _pool(values):
 
 
 def _sheet(values):
-    values = np.asarray(values, dtype=float)
-    return ScoreMatrix(values, ~np.isnan(values))
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +159,7 @@ def test_top1_accuracy_splits_exact_ties():
 def test_top1_accuracy_is_scale_invariant():
     pool = _pool([[3.0, 1.0], [2.0, 1.5]])
     sheet = _sheet([[3.0, 1.0], [2.0, 1.5]])
-    scaled = _sheet(10.0 * sheet.scores)
+    scaled = _sheet(10.0 * sheet)
     assert top1_accuracy(sheet, pool) == top1_accuracy(scaled, pool) == 1.0
 
 

