@@ -263,10 +263,10 @@ def _config_strings(resolved: dict) -> dict:
 
 
 def _write_outputs(cfg: dict, experiment: str, prefix: str, tables: dict, grid=None) -> None:
-    """Write each ``{filename: (param_names, rows)}`` table, then the metadata."""
-    for filename, (param_names, rows) in tables.items():
+    """Write each ``{filename: rows}`` table, then the metadata."""
+    for filename, rows in tables.items():
         path = os.path.join(cfg["outdir"], filename)
-        write_results_csv(rows, param_names, path)
+        write_results_csv(rows, path)
         print(f"wrote {path}")
     write_metadata_json(
         os.path.join(cfg["outdir"], f"{prefix}_metadata.json"),
@@ -303,7 +303,7 @@ def _cmd_calibration(cfg: dict) -> int:
     )
     _print_rows(sweep.results, "binner", "mean bin error")
     print(f"log-log slope: {sig4(sweep.loglog_slope)}")
-    _write_outputs(cfg, "calibration", "calibration", {"calibration.csv": (["n"], sweep.results)})
+    _write_outputs(cfg, "calibration", "calibration", {"calibration.csv": sweep.results})
     return 0
 
 
@@ -317,8 +317,8 @@ def _cmd_efficiency(cfg: dict) -> int:
     }
     results = run_efficiency_sweep(**settings, seed=cfg["seed"], workers=cfg["workers"])
     _print_rows(results, "holistic", "accuracy")
-    tables = {"efficiency.csv": (["tau", "sigma"], results)}
-    _write_outputs(cfg, "efficiency", "efficiency", tables, efficiency_grid(**settings))
+    grid = efficiency_grid(**settings)
+    _write_outputs(cfg, "efficiency", "efficiency", {"efficiency.csv": results}, grid)
     return 0
 
 
@@ -328,8 +328,7 @@ def _cmd_bias_grid(cfg: dict) -> int:
     grid = GridSpec(axes=(cfg["axis1"], cfg["axis2"]), fixed=fixed, runs=cfg["runs"])
     results = run_bias_grid(grid, seed=cfg["seed"], workers=cfg["workers"])
     _print_rows(results, "difference", "seg-hol")
-    tables = {"bias_grid.csv": (grid.axis_names, results)}
-    _write_outputs(cfg, "bias-grid", "bias_grid", tables, grid)
+    _write_outputs(cfg, "bias-grid", "bias_grid", {"bias_grid.csv": results}, grid)
     return 0
 
 
@@ -347,14 +346,14 @@ def _cmd_theorem_verify(cfg: dict) -> int:
         delta_values=cfg["delta"], n_per_group=cfg["tail_group"], pools=cfg["tail_pools"], **common
     )
     families = {
-        "theorem_part_a.csv": (["n", "delta", "beta", "gamma"], part_a),
-        "theorem_formula.csv": (["n", "delta", "gamma"], formula),
-        "theorem_threshold.csv": (["n", "delta", "gamma"], threshold),
-        "theorem_tail.csv": (["n", "delta"], tail),
+        "theorem_part_a.csv": part_a,
+        "theorem_formula.csv": formula,
+        "theorem_threshold.csv": threshold,
+        "theorem_tail.csv": tail,
     }
     tables = {
-        name: (param_names, [row for c in checks for row in c.rows(cfg["seed"])])
-        for name, (param_names, checks) in families.items()
+        name: [row for c in checks for row in c.rows(cfg["seed"])]
+        for name, checks in families.items()
     }
     _write_outputs(cfg, "theorem-verify", "theorem", tables)
 

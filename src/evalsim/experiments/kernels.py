@@ -215,9 +215,9 @@ def build_pool(
     protected, both chosen uniformly at random.
     """
     if n < 2:
-        raise ValueError("a pool needs at least 2 applicants")
+        raise ValueError(f"n must be at least 2, got {n!r}")
     if d < 1:
-        raise ValueError("a pool needs at least 1 attribute")
+        raise ValueError(f"d must be at least 1, got {d!r}")
     check_params({"sigma": sigma, "alpha": alpha, "lambda": lam, "delta": delta})
 
     values = draw_correlated_values(rng, 1, n, d, sigma, delta)

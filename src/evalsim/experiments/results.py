@@ -150,14 +150,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_results_csv(results, param_names, path) -> None:
+def write_results_csv(results, path) -> None:
     """Write result rows with the fixed schema.
 
-    Columns are the given parameter names in order, then ``scheme``,
+    Columns are the first row's parameter names in order, then ``scheme``,
     ``estimate``, ``std_error``, ``runs``, ``seed``.  Floats are written with
     repr precision so equal results produce byte-identical files.
     """
-    param_names = list(param_names)
+    param_names = list(results[0].params)
     lines = [",".join([*param_names, "scheme", "estimate", "std_error", "runs", "seed"])]
     for res in results:
         cells = [_format_value(res.params[name]) for name in param_names]

@@ -158,8 +158,11 @@ def test_criterion_4_formula_match():
                 f"n={c.n} delta={c.delta}: diff {c.pair.diff:.6f} vs"
                 f" predicted {c.predicted:.6f} beyond 3x{c.pair.se_diff:.6f}"
             )
-        if not (c.symmetry_hol_ok and c.symmetry_seg_ok):
-            failures.append(f"n={c.n} delta={c.delta}: conditional symmetry violated")
+        if not c.symmetric:
+            failures.append(
+                f"n={c.n} delta={c.delta}: P(best disadvantaged) {c.pair.p_best_dis:.6f}"
+                f" beyond 3x{c.pair.se_best_dis:.6f} of 0.5"
+            )
     anchor = next(c for c in checks if c.n == 2 and c.delta == 1.0)
     if abs(anchor.pair.diff - (-0.0625)) > 3.0 * anchor.pair.se_diff:
         failures.append(
@@ -342,7 +345,7 @@ def test_criterion_8_determinism_and_partitions(tmp_path, monkeypatch):
         paths = []
         for workers in (1, 2, 3):
             path = tmp_path / f"{name}_w{workers}.csv"
-            write_results_csv(runner(workers), ["delta", "sigma"] if name == "bias" else ["tau", "sigma"], path)
+            write_results_csv(runner(workers), path)
             paths.append(path.read_bytes())
         if not (paths[0] == paths[1] == paths[2]):
             failures.append(f"{name} CSVs differ across worker counts")

@@ -696,10 +696,10 @@ def test_theorem_verify_reduced_scale(capsys, tmp_path):
 
 
 # the verdict properties each family's check class decides from; the formula
-# check's own `passed` is left to combine its three
+# check's own `passed` is left to combine its two
 _VERDICT_FLAGS = {
     "run_part_a": (theorem.PartACheck, ("passed",)),
-    "run_formula_check": (theorem.FormulaCheck, ("matches", "symmetry_hol_ok", "symmetry_seg_ok")),
+    "run_formula_check": (theorem.FormulaCheck, ("matches", "symmetric")),
     "run_threshold_check": (theorem.ThresholdCheck, ("passed",)),
     "run_tail_check": (theorem.TailCheck, ("passed",)),
 }
@@ -728,10 +728,10 @@ def tiny_checks():
 @pytest.mark.parametrize(
     "family, flag",
     [(None, None)] + [(name, "passed") for name in _VERDICT_FLAGS]
-    + [("run_formula_check", "symmetry_hol_ok"), ("run_formula_check", "symmetry_seg_ok")],
+    + [("run_formula_check", "symmetric")],
 )
 def test_theorem_verify_verdict(monkeypatch, capsys, tmp_path, tiny_checks, family, flag):
-    # one failing check in any family, or one failed symmetry check, fails the run
+    # one failing check in any family, or a failed symmetry gate, fails the run
     for name, checks in tiny_checks.items():
         cls, flags = _VERDICT_FLAGS[name]
         for f in flags:
@@ -900,6 +900,18 @@ def test_pool_dump_rejects_a_nan_sigma(capsys, tmp_path):
     assert code == 2
     assert "sigma" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--n", "1", "n must be at least 2, got 1"), ("--d", "0", "d must be at least 1, got 0")],
+)
+def test_pool_dump_names_a_bad_size(capsys, tmp_path, flag, value, message):
+    outdir = tmp_path / "pool"
+    code = run_cli("pool-dump", "--seed", "1", flag, value, "--outdir", str(outdir))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("delta", ["0", "-1", "inf", "nan"])

@@ -336,7 +336,7 @@ def test_results_csv_golden(tmp_path):
         ExperimentResult({"tau": 0.1, "sigma": 1.0}, "workload", 24.0, 0.0, 10, 3),
     ]
     path = tmp_path / "table.csv"
-    write_results_csv(rows, ["tau", "sigma"], path)
+    write_results_csv(rows, path)
     assert path.read_text() == (
         "tau,sigma,scheme,estimate,std_error,runs,seed\n"
         "0.1,1.0,holistic,1.0,0.0,10,3\n"

@@ -182,17 +182,25 @@ def test_formula_check_small():
     assert check.predicted == predicted_gap(0.5, check.p_above)
     # the prediction is exact, so the paired runs carry all the uncertainty
     assert abs(check.pair.diff - check.predicted) <= 3.0 * check.pair.se_diff
-    assert check.passed and check.symmetry_hol_ok and check.symmetry_seg_ok
+    assert check.passed and check.symmetric
 
     # the verdicts follow the evidence: a diff 4 SE off the prediction fails
-    # the formula gate, a conditional gap beyond 3 SE fails only the symmetry
+    # the formula gate, a best-disadvantaged share 3.5 SE off one half fails
+    # only the symmetry gate, on either side
     pair = check.pair
     off = replace(check, pair=replace(pair, diff=check.predicted + 4.0 * pair.se_diff))
     assert not off.matches and not off.passed
-    asym_hol = replace(check, pair=replace(pair, gap_hol=3.5 * pair.gap_hol_se))
-    assert asym_hol.matches and not asym_hol.symmetry_hol_ok and not asym_hol.passed
-    asym_seg = replace(check, pair=replace(pair, gap_seg=-3.5 * pair.gap_seg_se))
-    assert asym_seg.matches and not asym_seg.symmetry_seg_ok and not asym_seg.passed
+    for sign in (1.0, -1.0):
+        asym = replace(check, pair=replace(pair, p_best_dis=0.5 + sign * 3.5 * pair.se_best_dis))
+        assert asym.matches and not asym.symmetric and not asym.passed
+
+
+def test_symmetry_gate_fails_without_evidence():
+    # one run has its best disadvantaged or not, a share of 0 or 1 with SE 0,
+    # which says nothing of one half
+    (check,) = run_formula_check(n_values=(2,), delta_values=(1.0,), runs=1, seed=1)
+    assert check.pair.p_best_dis in (0.0, 1.0) and check.pair.se_best_dis == 0.0
+    assert not check.symmetric and not check.passed
 
 
 def test_threshold_check_flags():
@@ -259,7 +267,7 @@ def test_checks_hold_in_the_asymptotic_regime():
         seed=5,
     )
     for check in checks:
-        assert check.passed and check.symmetry_hol_ok and check.symmetry_seg_ok
+        assert check.passed and check.symmetric
         assert check.p_above == pytest.approx(tail_above_limit(check.delta), abs=1e-6)
 
     # simulated maxima of m = 5 * 10**5 draws agree with the quadrature there
