@@ -8,9 +8,20 @@ through the marginal's inverse CDF.  At ``sigma = 0`` attributes are
 independent; at ``sigma = 1`` every attribute of an applicant is the same
 number.
 
-This module holds the marginal.  The copula has one sampler,
-``experiments.kernels.draw_correlated_values``, which every experiment and
-``pool-dump`` draw through.
+This module holds the marginal.  Its inverse CDF is computed as
+``exp(log(1 - u) * (-1 / (1 + delta)))`` in two halves: ``log_survival``
+checks ``u`` and takes ``log(1 - u)``, and ``power_law_from_log_survival``
+checks ``delta`` and takes one multiply and one ``exp``.  A caller that maps
+one draw at several deltas pays the first half once.  The rounding of
+``log`` and of the multiply is carried into the argument of ``exp``, so the
+error grows with that argument, ``-log(1 - u) / (1 + delta)``, which is at
+most 36.7.  On a grid of delta from 0.01 to 10 and u up to the largest
+double below 1, the map lies within 40 ulps of the exact value; a denser
+scan next to ``u = 1`` found up to 44 ulps at ``delta = 0.01`` and 96 at
+``delta = 0.001``.
+
+The copula has one sampler, ``experiments.kernels.draw_correlated_values``,
+which every experiment and ``pool-dump`` draw through.
 """
 
 from __future__ import annotations
@@ -26,24 +37,52 @@ import numpy as np
 _U_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
-def power_law_inv_cdf(u, delta: float, out=None):
-    """Invert the power-law CDF ``F(t) = 1 - t**-(1 + delta)`` on [1, inf).
-
-    Accepts scalars or arrays in ``[0, 1)`` and returns values of matching
-    shape.  ``u = 0`` maps to the support minimum 1.  A float array ``out``
-    of ``u``'s shape, which may be ``u`` itself, receives the values and is
-    returned, so no float array is allocated; the bits are the same.
-    """
+def _check_delta(delta: float) -> None:
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
+
+
+def log_survival(u, out=None):
+    """``log(1 - u)``, the first half of ``power_law_inv_cdf``.
+
+    Checks that ``u`` lies in ``[0, 1)``, so the result is finite and at
+    most 0.  ``out`` is as in ``power_law_inv_cdf``.
+    """
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("u must lie in [0, 1)")
-    if out is not None:
-        np.subtract(1.0, arr, out=out)
-        return np.power(out, -1.0 / (1.0 + delta), out=out)
-    out = (1.0 - arr) ** (-1.0 / (1.0 + delta))
-    return float(out) if out.ndim == 0 else out
+    ls = np.subtract(1.0, arr, out=np.empty_like(arr) if out is None else out)
+    np.log(ls, out=ls)
+    return float(ls) if out is None and ls.ndim == 0 else ls
+
+
+def power_law_from_log_survival(ls, delta: float, out=None):
+    """The power law's value at log-survival ``ls``, the second half of ``power_law_inv_cdf``.
+
+    ``exp(ls * (-1 / (1 + delta)))``: one multiply and one ``exp``.
+    ``ls`` is what ``log_survival`` returns; ``out`` is as in
+    ``power_law_inv_cdf``.
+    """
+    _check_delta(delta)
+    arr = np.asarray(ls, dtype=float)
+    values = np.multiply(arr, -1.0 / (1.0 + delta), out=np.empty_like(arr) if out is None else out)
+    np.exp(values, out=values)
+    return float(values) if out is None and values.ndim == 0 else values
+
+
+def power_law_inv_cdf(u, delta: float, out=None):
+    """Invert the power-law CDF ``F(t) = 1 - t**-(1 + delta)`` on [1, inf).
+
+    Computes ``t = exp(log(1 - u) * (-1 / (1 + delta)))`` as
+    ``power_law_from_log_survival(log_survival(u), delta)``, with the same
+    bits; the module docstring gives its error.  Accepts scalars or arrays in
+    ``[0, 1)`` and returns values of matching shape.  ``u = 0`` maps to the
+    support minimum 1.0 exactly.  A float array ``out`` of ``u``'s shape,
+    which may be ``u`` itself, receives the values and is returned, so no
+    float array is allocated; the bits are the same.
+    """
+    _check_delta(delta)  # before ``out`` is written
+    return power_law_from_log_survival(log_survival(u, out), delta, out)
 
 
 @dataclass(frozen=True)
@@ -58,8 +97,7 @@ class PowerLaw:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
+        _check_delta(self.delta)
 
     def cdf(self, t):
         arr = np.asarray(t, dtype=float)

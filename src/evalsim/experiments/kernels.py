@@ -50,15 +50,22 @@ differ only in ``tau``, and bias points that differ only in ``delta`` and
 group of one.
 
 The one marginal is the power law, so a worker reads its ``params["delta"]``
-and calls ``power_law_inv_cdf`` itself.  ``calibration_worker`` draws
-percentiles and reads no delta.
+and maps its uniforms through the power law itself.  ``bias_worker`` maps
+one draw at several deltas, so it takes the inverse CDF's two halves apart:
+one ``log_survival`` per chunk, then one ``power_law_from_log_survival`` per
+delta.  The other workers call ``power_law_inv_cdf``, the same bits in one
+call.  ``calibration_worker`` draws percentiles and reads no delta.
 
 Sweeps run millions of pools on one core, so everything is vectorized over
 the batch axis.  A chunk's large arrays live in a per-process workspace
 (``_workspace``): one buffer per name, reused by every chunk the process
-runs, so a chunk writes into memory that is already mapped.  A buffer is
-never returned, and no returned array is a view of one.  A process must
-therefore run one chunk at a time, as ``parallel.run_points`` does.
+runs, so a chunk writes into memory that is already mapped.  There are two:
+``copula``, which a chunk's copula draw fills with normals, then uniforms,
+then (in ``bias_worker``) their log-survivals, each in place; and
+``values``, into which ``bias_worker`` maps the log-survivals at each delta
+with one multiply and one ``exp``.  A buffer is never returned, and no
+returned array is a view of one.  A process must therefore run one chunk at
+a time, as ``parallel.run_points`` does.
 """
 
 from __future__ import annotations
@@ -68,7 +75,12 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from ..distributions import _U_BELOW_ONE, power_law_inv_cdf
+from ..distributions import (
+    _U_BELOW_ONE,
+    log_survival,
+    power_law_from_log_survival,
+    power_law_inv_cdf,
+)
 from ..evaluators import screening_cutoff
 from ..metrics import percentile_bin
 from ..population import AttributeMatrix, round_half_up
@@ -464,12 +476,15 @@ def bias_draw_key(params: dict):
 def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     """Score every member of a draw group on one shared draw.
 
-    The uniforms are drawn into the process's ``copula`` workspace.  Each
-    distinct ``delta``'s values are computed once, into the ``values``
-    workspace that every delta reuses, and scored at the beta of every
-    member that has it; no score is a view of either buffer.  A run
-    whose best applicant ties under any member's values gets fresh uniforms,
-    and every member is scored again.
+    The uniforms are drawn into the process's ``copula`` workspace and turned
+    there, in place, into their log-survivals ``log(1 - u)``: the one range
+    check, subtraction and ``log`` of the chunk.  Each distinct ``delta``'s
+    values, ``power_law_inv_cdf(u, delta)`` bit for bit, then cost one
+    multiply and one ``exp`` into the ``values`` workspace that every delta
+    reuses, and are scored at the beta of every member that has it; no score
+    is a view of either buffer.  A run whose best applicant ties under any
+    member's values gets fresh uniforms, whose log-survivals replace its
+    rows, and every member is scored again.
 
     At ``sigma = 1`` the values are ``(size, n, 1)``, one per applicant, and
     broadcast against the ``d`` columns in the row totals and the scorer.
@@ -490,16 +505,17 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         None if gamma is None else float(gamma),
         out=_workspace("copula", (size, n, 1 if sigma == 1.0 else d)),
     )
+    log_surv = log_survival(u, out=u)
     by_delta = {}
     for index, params in enumerate(members):
         by_delta.setdefault(float(params["delta"]), []).append(index)
     scores = [None] * len(members)
 
-    def score_all(u):
+    def score_all(log_surv):
         tied = np.zeros(size, dtype=bool)
-        values = _workspace("values", u.shape)
+        values = _workspace("values", log_surv.shape)
         for delta, indices in by_delta.items():
-            power_law_inv_cdf(u, delta, out=values)
+            power_law_from_log_survival(log_surv, delta, out=values)
             total = np.broadcast_to(values, (size, n, d)).sum(axis=2)
             tied |= _best_is_tied(total)
             for index in indices:
@@ -512,12 +528,11 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
                 }
         return tied
 
-    _redraw_tied_rows(
-        u,
-        lambda k: draw_correlated_values(rng, k, n, u.shape[2], sigma, None),
-        tuple(by_delta),
-        score_all,
-    )
+    def draw(k):
+        fresh = draw_correlated_values(rng, k, n, log_surv.shape[2], sigma, None)
+        return log_survival(fresh, out=fresh)
+
+    _redraw_tied_rows(log_surv, draw, tuple(by_delta), score_all)
     return scores
 
 

@@ -660,7 +660,7 @@ _THEOREM_SHA256 = {
     "theorem_part_a.csv": "ecba10e78aa4af87079034fc5c5f9b010f63964bcfdb1ee8dc7163d9c217743d",
     "theorem_formula.csv": "ef512e41ad72a44aef6e81d37cd7beee9291af241127abb3b29b80ae66347eb7",
     "theorem_threshold.csv": "e9fa442aac1d697c086cad5a584c1378d5aed15fbb05b19121a8d129ec1a5ed6",
-    "theorem_tail.csv": "9af540731a5ad76dc0f8f438dbb5c2cab2f4438bc1b5ba9cac9b945dad73ee03",
+    "theorem_tail.csv": "1c4f02fcb93ce5b08b8b4bfbd2217f3cdcee9cb900fa382525f61835b87ca3b2",
 }
 # sha256 of the same run's 13 summary lines (stdout without the "wrote " lines)
 _THEOREM_SUMMARY_SHA256 = "3e997956fae3a94b1369b7a85986f825521d60a42d70f3d5cf4cb3a9e1717a8a"
@@ -924,7 +924,7 @@ def test_pool_dump_names_a_bad_delta(capsys, tmp_path, delta):
 
 # sha256 of pool-dump's files at seed 0, pinned so a change to the pool
 # sampler or the plan allocators that moves any byte fails here
-_POOL_SHA256 = "ba0e4c49d243ff44fd4918ac04e6e0c91f189ae3a59938ca1f392ed5c848bfb6"
+_POOL_SHA256 = "bde3fd88abf63c4e258c2bf9cd6245ae4655abb0d5ec4402e3ac5a441863d418"
 
 
 @pytest.mark.parametrize(

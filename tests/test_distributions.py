@@ -2,13 +2,19 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from evalsim.distributions import PowerLaw, power_law_inv_cdf
+from evalsim.distributions import (
+    PowerLaw,
+    log_survival,
+    power_law_from_log_survival,
+    power_law_inv_cdf,
+)
 from evalsim.experiments.kernels import draw_correlated_values
 from evalsim.rng import derive_stream
 
@@ -18,6 +24,10 @@ NDTR_M1959964 = 0.024999999096442404
 NDTR_HALF = 0.6914624612740131
 INV_CDF_HALF_058 = 1.550691169256758
 SPEARMAN_SIGMA_HALF = 0.48258373953099746
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+# u = 0, the median, and two u next to 1, where log(1 - u) is largest
+_EDGE_U = (0.0, 0.5, 1.0 - 2.0**-40, _BELOW_ONE)
 
 
 def test_ndtr_reference_values():
@@ -36,10 +46,11 @@ def test_power_law_inv_cdf_reference_values():
 
 
 def test_power_law_inv_cdf_domain_errors():
-    with pytest.raises(ValueError):
-        power_law_inv_cdf(1.0, 1.0)
-    with pytest.raises(ValueError):
-        power_law_inv_cdf(-0.1, 1.0)
+    for bad in (1.0, -0.1):
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+            power_law_inv_cdf(bad, 1.0)
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+            log_survival(bad)
     with pytest.raises(ValueError):
         power_law_inv_cdf(0.5, 0.0)
     with pytest.raises(ValueError):
@@ -86,6 +97,55 @@ def test_power_law_inv_cdf_into_a_buffer_is_bit_equal(delta):
     assert np.array_equal(u.view(np.int64), want.view(np.int64))
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.5, 1.0, 2.0, 10.0])
+def test_split_map_is_power_law_inv_cdf_bit_for_bit(delta):
+    # bias_worker takes log_survival once per chunk and maps it at each delta
+    u = derive_stream(109, 1).random((2048, 20, 20))
+    u[0, 0, : len(_EDGE_U)] = _EDGE_U
+    want = power_law_inv_cdf(u, delta)
+    assert np.array_equal(_bits(power_law_from_log_survival(log_survival(u), delta)), _bits(want))
+    for i, x in enumerate(_EDGE_U + (float(u[1, 2, 3]),)):
+        expected = want[0, 0, i] if i < len(_EDGE_U) else want[1, 2, 3]
+        for scalar in (x, np.array(x)):
+            got = power_law_from_log_survival(log_survival(scalar), delta)
+            assert type(got) is float and _bits(got) == _bits(expected)
+            assert _bits(power_law_inv_cdf(scalar, delta)) == _bits(expected)
+    buf = np.empty_like(u)
+    assert log_survival(u, out=buf) is buf
+    assert power_law_from_log_survival(buf, delta, out=buf) is buf
+    assert np.array_equal(_bits(buf), _bits(want))
+    # in place, the uniforms become log-survivals and then the values
+    assert log_survival(u, out=u) is u
+    assert power_law_from_log_survival(u, delta, out=u) is u
+    assert np.array_equal(_bits(u), _bits(want))
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.5, 1.0, 2.0, 10.0])
+def test_power_law_inv_cdf_is_within_40_ulps_of_exact(delta):
+    # exp(log(1 - u) * c) carries log's and the multiply's rounding into
+    # exp's argument, -log(1 - u) / (1 + delta), which is at most 36.7, so
+    # the error is largest next to u = 1 and at small delta
+    rng = derive_stream(110, 1)
+    u = np.concatenate([
+        rng.random(1000),
+        np.minimum(1.0 - rng.random(1000) ** 8, _BELOW_ONE),
+        _EDGE_U,
+    ])
+    got = power_law_inv_cdf(u, delta)
+    with mpmath.workprec(120):
+        exponent = -1 / (1 + mpmath.mpf(delta))
+        for x, t in zip(u.tolist(), got.tolist()):
+            exact = (1 - mpmath.mpf(x)) ** exponent
+            ulps = abs(t - exact) / np.spacing(float(exact))
+            assert ulps <= 40, (x, t, float(ulps))
+    assert power_law_inv_cdf(0.0, delta) == 1.0
+    assert math.isfinite(power_law_inv_cdf(_BELOW_ONE, delta))
+
+
 @pytest.mark.parametrize("u, delta", [(1.0, 1.0), (-0.1, 1.0), (0.5, 0.0), (0.5, -1.0)])
 def test_power_law_inv_cdf_into_a_buffer_checks_its_domain(u, delta):
     arr = np.full((2, 3), 0.5)
@@ -94,6 +154,8 @@ def test_power_law_inv_cdf_into_a_buffer_checks_its_domain(u, delta):
         power_law_inv_cdf(arr, delta, out=np.empty_like(arr))
     with pytest.raises(ValueError):
         power_law_inv_cdf(arr, delta, out=arr)
+    # a rejected call writes nothing into out
+    assert np.array_equal(arr, np.where(np.arange(6).reshape(2, 3) == 5, u, 0.5))
 
 
 def test_power_law_rejects_an_infinite_exponent():

@@ -63,4 +63,4 @@ def test_the_cli_imports_no_quadrature():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0.19904041707227982"
+    assert proc.stdout.strip() == "0.19904041707227738"

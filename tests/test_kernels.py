@@ -602,6 +602,38 @@ def test_bias_worker_scores_the_redrawn_values(monkeypatch):
         assert list(slow_h) == [0.0, 1.0] and list(slow_s) == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+def test_bias_worker_scores_power_law_inv_cdf_of_its_uniforms(monkeypatch, sigma):
+    # the worker maps one log-survival per chunk at each delta; what it
+    # scores is power_law_inv_cdf of the chunk's uniforms, bit for bit
+    drawn, scored = [], []
+
+    def draw(*args, **kwargs):
+        u, *labels = draw_bias_batch(*args, **kwargs)
+        drawn.append(u.copy())
+        return (u, *labels)
+
+    def score(values, *args):
+        scored.append((args[-2], values.copy()))
+        return bias_scheme_accuracies(values, *args)
+
+    monkeypatch.setattr(kernels, "draw_bias_batch", draw)
+    monkeypatch.setattr(kernels, "bias_scheme_accuracies", score)
+    settings = [(0.5, 0.0), (2.0, 0.3), (0.5, 0.7), (1.0, 0.9)]
+    members = tuple(
+        {**BIAS_POINT, "sigma": sigma, "delta": de, "beta": beta} for de, beta in settings
+    )
+    bias_worker(members, derive_stream(47, 13), 64)
+    (u,) = drawn
+    assert u.shape == (64, 6, 1 if sigma == 1.0 else 4)
+    # one score per member, so no run was redrawn
+    assert sorted(beta for beta, _ in scored) == sorted(beta for _, beta in settings)
+    delta_of = {beta: de for de, beta in settings}
+    for beta, values in scored:
+        want = power_law_inv_cdf(u, delta_of[beta])
+        assert np.array_equal(values.view(np.int64), want.view(np.int64))
+
+
 T, F = True, False
 
 
