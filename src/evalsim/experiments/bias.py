@@ -14,7 +14,7 @@ attribute carries independent signal.
 from __future__ import annotations
 
 from ..rng import STREAM_BIAS_GRID
-from .kernels import bias_draw_key, bias_worker
+from .kernels import bias_draw_key, bias_worker, load_ndtr
 from .parallel import run_points
 from .results import GridSpec, check_params, rows_from_moments
 
@@ -63,6 +63,7 @@ def run_bias_grid(
     for point in worker_points:
         check_params(point)
 
+    load_ndtr(worker_points)
     moments = run_points(
         bias_worker,
         worker_points,

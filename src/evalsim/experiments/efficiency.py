@@ -11,7 +11,7 @@ discards the true best.
 from __future__ import annotations
 
 from ..rng import STREAM_EFFICIENCY
-from .kernels import efficiency_cells, efficiency_draw_key, efficiency_worker
+from .kernels import efficiency_cells, efficiency_draw_key, efficiency_worker, load_ndtr
 from .parallel import run_points
 from .results import ExperimentResult, GridSpec, check_params, rows_from_moments
 
@@ -49,6 +49,7 @@ def run_efficiency_sweep(
     sigma are scored on shared pools, so their rows are paired.
     """
     points = efficiency_grid(tau_values, sigma_values, n, delta, runs).points()
+    load_ndtr(points)
     moments = run_points(
         efficiency_worker,
         points,

@@ -41,6 +41,14 @@ applicant broadcast against the ``d`` columns.
 ``draw_correlated_values`` is the package's one copula sampler, and
 ``_redraw_tied_rows`` its one tie policy: ``build_pool``, which draws the
 object layer's single pool for ``pool-dump``, takes both from here.
+Its normal CDF, ``ndtr``, is the package's one use of SciPy, and
+``scipy.special`` is imported at its first call rather than with this
+module: importing it is most of the CLI's start-up, and ``calibration`` and
+``theorem-verify`` never draw the copula.  ``run_bias_grid`` and
+``run_efficiency_sweep`` make that import themselves, through ``load_ndtr``,
+before they run their points, so that forked pool workers inherit it: a
+sweep makes its own pool, so a worker that imported it would import it
+again in every sweep.
 
 A worker takes the params of one draw group (see ``parallel.run_points``)
 and returns one dict of per-run arrays per member.  Efficiency points that
@@ -73,7 +81,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..distributions import (
     _U_BELOW_ONE,
@@ -93,6 +100,23 @@ MAX_TIE_REDRAWS = 10
 
 # name -> flat float64 buffer; see ``_workspace``
 _WORKSPACE = {}
+
+
+def ndtr(x, out=None):
+    """The standard normal CDF: ``scipy.special.ndtr``, imported at the first call."""
+    from scipy.special import ndtr as normal_cdf
+
+    return normal_cdf(x, out=out)
+
+
+def load_ndtr(points) -> None:
+    """Import ``ndtr`` now if any point's copula calls it (``sigma > 0``).
+
+    A driver calls this before ``parallel.run_points``, so that the pool
+    workers it forks inherit the import.
+    """
+    if any(point["sigma"] > 0.0 for point in points):
+        ndtr(0.0)
 
 
 def _workspace(name: str, shape: tuple) -> np.ndarray:

@@ -16,11 +16,11 @@ helps exactly when p > 1/4; as the pool grows, p tends to
 tails favor holistic review.  When only half the attributes are protected
 (one of two), segmentation never hurts, whatever the discount.
 
-This module estimates the gaps by paired Monte Carlo, computes p by
-quadrature (and checks it against simulated maxima), and packages the
-comparisons as checks that decide and summarise themselves: a check holds
-only its evidence, and its verdict, derived values, summary line and result
-rows are all computed from that evidence.  The closed form rests on a
+This module estimates the gaps by paired Monte Carlo, computes p by a fixed
+64-node Gauss-Laguerre rule (and checks it against simulated maxima), and
+packages the comparisons as checks that decide and summarise themselves: a
+check holds only its evidence, and its verdict, derived values, summary
+line and result rows are all computed from that evidence.  The closed form rests on a
 symmetry with two parts.  An error needs a disadvantaged true best applicant:
 an exact per-run fact (reports never raise a disadvantaged score or touch an
 advantaged one), which the kernel tests check run by run.  And the best is
@@ -30,10 +30,12 @@ disadvantaged in half the runs: the formula check gates that share within
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from ..distributions import PowerLaw, _U_BELOW_ONE
+import numpy as np
+
 from ..rng import STREAM_THEOREM
 from .parallel import mean_and_se, run_points
 from .results import ExperimentResult, check_distinct, check_params, sig4
@@ -56,30 +58,42 @@ def tail_above_limit(delta: float) -> float:
     return w / (1.0 + w)
 
 
-def predicted_tail_above(m: int, delta: float) -> float:
-    """Quadrature value of P(max of m draws > 2 * max of m other draws).
+@functools.cache
+def _laguerre_rule() -> tuple:
+    """Nodes and weights of the 64-point Gauss-Laguerre rule.
 
-    Substituting q for the CDF of the second group's maximum turns the
-    integral into a smooth one over (0, 1):
-
-        P = integral_0^1 (1 - F(2 * F^-1(q^(1/m)))^m) dq
-
-    At very large m, ``q^(1/m)`` rounds to 1 near q = 1, so it is clipped
-    below 1 as the sampled maxima are.
+    Built at first use, not at import: importing ``laggauss`` and building
+    the nodes take a few ms, which only the theorem's predictions need.
     """
-    # imported here, its one use, so that importing the CLI skips scipy.integrate
-    from scipy.integrate import quad
+    from numpy.polynomial.laguerre import laggauss
 
+    return laggauss(64)
+
+
+def predicted_tail_above(m: int, delta: float) -> float:
+    """P(max of m draws > 2 * max of m other draws), by Gauss-Laguerre.
+
+    With q the CDF of the second group's maximum,
+
+        P = integral_0^1 (1 - F(2 * F^-1(q**(1/m)))**m) dq.
+
+    For the power law ``F(2 * F^-1(v)) = 1 - w * (1 - v)`` with ``w =
+    2**-(1 + delta)``, so substituting ``q = exp(-t)`` gives
+
+        P = integral_0^inf g(t) exp(-t) dt,
+        g(t) = -expm1(m * log1p(w * expm1(-t / m))),
+
+    with ``g`` smooth, bounded by 1 and tending to ``1 - exp(-w * t)`` as m
+    grows, so a fixed 64-node Gauss-Laguerre rule (Abramowitz and Stegun,
+    sec. 25.4) evaluates it.  Nothing adapts, so nothing warns at a huge m;
+    the rule lies within 5e-12 of adaptive quadrature from m = 1 to 10**6.
+    """
     if m < 1:
         raise ValueError("group size must be positive")
-    law = PowerLaw(delta)
-
-    def integrand(q):
-        y = law.inv_cdf(min(q ** (1.0 / m), _U_BELOW_ONE))
-        return 1.0 - law.cdf(2.0 * y) ** m
-
-    value, _ = quad(integrand, 0.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12)
-    return float(value)
+    check_params({"delta": delta})
+    nodes, weights = _laguerre_rule()
+    w = 2.0 ** -(1.0 + delta)
+    return float(weights @ -np.expm1(m * np.log1p(w * np.expm1(-nodes / m))))
 
 
 def predicted_gap(gamma: float, p_above: float) -> float:
@@ -197,7 +211,7 @@ class FormulaCheck:
     delta: float
     gamma: float
     pair: PairEstimate
-    p_above: float  # quadrature tail probability at m = n/2
+    p_above: float  # predicted tail probability at m = n/2
 
     @property
     def predicted(self) -> float:
@@ -240,10 +254,17 @@ class ThresholdCheck:
     delta: float
     gamma: float
     pair: PairEstimate
+    p_above: float  # predicted tail probability at m = n/2
 
     @property
     def expect_positive(self) -> bool:
-        return self.delta < threshold_delta()
+        """The sign of the predicted gap at this pool size.
+
+        At a finite pool the gap changes sign where ``p_above`` is 1/4, at a
+        tail exponent below ``threshold_delta()``; at n = 2 it is negative
+        at every exponent.
+        """
+        return predicted_gap(self.gamma, self.p_above) > 0.0
 
     @property
     def passed(self) -> bool:
@@ -265,7 +286,7 @@ class ThresholdCheck:
 
 @dataclass(frozen=True)
 class TailCheck:
-    """Simulated tail probability against quadrature and its limit."""
+    """Simulated tail probability against its predicted value and its limit."""
 
     n_per_group: int
     delta: float
@@ -335,7 +356,7 @@ def run_formula_check(
 ) -> tuple:
     """Check the closed-form gap with both attributes protected, beta = 0.
 
-    The tail probability entering the prediction is the quadrature value,
+    The tail probability entering the prediction is ``predicted_tail_above``,
     so the paired runs carry all the uncertainty.
     """
     check_distinct(n_values, "n_values")
@@ -362,7 +383,10 @@ def run_threshold_check(
     seed: int = 0,
     workers: int = 1,
 ) -> tuple:
-    """Check the gap's sign flips across the critical tail exponent."""
+    """Check the gap's sign on either side of the critical tail exponent.
+
+    The expected sign is the predicted gap's at pool size ``n``.
+    """
     check_distinct(delta_values, "delta_values")
     points = [
         {"n": n, "delta": de, "beta": 0.0, "gamma": gamma, "lambda": 1.0}
@@ -370,7 +394,10 @@ def run_threshold_check(
     ]
     pairs = run_error_pairs(points, runs, seed, _THRESHOLD, workers)
     return tuple(
-        ThresholdCheck(p["n"], p["delta"], gamma, pair) for p, pair in zip(points, pairs)
+        ThresholdCheck(
+            p["n"], p["delta"], gamma, pair, predicted_tail_above(p["n"] // 2, p["delta"])
+        )
+        for p, pair in zip(points, pairs)
     )
 
 
@@ -381,7 +408,7 @@ def run_tail_check(
     seed: int = 0,
     workers: int = 1,
 ) -> tuple:
-    """Check the simulated tail probability against its quadrature value."""
+    """Check the simulated tail probability against ``predicted_tail_above``."""
     check_distinct(delta_values, "delta_values")
     for delta in delta_values:
         check_params({"delta": delta})

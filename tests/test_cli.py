@@ -658,9 +658,9 @@ def test_bias_grid_constant_marginal_exits(tmp_path):
 # any byte fails here
 _THEOREM_SHA256 = {
     "theorem_part_a.csv": "ecba10e78aa4af87079034fc5c5f9b010f63964bcfdb1ee8dc7163d9c217743d",
-    "theorem_formula.csv": "ef512e41ad72a44aef6e81d37cd7beee9291af241127abb3b29b80ae66347eb7",
+    "theorem_formula.csv": "4cbe2b30820c22707fd7079d5c75aaa9128b7b80f8ca18cc0943920ebd437fff",
     "theorem_threshold.csv": "e9fa442aac1d697c086cad5a584c1378d5aed15fbb05b19121a8d129ec1a5ed6",
-    "theorem_tail.csv": "1c4f02fcb93ce5b08b8b4bfbd2217f3cdcee9cb900fa382525f61835b87ca3b2",
+    "theorem_tail.csv": "520270e3e24097a0e87d11c830b58a14adbab5950bff3a62f603fcbdf30ecd8c",
 }
 # sha256 of the same run's 13 summary lines (stdout without the "wrote " lines)
 _THEOREM_SUMMARY_SHA256 = "3e997956fae3a94b1369b7a85986f825521d60a42d70f3d5cf4cb3a9e1717a8a"

@@ -15,6 +15,7 @@ from evalsim.distributions import (
     power_law_from_log_survival,
     power_law_inv_cdf,
 )
+from evalsim.experiments import kernels
 from evalsim.experiments.kernels import draw_correlated_values
 from evalsim.rng import derive_stream
 
@@ -36,6 +37,17 @@ def test_ndtr_reference_values():
     assert ndtr(-1.959964) == pytest.approx(NDTR_M1959964, abs=1e-15)
     assert ndtr(0.5) == pytest.approx(NDTR_HALF, abs=1e-15)
     assert ndtr(0.0) == pytest.approx(0.5, abs=1e-16)
+
+
+def test_kernels_ndtr_is_scipys_bit_for_bit():
+    # the kernels import scipy's ndtr at the first call; scalars, arrays and
+    # out= (the copula writes its uniforms over its normals) all pass through
+    z = np.linspace(-40.0, 40.0, 1001).reshape(7, 11, 13)
+    assert kernels.ndtr(0.5) == ndtr(0.5)
+    expected = ndtr(z)
+    assert np.array_equal(kernels.ndtr(z), expected)
+    assert kernels.ndtr(z, out=z) is z
+    assert np.array_equal(z, expected)
 
 
 def test_power_law_inv_cdf_reference_values():

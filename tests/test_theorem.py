@@ -6,6 +6,7 @@ closed form 2**-(2 + delta).
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -72,9 +73,12 @@ def test_quadrature_approaches_its_limit():
 
 @pytest.mark.parametrize("delta", [0.3, 0.5, 1.0, 2.0])
 def test_quadrature_at_a_huge_group(delta):
-    # q ** (1/m) rounds to 1.0 near q = 1 at m = 10**12; the quadrature used to
-    # raise there, after every Monte Carlo check of theorem-verify had run
-    assert predicted_tail_above(10**12, delta) == pytest.approx(tail_above_limit(delta), abs=1e-5)
+    # at m = 10**12 the group maxima sit at the large-pool limit; the rule
+    # reaches it without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = predicted_tail_above(10**12, delta)
+    assert abs(p - tail_above_limit(delta)) <= 1e-12
 
 
 def test_predicted_gap_values():
@@ -209,9 +213,31 @@ def test_threshold_check_flags():
     )
     assert [c.expect_positive for c in checks] == [True, False]
     assert all(c.delta in (0.3, 0.9) for c in checks)
-    # a bool on each side of the critical exponent, so `is` comparisons hold
-    for delta, side in ((threshold_delta() - 1e-9, True), (threshold_delta(), False)):
-        assert replace(checks[0], delta=delta).expect_positive is side
+    assert [c.p_above for c in checks] == [predicted_tail_above(50, d) for d in (0.3, 0.9)]
+    # a bool on each side of p = 1/4, where the predicted gap is 0, so `is`
+    # comparisons hold
+    for p_above, side in ((0.25 + 1e-12, True), (0.25, False)):
+        assert replace(checks[0], p_above=p_above).expect_positive is side
+
+
+def test_threshold_check_expects_the_finite_pool_sign():
+    # at n = 4 the gap changes sign near delta 0.26, not at log2(3) - 1: at
+    # delta 0.4 the formula predicts -0.01066, and the asymptotic sign failed
+    # this correct simulation (diff -0.01118, SE 0.00079)
+    (check,) = run_threshold_check(delta_values=(0.4,), n=4, runs=200_000, seed=5)
+    assert 0.4 < threshold_delta()
+    assert predicted_gap(0.5, check.p_above) == pytest.approx(-0.01066, abs=1e-5)
+    assert check.expect_positive is False
+    assert check.pair.diff < -3.0 * check.pair.se_diff
+    assert check.passed
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.3, threshold_delta(), 1.0, 5.0])
+def test_threshold_check_expects_a_negative_gap_at_two_applicants(delta):
+    # with one applicant per group p = 2**-(2 + delta) < 1/4 at every delta
+    (check,) = run_threshold_check(delta_values=(delta,), n=2, runs=10, seed=5)
+    assert check.p_above == pytest.approx(2.0 ** -(2.0 + delta), abs=1e-12)
+    assert check.expect_positive is False
 
 
 def test_tail_check_small():
