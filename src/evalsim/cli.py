@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import pathlib
@@ -41,6 +42,8 @@ from .experiments.results import (
     write_results_csv,
 )
 from .experiments.theorem import (
+    check_pool_size,
+    check_tail_group,
     run_formula_check,
     run_part_a,
     run_tail_check,
@@ -68,12 +71,8 @@ def _parse_list(parse, text: str, what: str = "the list") -> tuple:
     return values
 
 
-def _parse_int_list(text: str) -> tuple:
-    return _parse_list(int, text)
-
-
-def _parse_float_list(text: str) -> tuple:
-    return _parse_list(float, text)
+_parse_int_list = functools.partial(_parse_list, int)
+_parse_float_list = functools.partial(_parse_list, float)
 
 
 def _int_at_least(low: int):
@@ -92,14 +91,20 @@ _parse_count = _int_at_least(1)
 _parse_bins = _int_at_least(2)
 
 
-def _parse_pool(text: str) -> int:
-    value = int(text)
-    check_params({"n": value})
-    return value
+def _then_check(parse, check):
+    """Return a parser that passes what ``parse`` returns through ``check``."""
+    def parse_and_check(text: str):
+        value = parse(text)
+        check(value)
+        return value
+
+    return parse_and_check
 
 
-def _parse_pool_list(text: str) -> tuple:
-    return _parse_list(_parse_pool, text)
+_parse_pool = _then_check(int, lambda n: check_params({"n": n}))
+_parse_theorem_pool = _then_check(_parse_pool, check_pool_size)
+_parse_theorem_pool_list = functools.partial(_parse_list, _parse_theorem_pool)
+_parse_tail_group = _then_check(_parse_count, check_tail_group)
 
 
 def _parse_axis(text: str) -> tuple:
@@ -158,12 +163,12 @@ OPTIONS = {
     ),
     "theorem-verify": _EXPERIMENT
     + (
-        Option("n", _parse_pool_list, "2,20", "pool sizes for the paired checks"),
+        Option("n", _parse_theorem_pool_list, "2,20", "pool sizes for the paired checks"),
         Option("delta", _parse_float_list, "0.3,1.0", "tail exponents"),
         Option("gamma", float, "0.5", "bias-coin probability"),
         Option("runs", _parse_count, "100000", "paired runs per grid point"),
-        Option("threshold_n", _parse_pool, "1000", "pool size for the sign check"),
-        Option("tail_group", _parse_count, "10000", "group size for the tail check"),
+        Option("threshold_n", _parse_theorem_pool, "1000", "pool size for the sign check"),
+        Option("tail_group", _parse_tail_group, "10000", "group size for the tail check"),
         Option("tail_pools", _parse_count, "10000", "pools for the tail check"),
     ),
     "pool-dump": _COMMON
@@ -249,16 +254,12 @@ def _config_strings(resolved: dict) -> dict:
     """Render resolved options back to strings for the metadata config block."""
     out = {}
     for key, value in sorted(resolved.items()):
-        if isinstance(value, tuple):
-            if key in ("axis1", "axis2"):
-                name, values = value
-                out[key] = f"{name}=" + ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
-            else:
-                out[key] = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            out[key] = repr(value)
-        else:
-            out[key] = str(value)
+        prefix = ""
+        if key in ("axis1", "axis2"):
+            name, value = value
+            prefix = f"{name}="
+        values = value if isinstance(value, tuple) else (value,)
+        out[key] = prefix + ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
     return out
 
 

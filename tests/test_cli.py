@@ -130,9 +130,11 @@ _VALUES = {
     cli._parse_bins: st.integers(min_value=2),
     cli._parse_count: st.integers(min_value=1),
     cli._parse_pool: st.integers(min_value=1).map(lambda k: 2 * k),
-    cli._parse_pool_list: st.lists(
-        st.integers(min_value=1).map(lambda k: 2 * k), min_size=1, unique=True
+    cli._parse_theorem_pool: st.integers(1, 10**9 - 1).map(lambda k: 2 * k),
+    cli._parse_theorem_pool_list: st.lists(
+        st.integers(1, 10**9 - 1).map(lambda k: 2 * k), min_size=1, unique=True
     ).map(tuple),
+    cli._parse_tail_group: st.integers(1, 10**12),
     float: _FLOATS,
     str: st.text(st.characters(blacklist_categories=("Cs",))),
     cli._parse_int_list: st.lists(st.integers(), min_size=1, unique=True).map(tuple),
@@ -659,11 +661,11 @@ def test_bias_grid_constant_marginal_exits(tmp_path):
 _THEOREM_SHA256 = {
     "theorem_part_a.csv": "ecba10e78aa4af87079034fc5c5f9b010f63964bcfdb1ee8dc7163d9c217743d",
     "theorem_formula.csv": "4cbe2b30820c22707fd7079d5c75aaa9128b7b80f8ca18cc0943920ebd437fff",
-    "theorem_threshold.csv": "e9fa442aac1d697c086cad5a584c1378d5aed15fbb05b19121a8d129ec1a5ed6",
+    "theorem_threshold.csv": "ccd46b737a4d60ec2cf8e94ec7afab69a3daa48396e73e9d6d0165256f16ea7d",
     "theorem_tail.csv": "520270e3e24097a0e87d11c830b58a14adbab5950bff3a62f603fcbdf30ecd8c",
 }
 # sha256 of the same run's 13 summary lines (stdout without the "wrote " lines)
-_THEOREM_SUMMARY_SHA256 = "3e997956fae3a94b1369b7a85986f825521d60a42d70f3d5cf4cb3a9e1717a8a"
+_THEOREM_SUMMARY_SHA256 = "db59325e19d5e2bd1bed1d4427e99cbc867e49e3c23dc3eeff9d1eb3631c95b9"
 
 
 def test_theorem_verify_reduced_scale(capsys, tmp_path):
@@ -801,8 +803,20 @@ def test_theorem_verify_rejects_a_non_positive_count(capsys, tmp_path, flag):
         (("--gamma", "2"), "gamma must lie in (0, 1)"),
         (("--threshold-n", "3"), "bad value for 'threshold_n': n must be even and at least 2, got 3"),
         (("--tail-group", "0"), "bad value for 'tail_group'"),
+        # numpy's class-size draw raised OverflowError here, which exited 1
+        (
+            ("--threshold-n", "1" + "0" * 30),
+            "bad value for 'threshold_n': n must be at most 1999999998 to draw class sizes,"
+            " got 1" + "0" * 30,
+        ),
+        (("--n", "2000000000"), "bad value for 'n': n must be at most 1999999998"),
+        (
+            ("--tail-group", "10000000000000"),
+            "bad value for 'tail_group': group size must be at most 1000000000000,"
+            " as U**(1/k) rounds toward 1 beyond it, got 10000000000000",
+        ),
     ],
-    ids=["gamma", "threshold_n", "tail_group"],
+    ids=["gamma", "threshold_n", "tail_group", "huge_threshold_n", "huge_n", "huge_tail_group"],
 )
 def test_theorem_verify_rejects_later_settings_before_any_check(
     monkeypatch, capsys, tmp_path, flags, message

@@ -7,7 +7,7 @@ closed form 2**-(2 + delta).
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -105,6 +105,15 @@ def test_tail_check_rejects_an_empty_group_before_any_run(monkeypatch):
     monkeypatch.setattr(theorem, "run_points", no_run)
     with pytest.raises(ValueError, match="group size must be positive"):
         run_tail_check((1.0,), n_per_group=0, pools=100, seed=3)
+    # U**(1/k) rounds toward 1 beyond 10**12: the simulated maxima are 30 SE
+    # off at 10**15
+    with pytest.raises(ValueError, match="group size must be at most 1000000000000, as U"):
+        run_tail_check((1.0,), n_per_group=10**12 + 1, pools=100, seed=3)
+
+
+def test_tail_check_holds_at_the_largest_group():
+    (check,) = run_tail_check((1.0,), n_per_group=theorem.MAX_TAIL_GROUP, pools=50_000, seed=3)
+    assert check.passed
 
 
 def _point(**overrides):
@@ -121,9 +130,14 @@ def test_run_error_pairs_validation():
         _point(gamma=1.0),
         _point(beta=1.0),
         _point(**{"lambda": 1.5}),
+        # the class-size draw takes groups below 10**9
+        _point(n=theorem.MAX_POOL + 2),
+        _point(n=10**30),
     ):
         with pytest.raises(ValueError):
             run_error_pairs([bad], runs=10, seed=5, sub_tag=1)
+    (pair,) = run_error_pairs([_point(n=theorem.MAX_POOL)], runs=10, seed=5, sub_tag=1)
+    assert pair.runs == 10
 
 
 def test_drivers_check_every_delta_before_any_run(monkeypatch):
@@ -240,6 +254,31 @@ def test_threshold_check_expects_a_negative_gap_at_two_applicants(delta):
     assert check.expect_positive is False
 
 
+def test_each_family_judges_the_shared_evidence_by_its_own_verdict():
+    # at the benchmark's size and seed 107 the gap at delta 0.3 lies 3.03 SE
+    # below its prediction, yet 6.9 SE above 0: the sign check passes, and
+    # the formula check on the same pair fails
+    positive, _ = run_threshold_check(delta_values=(0.3, 0.9), n=1000, runs=32768, seed=107)
+    assert fields(theorem.ThresholdCheck) == fields(theorem.FormulaCheck)
+    formula = theorem.FormulaCheck(*(getattr(positive, f.name) for f in fields(positive)))
+    assert positive.pair.diff - positive.predicted < -3.0 * positive.pair.se_diff
+    assert positive.expect_positive is formula.expect_positive is True
+    assert positive.signed and positive.passed
+    assert not formula.matches and not formula.passed
+    assert positive.rows(7) == formula.rows(7)
+    assert positive.summary() == (
+        f"threshold n=1000 delta=0.3: diff {sig4(positive.pair.diff)}"
+        f" predicted {sig4(positive.predicted)} (se {sig4(positive.pair.se_diff)})"
+        " expected positive PASS"
+    )
+
+    # the other way round: a gap of 0 matches a prediction of 0 but shows no sign
+    level = replace(formula, pair=replace(formula.pair, diff=0.0), p_above=0.25)
+    assert level.predicted == 0.0 and level.matches and not level.signed
+    assert level.passed
+    assert not theorem.ThresholdCheck(*(getattr(level, f.name) for f in fields(level))).passed
+
+
 def test_tail_check_small():
     (check,) = run_tail_check(delta_values=(1.0,), n_per_group=500, pools=20_000, seed=5)
     assert check.predicted_below == pytest.approx(1.0 - TAIL_ABOVE[(500, 1.0)], abs=1e-9)
@@ -340,9 +379,12 @@ def test_checks_render_their_rows():
     assert formula.rows(7)[0].params == {"n": 2, "delta": 1.0, "gamma": 0.5}
 
     p = threshold.pair
+    # the threshold family shares the formula check's rows
     assert rendered([threshold]) == [
-        ("difference", ["n", "delta", "gamma"], p.diff, p.se_diff, 2_000)
+        ("difference", ["n", "delta", "gamma"], p.diff, p.se_diff, 2_000),
+        ("predicted", ["n", "delta", "gamma"], threshold.predicted, 0.0, 2_000),
     ]
+    assert threshold.predicted == predicted_gap(0.5, predicted_tail_above(100, 0.3))
     assert threshold.rows(7)[0].params == {"n": 200, "delta": 0.3, "gamma": 0.5}
 
     assert rendered([tail]) == [
