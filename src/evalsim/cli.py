@@ -34,9 +34,11 @@ from .experiments.calibration import run_calibration_sweep
 from .experiments.efficiency import efficiency_grid, run_efficiency_sweep
 from .experiments.kernels import build_pool
 from .experiments.results import (
+    PARAM_NAMES,
     GridSpec,
     check_distinct,
     check_params,
+    format_value,
     sig4,
     write_metadata_json,
     write_results_csv,
@@ -192,7 +194,7 @@ def read_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -226,7 +228,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
             if key not in options:
                 raise ConfigError(f"unknown config key: {key!r}")
     for opt in options.values():
-        flag_value = getattr(args, opt.name.replace("-", "_"))
+        flag_value = getattr(args, opt.name)
         if flag_value is not None:
             raw[opt.name] = flag_value
         elif opt.name not in raw and opt.default is not None:
@@ -259,7 +261,7 @@ def _config_strings(resolved: dict) -> dict:
             name, value = value
             prefix = f"{name}="
         values = value if isinstance(value, tuple) else (value,)
-        out[key] = prefix + ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+        out[key] = prefix + ",".join(map(format_value, values))
     return out
 
 
@@ -324,8 +326,7 @@ def _cmd_efficiency(cfg: dict) -> int:
 
 
 def _cmd_bias_grid(cfg: dict) -> int:
-    names = ("n", "d", "sigma", "alpha", "lambda", "beta", "delta", "gamma")
-    fixed = {key: cfg[key] for key in names if key in cfg}
+    fixed = {key: cfg[key] for key in PARAM_NAMES if key in cfg}
     grid = GridSpec(axes=(cfg["axis1"], cfg["axis2"]), fixed=fixed, runs=cfg["runs"])
     results = run_bias_grid(grid, seed=cfg["seed"], workers=cfg["workers"])
     _print_rows(results, "difference", "seg-hol")

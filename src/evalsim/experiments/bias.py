@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..rng import STREAM_BIAS_GRID
 from .kernels import bias_draw_key, bias_worker, load_ndtr
 from .parallel import run_points
-from .results import GridSpec, check_params, rows_from_moments
+from .results import GridSpec, rows_from_moments
 
 BIAS_CHUNK = 2048
 
@@ -60,9 +60,6 @@ def run_bias_grid(
 
     points = grid.points()
     worker_points = [{**BIAS_DEFAULTS, **point} for point in points]
-    for point in worker_points:
-        check_params(point)
-
     load_ndtr(worker_points)
     moments = run_points(
         bias_worker,

@@ -78,13 +78,14 @@ def check_distinct(values, what: str) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A Cartesian parameter grid plus fixed settings.
+    """A Cartesian parameter grid plus fixed settings: a valid sweep by construction.
 
     ``axes`` is an ordered tuple of ``(name, values)`` pairs; ``fixed`` holds
     parameters shared by every point.  Axis order defines both the CSV column
     order and the point order, from which draw groups take their stream
     indices (see ``parallel.run_points``).  ``runs`` is the per-point run
-    count.
+    count.  Building a grid checks its names, rejects a repeated value on an
+    axis and checks every point against ``PARAM_RANGES``.
     """
 
     axes: tuple
@@ -111,6 +112,8 @@ class GridSpec:
                 raise ValueError(f"unknown parameter name {name!r}")
             if name in seen:
                 raise ValueError(f"{name!r} is both an axis and fixed")
+        for point in self.points():
+            check_params(point)
 
     @property
     def axis_names(self) -> tuple:
@@ -144,7 +147,8 @@ def rows_from_moments(labels, moments, runs: int, seed: int) -> list:
     ]
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """A parameter value as tables and metadata write it: ``repr`` for floats."""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -160,7 +164,7 @@ def write_results_csv(results, path) -> None:
     param_names = list(results[0].params)
     lines = [",".join([*param_names, "scheme", "estimate", "std_error", "runs", "seed"])]
     for res in results:
-        cells = [_format_value(res.params[name]) for name in param_names]
+        cells = [format_value(res.params[name]) for name in param_names]
         cells += [
             res.scheme,
             repr(float(res.estimate)),

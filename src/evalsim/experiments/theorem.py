@@ -43,7 +43,7 @@ import numpy as np
 
 from ..rng import STREAM_THEOREM
 from .parallel import mean_and_se, run_points
-from .results import ExperimentResult, check_distinct, check_params, sig4
+from .results import ExperimentResult, GridSpec, check_distinct, check_params, sig4
 from .kernels import tail_worker, theorem_worker
 
 THEOREM_CHUNK = 8192
@@ -152,24 +152,24 @@ class PairEstimate:
 
 
 def run_error_pairs(
-    points,
-    runs: int,
+    grid: GridSpec,
     seed: int,
     sub_tag: int,
     workers: int = 1,
 ) -> list:
-    """Paired estimates for a list of theorem-setting parameter points.
+    """Paired estimates at each point of a theorem-setting grid, in point order.
 
-    Each point is a dict with keys n, delta, beta, gamma, lambda (alpha is
-    fixed at 1/2, sigma at 1, d at 2, the setting the closed form covers).
+    Each point sets n, delta, beta, gamma and lambda (alpha is fixed at 1/2,
+    sigma at 1, d at 2, the setting the closed form covers), and gets
+    ``grid.runs`` runs.
     """
+    points = grid.points()
     for point in points:
-        check_params(point)
         check_pool_size(point["n"])
     moments = run_points(
         theorem_worker,
         points,
-        runs,
+        grid.runs,
         seed,
         (STREAM_THEOREM, sub_tag),
         THEOREM_CHUNK,
@@ -339,21 +339,12 @@ def run_part_a(
     workers: int = 1,
 ) -> tuple:
     """Check err_seg <= err_hol + 3 SE with one of two attributes protected."""
-    check_distinct(beta_values, "beta_values")
-    check_distinct(gamma_values, "gamma_values")
-    check_distinct(delta_values, "delta_values")
-    check_distinct(n_values, "n_values")
-    points = [
-        {"n": n, "delta": de, "beta": be, "gamma": ga, "lambda": 0.5}
-        for be in beta_values
-        for ga in gamma_values
-        for de in delta_values
-        for n in n_values
-    ]
-    pairs = run_error_pairs(points, runs, seed, _PART_A, workers)
+    axes = (("beta", beta_values), ("gamma", gamma_values), ("delta", delta_values), ("n", n_values))
+    grid = GridSpec(axes=axes, fixed={"lambda": 0.5}, runs=runs)
+    pairs = run_error_pairs(grid, seed, _PART_A, workers)
     return tuple(
         PartACheck(p["n"], p["delta"], p["beta"], p["gamma"], pair)
-        for p, pair in zip(points, pairs)
+        for p, pair in zip(grid.points(), pairs)
     )
 
 
@@ -363,17 +354,12 @@ def _run_gap_checks(check, n_values, delta_values, gamma, runs, seed, sub_tag, w
     The tail probability entering the prediction is ``predicted_tail_above``,
     so the paired runs carry all the uncertainty.
     """
-    check_distinct(n_values, "n_values")
-    check_distinct(delta_values, "delta_values")
-    points = [
-        {"n": n, "delta": de, "beta": 0.0, "gamma": gamma, "lambda": 1.0}
-        for n in n_values
-        for de in delta_values
-    ]
-    pairs = run_error_pairs(points, runs, seed, sub_tag, workers)
+    fixed = {"beta": 0.0, "gamma": gamma, "lambda": 1.0}
+    grid = GridSpec(axes=(("n", n_values), ("delta", delta_values)), fixed=fixed, runs=runs)
+    pairs = run_error_pairs(grid, seed, sub_tag, workers)
     return tuple(
         check(p["n"], p["delta"], gamma, pair, predicted_tail_above(p["n"] // 2, p["delta"]))
-        for p, pair in zip(points, pairs)
+        for p, pair in zip(grid.points(), pairs)
     )
 
 

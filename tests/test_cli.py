@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from evalsim import __version__, cli
@@ -70,6 +70,15 @@ def test_malformed_config_line(capsys, tmp_path):
 def test_missing_config_file(capsys, tmp_path):
     assert run_cli("calibration", "--config", str(tmp_path / "none.cfg")) == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_undecodable_config_file(capsys, tmp_path):
+    # a UnicodeDecodeError is a ValueError, which used to reach the user
+    # without the file's name
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe=1")
+    assert run_cli("calibration", "--config", str(cfg)) == 2
+    assert f"cannot read config file {cfg}: 'utf-8' codec" in capsys.readouterr().err
 
 
 def test_malformed_json_config(capsys, tmp_path):
@@ -193,6 +202,83 @@ def test_rejected_values_exit_2(command, opt, data):
         assert code == 2
         assert f"bad value for {opt.name!r}" in err.getvalue()
         assert os.listdir(tmp) == []
+
+
+# tiny in-range settings under which each subcommand runs in a fraction of a second
+_TINY = {
+    "calibration": ("--runs=2", "--n-values=4,6", "--num-bins=2"),
+    "efficiency": ("--runs=2", "--n=4", "--tau=0.5", "--sigma=0.5"),
+    "bias-grid": ("--runs=2", "--n=4", "--d=4", "--axis1=delta=1", "--axis2=sigma=0.5"),
+    "theorem-verify": (
+        "--runs=2", "--n=2", "--delta=1", "--threshold-n=4", "--tail-group=2", "--tail-pools=2",
+    ),
+    "pool-dump": ("--n=4", "--d=4"),
+}
+# numbers on both sides of every range; the count parameters n and d stay small
+_NUMBER = st.one_of(st.floats(-0.5, 2.5), st.floats(allow_nan=True, allow_infinity=True))
+_COUNT = st.integers(-3, 8)
+
+
+def _numbers(name, max_size=1):
+    values = _COUNT if name in ("n", "d") else _NUMBER
+    lists = st.lists(values, min_size=1, max_size=max_size, unique_by=str)
+    return lists.map(lambda vs: ",".join(map(repr, vs)))
+
+
+_SMALL = {
+    "workers": (1, 2),
+    "runs": (1, 3),
+    "tail_pools": (1, 3),
+    "num_bins": (2, 4),
+    "evaluators": (1, 5),
+    "rows_per_eval": (1, 5),
+    "cols_per_eval": (1, 5),
+}
+
+
+def _setting(opt):
+    """Values that parse for ``opt`` but may lie outside its range, or None to keep _TINY's."""
+    if opt.parse in (int, float) and opt.name in PARAM_NAMES:
+        return _numbers(opt.name)
+    if opt.parse is cli._parse_float_list:
+        return _numbers(opt.name, 2)
+    if opt.parse is cli._parse_axis:
+        names = st.sampled_from(PARAM_NAMES)
+        return names.flatmap(lambda name: _numbers(name, 2).map(f"{name}={{}}".format))
+    if opt.name == "n_values":  # calibration's pool sizes may be odd, but not below 2
+        return _numbers("n", 3)
+    if opt.name in _SMALL:
+        return st.integers(*_SMALL[opt.name]).map(str)
+    if opt.name == "scheme":
+        return st.sampled_from(["holistic", "segmented", "blocked"])
+    return None
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_values_out_of_range_exit_2_without_a_traceback(command, data):
+    # values that parse but lie outside the model's ranges are rejected by
+    # the layer that reads them: whichever it is, the run exits 2 with a
+    # message and leaves no directory, and no value ends in a traceback
+    argv = [command, "--seed=1", *_TINY[command]]
+    for opt in OPTIONS[command]:
+        setting = _setting(opt)
+        if setting is not None and data.draw(st.booleans()):
+            argv.append(f"--{opt.name.replace('_', '-')}={data.draw(setting, label=opt.name)}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--outdir={outdir}"])
+        event(f"exit {code}")
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert command == "theorem-verify", err.getvalue()
+            assert "SOME CHECKS FAILED" in out.getvalue(), err.getvalue()
+        else:
+            assert code in (0, 2)
+        assert os.path.exists(outdir) == (code != 2), err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -300,6 +300,24 @@ def test_grid_validation():
         GridSpec(axes=(("delta", (1.0,)),))  # the run count is required
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n", 3), ("d", 0), ("sigma", math.nan), ("alpha", 1.5), ("lambda", -0.5),
+        ("beta", 1.0), ("gamma", 0.0), ("delta", math.inf), ("tau", 0.0),
+    ],
+)
+def test_grids_check_every_point_when_built(name, value):
+    # a grid is a valid sweep by construction: a value out of range, on an
+    # axis after a valid one or among the fixed settings, is rejected in
+    # check_params's words before any driver sees the grid
+    message = _rejection(lambda: check_params({name: value}))
+    valid = 4 if name in ("n", "d") else 0.5
+    axes = (("sigma" if name == "delta" else "delta", (1.0,)), (name, (valid, value)))
+    assert _rejection(lambda: GridSpec(axes=axes, runs=1)) == message
+    assert _rejection(lambda: GridSpec(axes=axes[:1], fixed={name: value}, runs=1)) == message
+
+
 def test_repeated_sweep_values_are_rejected():
     # 1 and 1.0 name one point; each copy would be written as its own row
     with pytest.raises(ValueError, match="axis 'delta' repeats the value 1.0"):
@@ -406,17 +424,17 @@ def _rejection(call) -> str:
 )
 def test_every_driver_words_a_bad_value_alike(name, value, message):
     p = {"delta": 1.0, "sigma": 0.5, name: value}
-    grid = GridSpec(
-        axes=(("delta", (p["delta"],)), ("sigma", (p["sigma"],))), fixed={"n": 4, "d": 4}, runs=16
-    )
+    axes = (("delta", (p["delta"],)), ("sigma", (p["sigma"],)))
     calls = {
-        "bias": lambda: run_bias_grid(grid, seed=1),
+        "bias": lambda: run_bias_grid(GridSpec(axes, fixed={"n": 4, "d": 4}, runs=16), seed=1),
         "efficiency": lambda: run_efficiency_sweep((0.5,), (p["sigma"],), 4, p["delta"], 16, 1),
         "build_pool": lambda: build_pool(4, 4, p["sigma"], 0.5, 0.5, p["delta"], derive_stream(1, 6)),
     }
     if name == "delta":  # the theorem setting fixes sigma at 1
-        point = {"n": 4, "delta": value, "beta": 0.0, "gamma": 0.5, "lambda": 1.0}
-        calls["theorem"] = lambda: run_error_pairs([point], runs=16, seed=1, sub_tag=1)
+        fixed = {"n": 4, "beta": 0.0, "gamma": 0.5, "lambda": 1.0}
+        calls["theorem"] = lambda: run_error_pairs(
+            GridSpec(axes=(("delta", (value,)),), fixed=fixed, runs=16), seed=1, sub_tag=1
+        )
     messages = {driver: _rejection(call) for driver, call in calls.items()}
     assert messages == dict.fromkeys(calls, message)
 
@@ -580,7 +598,7 @@ def test_bias_grid_validation():
 def test_bias_grid_rejects_a_parameter_it_does_not_read():
     # tau is a sweep parameter, but only the screening model reads it
     as_axis = GridSpec(axes=(("delta", (1.0,)), ("tau", (0.1, 0.9))), runs=16)
-    as_fixed = GridSpec(axes=(("delta", (1.0,)), ("sigma", (0.5,))), fixed={"tau": 5}, runs=16)
+    as_fixed = GridSpec(axes=(("delta", (1.0,)), ("sigma", (0.5,))), fixed={"tau": 0.5}, runs=16)
     for grid in (as_axis, as_fixed):
         with pytest.raises(ValueError, match="'tau'"):
             run_bias_grid(grid, seed=9)
@@ -606,8 +624,8 @@ def test_bias_grid_rejects_a_parameter_it_does_not_read():
 )
 def test_bias_grid_rejects_out_of_range_points(name, values):
     fixed = {key: 4 for key in ("n", "d") if key != name}
-    grid = GridSpec(axes=(("delta", (1.0,)), (name, values)), fixed=fixed, runs=16)
     with pytest.raises(ValueError, match=f"^{name} must"):
+        grid = GridSpec(axes=(("delta", (1.0,)), (name, values)), fixed=fixed, runs=16)
         run_bias_grid(grid, seed=9)
 
 
@@ -619,6 +637,6 @@ def test_bias_grid_rejects_odd_counts_before_any_run(monkeypatch, name, values):
         raise AssertionError("run_points was called")
 
     monkeypatch.setattr(bias, "run_points", fail)
-    grid = GridSpec(axes=(("sigma", (0.5,)), (name, values)), runs=16)
     with pytest.raises(ValueError, match=f"^{name} must be even and at least 2, got {values[-1]}$"):
+        grid = GridSpec(axes=(("sigma", (0.5,)), (name, values)), runs=16)
         run_bias_grid(grid, seed=9)

@@ -13,6 +13,7 @@ import pytest
 
 from evalsim.cli import sig4
 from evalsim.experiments import theorem
+from evalsim.experiments.results import GridSpec
 from evalsim.experiments.theorem import (
     PairEstimate,
     predicted_gap,
@@ -116,27 +117,28 @@ def test_tail_check_holds_at_the_largest_group():
     assert check.passed
 
 
-def _point(**overrides):
+def _grid(runs, **overrides):
+    """The one-point theorem-setting grid, with ``overrides`` set."""
     point = {"n": 4, "delta": 1.0, "beta": 0.0, "gamma": 0.5, "lambda": 1.0}
     point.update(overrides)
-    return point
+    return GridSpec(axes=(("n", (point.pop("n"),)),), fixed=point, runs=runs)
 
 
 def test_run_error_pairs_validation():
     for bad in (
-        _point(n=5),
-        _point(n=0),
-        _point(gamma=0.0),
-        _point(gamma=1.0),
-        _point(beta=1.0),
-        _point(**{"lambda": 1.5}),
+        {"n": 5},
+        {"n": 0},
+        {"gamma": 0.0},
+        {"gamma": 1.0},
+        {"beta": 1.0},
+        {"lambda": 1.5},
         # the class-size draw takes groups below 10**9
-        _point(n=theorem.MAX_POOL + 2),
-        _point(n=10**30),
+        {"n": theorem.MAX_POOL + 2},
+        {"n": 10**30},
     ):
         with pytest.raises(ValueError):
-            run_error_pairs([bad], runs=10, seed=5, sub_tag=1)
-    (pair,) = run_error_pairs([_point(n=theorem.MAX_POOL)], runs=10, seed=5, sub_tag=1)
+            run_error_pairs(_grid(10, **bad), seed=5, sub_tag=1)
+    (pair,) = run_error_pairs(_grid(10, n=theorem.MAX_POOL), seed=5, sub_tag=1)
     assert pair.runs == 10
 
 
@@ -156,7 +158,7 @@ def test_drivers_check_every_delta_before_any_run(monkeypatch):
 def test_run_error_pairs_estimates():
     # half-protected setting: segmentation can only help, so the estimated
     # errors should come out ordered at this sample size
-    (pair,) = run_error_pairs([_point(**{"lambda": 0.5})], runs=30_000, seed=5, sub_tag=1)
+    (pair,) = run_error_pairs(_grid(30_000, **{"lambda": 0.5}), seed=5, sub_tag=1)
     assert isinstance(pair, PairEstimate)
     assert pair.runs == 30_000
     assert 0.0 <= pair.err_seg <= pair.err_hol <= 1.0
@@ -166,7 +168,7 @@ def test_run_error_pairs_estimates():
     # half the pool is disadvantaged, so the best is disadvantaged half the time
     assert abs(pair.p_best_dis - 0.5) <= 4.0 / math.sqrt(30_000)
 
-    (other,) = run_error_pairs([_point(**{"lambda": 0.5})], runs=30_000, seed=5, sub_tag=2)
+    (other,) = run_error_pairs(_grid(30_000, **{"lambda": 0.5}), seed=5, sub_tag=2)
     assert other != pair  # sub-streams do not overlap
 
 
@@ -302,8 +304,27 @@ def test_tail_check_small():
     ids=lambda v: v.__name__ if callable(v) else None,
 )
 def test_drivers_reject_repeated_values(driver, kwargs, name):
-    # each copy would be its own check, so a repeat is rejected before any run
-    with pytest.raises(ValueError, match=f"{name} repeats the value"):
+    # each copy would be its own check, so a repeat is rejected before any run;
+    # a driver that sweeps a grid names the axis, as bias grids do
+    what = name if driver is run_tail_check else f"axis {name.removesuffix('_values')!r}"
+    value = kwargs[name][-1]
+    with pytest.raises(ValueError, match=f"^{what} repeats the value {value}$"):
+        driver(**kwargs, seed=1)
+
+
+@pytest.mark.parametrize(
+    "driver, kwargs, name",
+    [
+        (run_part_a, {"beta_values": ()}, "beta"),
+        (run_part_a, {"n_values": ()}, "n"),
+        (run_formula_check, {"delta_values": ()}, "delta"),
+        (run_threshold_check, {"delta_values": ()}, "delta"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_drivers_reject_an_empty_sweep(driver, kwargs, name):
+    # an empty list used to return no checks at all
+    with pytest.raises(ValueError, match=f"^axis {name!r} has no values$"):
         driver(**kwargs, seed=1)
 
 
