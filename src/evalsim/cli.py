@@ -57,10 +57,6 @@ from .rng import STREAM_POOL, derive_stream
 OUTPUT_DIR_ENV = "EVALSIM_OUTPUT_DIR"
 
 
-class ConfigError(Exception):
-    """A problem with options or config files (exit code 2)."""
-
-
 # ---------------------------------------------------------------------------
 # option parsing: one table per subcommand, shared string->value parsers
 
@@ -195,16 +191,16 @@ def read_config_file(path: str) -> dict:
         with open(path) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
+            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
         block = payload.get("config", payload)
         if not isinstance(block, dict):
-            raise ConfigError(f"{path}: the config block must be a JSON object")
+            raise ValueError(f"{path}: the config block must be a JSON object")
         return {str(k): str(v) for k, v in block.items()}
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -213,7 +209,7 @@ def read_config_file(path: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         out[key.strip()] = value.strip()
     return out
 
@@ -226,7 +222,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
         raw.update(read_config_file(args.config))
         for key in raw:
             if key not in options:
-                raise ConfigError(f"unknown config key: {key!r}")
+                raise ValueError(f"unknown config key: {key!r}")
     for opt in options.values():
         flag_value = getattr(args, opt.name)
         if flag_value is not None:
@@ -235,7 +231,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
             raw[opt.name] = opt.default
 
     if "seed" not in raw:
-        raise ConfigError("seed required (pass --seed or set seed in the config file)")
+        raise ValueError("seed required (pass --seed or set seed in the config file)")
 
     resolved = {}
     for key, text in raw.items():
@@ -245,7 +241,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
                 raise ValueError("expected a value, got '--'")
             resolved[key] = options[key].parse(text)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+            raise ValueError(f"bad value for {key!r}: {exc}") from exc
 
     if "outdir" not in resolved:
         resolved["outdir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
@@ -390,12 +386,12 @@ def _cmd_pool_dump(cfg: dict) -> int:
             plan = allocate_segmented(cfg["n"], cfg["d"], cfg["evaluators"], rng)
         elif scheme == "blocked":
             if "rows_per_eval" not in cfg or "cols_per_eval" not in cfg:
-                raise ConfigError("blocked plans need rows_per_eval and cols_per_eval")
+                raise ValueError("blocked plans need rows_per_eval and cols_per_eval")
             plan = allocate_blocked(
                 cfg["n"], cfg["d"], cfg["rows_per_eval"], cfg["cols_per_eval"], rng
             )
         else:
-            raise ConfigError(f"unknown scheme {scheme!r}")
+            raise ValueError(f"unknown scheme {scheme!r}")
 
     pool_path = os.path.join(cfg["outdir"], "pool.csv")
     pool_to_csv(pool, pool_path)
@@ -445,11 +441,11 @@ def main(argv=None) -> int:
         try:
             os.makedirs(cfg["outdir"], exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"cannot create output directory {cfg['outdir']!r}: {exc}") from exc
+            raise ValueError(f"cannot create output directory {cfg['outdir']!r}: {exc}") from exc
         created = missing  # deepest first
         return _RUNNERS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
-        # the library rejects bad settings with ValueError: a config problem,
+    except ValueError as exc:
+        # option parsing and the library both reject bad settings with ValueError,
         # which leaves behind no directory this run made while it is empty
         print(f"error: {exc}", file=sys.stderr)
         for path in created:

@@ -66,7 +66,7 @@ def run_bias_grid(
         worker_points,
         grid.runs,
         seed,
-        STREAM_BIAS_GRID,
+        (STREAM_BIAS_GRID,),
         BIAS_CHUNK,
         workers,
         bias_draw_key,

@@ -59,7 +59,7 @@ def run_calibration_sweep(
         points,
         runs,
         seed,
-        STREAM_CALIBRATION,
+        (STREAM_CALIBRATION,),
         CALIBRATION_CHUNK,
         workers,
     )

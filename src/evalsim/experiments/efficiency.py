@@ -52,7 +52,7 @@ def run_efficiency_sweep(
         points,
         runs,
         seed,
-        STREAM_EFFICIENCY,
+        (STREAM_EFFICIENCY,),
         EFFICIENCY_CHUNK,
         workers,
         efficiency_draw_key,

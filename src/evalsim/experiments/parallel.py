@@ -59,7 +59,7 @@ def run_points(
     points,
     runs: int,
     seed: int,
-    stream_tag,
+    stream_tag: tuple,
     chunk_size: int,
     workers: int = 1,
     draw_key=None,
@@ -71,14 +71,13 @@ def run_points(
     size)`` takes the tuple of a group's params, in point order, and must
     return one dict of 1-d arrays per member, each holding one value per
     run; it must be picklable (a module-level function) when ``workers >
-    1``.  ``stream_tag`` is an int or tuple of ints prefixed to every stream
-    path.  Returns one dict per point, in point order, mapping each array
-    name to ``(sum, sumsq, runs)`` over all chunks, ready for
-    ``mean_and_se(*moments)``.
+    1``.  ``stream_tag`` is the tuple of ints prefixed to every stream path,
+    such as ``(STREAM_BIAS_GRID,)``.  Returns one dict per point, in point
+    order, mapping each array name to ``(sum, sumsq, runs)`` over all
+    chunks, ready for ``mean_and_se(*moments)``.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    prefix = stream_tag if isinstance(stream_tag, tuple) else (stream_tag,)
     sizes = chunk_sizes(runs, chunk_size)
     groups = {}  # draw key -> member point indices; dicts keep first appearance
     for index, params in enumerate(points):
@@ -86,7 +85,7 @@ def run_points(
         groups.setdefault(key, []).append(index)
     groups = list(groups.values())
     tasks = [
-        (worker, tuple(points[i] for i in members), seed, prefix, gi, ci, size)
+        (worker, tuple(points[i] for i in members), seed, stream_tag, gi, ci, size)
         for gi, members in enumerate(groups)
         for ci, size in enumerate(sizes)
     ]

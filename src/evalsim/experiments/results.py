@@ -69,8 +69,10 @@ class ExperimentResult:
 
 
 def check_distinct(values, what: str) -> None:
-    """Reject sweep values that name one value twice: each would be its own row."""
+    """Reject sweep values that are empty, or name one value twice (each copy would be a row)."""
     values = tuple(values)
+    if not values:
+        raise ValueError(f"{what} has no values")
     for index, value in enumerate(values):
         if value in values[:index]:
             raise ValueError(f"{what} repeats the value {value!r}")
@@ -104,8 +106,6 @@ class GridSpec:
             if name in seen:
                 raise ValueError(f"duplicate axis {name!r}")
             seen.add(name)
-            if len(tuple(values)) == 0:
-                raise ValueError(f"axis {name!r} has no values")
             check_distinct(values, f"axis {name!r}")
         for name in self.fixed:
             if name not in PARAM_NAMES:

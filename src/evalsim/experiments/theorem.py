@@ -36,7 +36,6 @@ where a two-sided 3 SE gate would fail about 1% of correct runs.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +70,6 @@ def check_tail_group(n_per_group: int) -> None:
             f"group size must be at most {MAX_TAIL_GROUP}, as U**(1/k) rounds toward 1"
             f" beyond it, got {n_per_group}"
         )
-
-
-def threshold_delta() -> float:
-    """Tail exponent where the asymptotic error gap changes sign."""
-    return math.log2(3.0) - 1.0
 
 
 def tail_above_limit(delta: float) -> float:
@@ -399,19 +393,19 @@ def run_tail_check(
     check_tail_group(n_per_group)
     # predicting checks the group size and every delta before any run
     predicted = [1.0 - predicted_tail_above(n_per_group, delta) for delta in delta_values]
-    checks = []
-    for index, (delta, predicted_below) in enumerate(zip(delta_values, predicted)):
-        # P(best of one group < 2 * best of the other), each delta on its own stream
-        below = run_points(
-            tail_worker,
-            [{"n_per_group": n_per_group, "delta": delta}],
-            pools,
-            seed,
-            (STREAM_THEOREM, _TAIL, index),
-            THEOREM_CHUNK,
-            workers,
-        )[0]["below"][0]
-        p = below / pools
-        se = math.sqrt(p * (1.0 - p) / pools)
-        checks.append(TailCheck(n_per_group, delta, pools, p, se, predicted_below))
-    return tuple(checks)
+    # P(best of one group < 2 * best of the other): each delta is a point, so
+    # its chunks draw from (seed, theorem tag, tail tag, point index, chunk index)
+    points = [{"n_per_group": n_per_group, "delta": delta} for delta in delta_values]
+    moments = run_points(
+        tail_worker,
+        points,
+        pools,
+        seed,
+        (STREAM_THEOREM, _TAIL),
+        THEOREM_CHUNK,
+        workers,
+    )
+    return tuple(
+        TailCheck(n_per_group, delta, pools, *mean_and_se(*sums["below"]), predicted_below)
+        for delta, predicted_below, sums in zip(delta_values, predicted, moments)
+    )

@@ -748,10 +748,10 @@ _THEOREM_SHA256 = {
     "theorem_part_a.csv": "ecba10e78aa4af87079034fc5c5f9b010f63964bcfdb1ee8dc7163d9c217743d",
     "theorem_formula.csv": "4cbe2b30820c22707fd7079d5c75aaa9128b7b80f8ca18cc0943920ebd437fff",
     "theorem_threshold.csv": "ccd46b737a4d60ec2cf8e94ec7afab69a3daa48396e73e9d6d0165256f16ea7d",
-    "theorem_tail.csv": "520270e3e24097a0e87d11c830b58a14adbab5950bff3a62f603fcbdf30ecd8c",
+    "theorem_tail.csv": "dc621ffb572935722f403c15e113854f80f8ab8176fae520869edd9b40ee8f47",
 }
 # sha256 of the same run's 13 summary lines (stdout without the "wrote " lines)
-_THEOREM_SUMMARY_SHA256 = "db59325e19d5e2bd1bed1d4427e99cbc867e49e3c23dc3eeff9d1eb3631c95b9"
+_THEOREM_SUMMARY_SHA256 = "cff8323997c8a5c981185f0790913ca4cff4694ea413c238ee729322d7deb0e8"
 
 
 def test_theorem_verify_reduced_scale(capsys, tmp_path):

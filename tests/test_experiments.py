@@ -175,7 +175,7 @@ def test_draw_groups_are_numbered_by_first_appearance():
     # sigma 0.5 is group 0, 0.0 group 1, 1.0 group 2; each chunk of a group
     # draws from (seed, tag, group index, chunk index)
     moments = run_points(
-        efficiency_worker, MIXED_EFFICIENCY, 100, 9, 7, chunk_size=64,
+        efficiency_worker, MIXED_EFFICIENCY, 100, 9, (7,), chunk_size=64,
         draw_key=efficiency_draw_key,
     )
     groups = {0: [0, 2, 5], 1: [1, 3], 2: [4]}

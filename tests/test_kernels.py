@@ -11,6 +11,7 @@ whole pools; the full-pool draw kept here is the oracle it is checked against.
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from evalsim.distributions import PowerLaw, power_law_inv_cdf
@@ -492,6 +495,49 @@ def test_bias_worker_at_extreme_correlations_matches_object_route(sigma, shared)
         slow_h, slow_s = _bias_object_route((values, *labels), beta)
         assert np.array_equal(scores["holistic"], slow_h)
         assert np.array_equal(scores["segmented"], slow_s)
+
+
+_EVEN_SIZE = st.sampled_from([2, 4, 6, 8, 10])
+_SHARE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
+_BIAS_MEMBERS = st.lists(
+    st.tuples(st.floats(math.log(0.05), math.log(20.0)).map(math.exp), st.floats(0.0, 0.999)),
+    min_size=1,
+    max_size=4,
+    unique=True,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=_EVEN_SIZE,
+    d=_EVEN_SIZE,
+    sigma=_SHARE,
+    alpha=_SHARE,
+    lam=_SHARE,
+    gamma=st.one_of(st.none(), st.floats(0.01, 0.99)),
+    pairs=_BIAS_MEMBERS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bias_worker_matches_object_route_at_random_points(
+    n, d, sigma, alpha, lam, gamma, pairs, seed
+):
+    # a random draw group of (delta, beta) pairs: every member's scores are
+    # the object route's on the shared draw, bit for bit
+    size = 24
+    u, *labels = draw_bias_batch(derive_stream(seed, 8), size, n, d, sigma, alpha, lam, gamma)
+    values = [np.broadcast_to(PowerLaw(de).inv_cdf(u), (size, n, d)) for de, _ in pairs]
+    # the worker would redraw a run whose best ties, and score other values
+    assume(not any(_best_is_tied(v).any() for v in values))
+    shared = {"n": n, "d": d, "sigma": sigma, "alpha": alpha, "lambda": lam}
+    if gamma is not None:
+        shared["gamma"] = gamma
+    members = tuple({**shared, "delta": de, "beta": beta} for de, beta in pairs)
+    out = bias_worker(members, derive_stream(seed, 8), size)
+    for (_, beta), v, scores in zip(pairs, values, out):
+        slow_h, slow_s = _bias_object_route((v, *labels), beta)
+        assert np.array_equal(scores["holistic"], slow_h)
+        assert np.array_equal(scores["segmented"], slow_s)
+        assert np.array_equal(scores["difference"], slow_s - slow_h)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])

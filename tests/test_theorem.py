@@ -24,7 +24,6 @@ from evalsim.experiments.theorem import (
     run_tail_check,
     run_threshold_check,
     tail_above_limit,
-    threshold_delta,
 )
 
 # P(max of m draws > 2 * max of m independent draws) for the heavy-tailed
@@ -44,9 +43,10 @@ TAIL_ABOVE = {
 
 
 def test_threshold_constant():
-    assert abs(threshold_delta() - 0.5849625007211562) <= 1e-15
+    critical = math.log2(3.0) - 1.0
+    assert abs(critical - 0.5849625007211562) <= 1e-15
     # exactly the exponent where the limiting tail probability is 1/4
-    assert abs(tail_above_limit(threshold_delta()) - 0.25) <= 1e-15
+    assert abs(tail_above_limit(critical) - 0.25) <= 1e-15
 
 
 def test_tail_above_limit_values():
@@ -241,14 +241,14 @@ def test_threshold_check_expects_the_finite_pool_sign():
     # delta 0.4 the formula predicts -0.01066, and the asymptotic sign failed
     # this correct simulation (diff -0.01118, SE 0.00079)
     (check,) = run_threshold_check(delta_values=(0.4,), n=4, runs=200_000, seed=5)
-    assert 0.4 < threshold_delta()
+    assert 0.4 < math.log2(3.0) - 1.0
     assert predicted_gap(0.5, check.p_above) == pytest.approx(-0.01066, abs=1e-5)
     assert check.expect_positive is False
     assert check.pair.diff < -3.0 * check.pair.se_diff
     assert check.passed
 
 
-@pytest.mark.parametrize("delta", [0.01, 0.3, threshold_delta(), 1.0, 5.0])
+@pytest.mark.parametrize("delta", [0.01, 0.3, math.log2(3.0) - 1.0, 1.0, 5.0])
 def test_threshold_check_expects_a_negative_gap_at_two_applicants(delta):
     # with one applicant per group p = 2**-(2 + delta) < 1/4 at every delta
     (check,) = run_threshold_check(delta_values=(delta,), n=2, runs=10, seed=5)
@@ -289,6 +289,28 @@ def test_tail_check_small():
     assert check.passed
 
 
+def test_tail_check_runs_its_deltas_as_one_sweep(monkeypatch):
+    # each delta is a point of one run_points call, as in every other driver
+    calls = []
+    run_points = theorem.run_points
+
+    def counted(worker, points, *args, **kwargs):
+        calls.append(points)
+        return run_points(worker, points, *args, **kwargs)
+
+    monkeypatch.setattr(theorem, "run_points", counted)
+    checks = run_tail_check(delta_values=(0.3, 1.0), n_per_group=10, pools=100, seed=3)
+    assert [c.delta for c in checks] == [0.3, 1.0]
+    assert calls == [[{"n_per_group": 10, "delta": 0.3}, {"n_per_group": 10, "delta": 1.0}]]
+
+
+def test_pooled_tail_check_matches_one_worker():
+    # two deltas of 5000 pools are two tasks, so two workers run them on a pool
+    kwargs = {"n_per_group": 100, "pools": 5000, "seed": 3}
+    pooled = run_tail_check((0.3, 1.0), **kwargs, workers=2)
+    assert pooled == run_tail_check((0.3, 1.0), **kwargs, workers=1)
+
+
 @pytest.mark.parametrize(
     "driver, kwargs, name",
     [
@@ -319,12 +341,15 @@ def test_drivers_reject_repeated_values(driver, kwargs, name):
         (run_part_a, {"n_values": ()}, "n"),
         (run_formula_check, {"delta_values": ()}, "delta"),
         (run_threshold_check, {"delta_values": ()}, "delta"),
+        (run_tail_check, {"delta_values": ()}, "delta"),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )
 def test_drivers_reject_an_empty_sweep(driver, kwargs, name):
-    # an empty list used to return no checks at all
-    with pytest.raises(ValueError, match=f"^axis {name!r} has no values$"):
+    # an empty list used to return no checks at all; the tail check names its
+    # argument, as it does for a repeat
+    what = f"{name}_values" if driver is run_tail_check else f"axis {name!r}"
+    with pytest.raises(ValueError, match=f"^{what} has no values$"):
         driver(**kwargs, seed=1)
 
 
