@@ -50,9 +50,10 @@ THEOREM_CHUNK = 8192
 # Sub-stream tags for the individual checks.
 _PART_A, _FORMULA, _THRESHOLD, _TAIL = 1, 2, 3, 4
 
-# rng.hypergeometric draws class sizes only from groups below 10**9, and
-# max_of_draws's U**(1/k) rounds toward 1 as k grows: at 200 000 pools the
-# simulated tail is 2.5 SE off its prediction at k = 10**14, 30 SE at 10**15.
+# The class-size draw holds a CDF table of about 28 * sqrt(n/2) entries,
+# about 7 MB at MAX_POOL, and max_of_draws's U**(1/k) rounds toward 1 as k
+# grows: at 200 000 pools the simulated tail is 2.5 SE off its prediction at
+# k = 10**14, 30 SE at 10**15.
 MAX_POOL = 2 * (10**9 - 1)
 MAX_TAIL_GROUP = 10**12
 

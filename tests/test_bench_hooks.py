@@ -43,11 +43,12 @@ def test_traced_pass_matches_the_untraced_pass(name):
     assert figures["kernels.tie_redraw_rows"] == 0
 
 
-@pytest.mark.parametrize("seed", [*range(20), 107, 141])
+@pytest.mark.parametrize("seed", [*range(20), 164, 225])
 def test_threshold_workload_passes_its_own_check(seed):
-    # the benchmark checks fresh seeds; at 107 and 141 the formula check's
-    # two-sided gates fail on this evidence, so the threshold verdict must
-    # stay the one-sided sign gate
+    # the benchmark checks fresh seeds; at 164 (delta 0.3) and 225 (delta
+    # 0.9) the gap lies 3.09 and 3.16 SE from its prediction, so the formula
+    # check's two-sided gate fails on this evidence, and the threshold
+    # verdict must stay the one-sided sign gate
     workload = workloads.WORKLOADS["theorem-threshold"]
     output = workload.run(workload.inputs(), seed, workload.workers)
     reference = workloads.load_reference()[workload.name]

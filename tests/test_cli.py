@@ -745,13 +745,13 @@ def test_bias_grid_constant_marginal_exits(tmp_path):
 # change to the class-maxima draw, the subset masks or the scorer that moves
 # any byte fails here
 _THEOREM_SHA256 = {
-    "theorem_part_a.csv": "ecba10e78aa4af87079034fc5c5f9b010f63964bcfdb1ee8dc7163d9c217743d",
-    "theorem_formula.csv": "4cbe2b30820c22707fd7079d5c75aaa9128b7b80f8ca18cc0943920ebd437fff",
-    "theorem_threshold.csv": "ccd46b737a4d60ec2cf8e94ec7afab69a3daa48396e73e9d6d0165256f16ea7d",
+    "theorem_part_a.csv": "25037a820389cd2cb101bdd5505714b1a636cb9e2cb557ad1bbb5307d0801ec9",
+    "theorem_formula.csv": "e88df32aa587807d94561185e4fa344425f079cb2a1d89be7c756470c68fdeeb",
+    "theorem_threshold.csv": "05e6aede7e2f18a4a2305dec15345440a7bd52184a52358df9285389c7da23c3",
     "theorem_tail.csv": "dc621ffb572935722f403c15e113854f80f8ab8176fae520869edd9b40ee8f47",
 }
 # sha256 of the same run's 13 summary lines (stdout without the "wrote " lines)
-_THEOREM_SUMMARY_SHA256 = "cff8323997c8a5c981185f0790913ca4cff4694ea413c238ee729322d7deb0e8"
+_THEOREM_SUMMARY_SHA256 = "0c7d619a9b39e5ccff7c94b16c71d390ef1b541b4f2bc35c74c22fb0b508371d"
 
 
 def test_theorem_verify_reduced_scale(capsys, tmp_path):

@@ -16,12 +16,14 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from evalsim.distributions import PowerLaw, power_law_inv_cdf
@@ -35,6 +37,7 @@ from evalsim.experiments import kernels
 from evalsim.experiments.kernels import (
     MAX_TIE_REDRAWS,
     _best_is_tied,
+    _dis0_cdf,
     _redraw_tied_rows,
     bias_scheme_accuracies,
     bias_worker,
@@ -53,6 +56,7 @@ from evalsim.experiments.kernels import (
     theorem_error_pairs,
     theorem_worker,
 )
+from evalsim.experiments.theorem import MAX_POOL
 from evalsim.evaluators import local_quantile_bins, screening_cutoff
 from evalsim.metrics import mean_bin_error, top1_accuracy
 from evalsim.population import AttributeMatrix, round_half_up
@@ -225,6 +229,24 @@ def test_redraw_tied_rows_is_bounded():
         members = tuple({**BIAS_POINT, "delta": de} for de in deltas)
         with pytest.raises(ValueError, match=r"delta=1e\+300"):
             bias_worker(members, derive_stream(52, 8), 8)
+
+
+_TIE_PRONE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]), st.floats(allow_nan=False)
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), width=st.sampled_from([1, 2, 4, 20, 200]), runs=st.integers(1, 8))
+def test_best_is_tied_counts_the_row_maximum(data, width, runs):
+    # the top found by argmax flags the same runs as the top found by max,
+    # with signed zeros and infinities among the values and ties planted
+    total = data.draw(arrays(np.float64, (runs, width), elements=_TIE_PRONE))
+    plant = np.flatnonzero(data.draw(arrays(bool, runs)))
+    cols = data.draw(arrays(np.intp, runs, elements=st.integers(0, width - 1)))
+    total[plant, cols[plant]] = total[plant].max(axis=1)
+    want = (total == total.max(axis=1)[:, None]).sum(axis=1) > 1
+    assert np.array_equal(_best_is_tied(total), want)
 
 
 # ---------------------------------------------------------------------------
@@ -870,6 +892,26 @@ def test_theorem_kernel_matches_object_route(beta, lam):
         assert np.array_equal(best_is_dis, disadvantaged[np.arange(64), best])
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 20).map(lambda k: 2 * k),
+    lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    delta=st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_theorem_kernel_matches_object_route_at_random_points(n, lam, gamma, beta, delta, seed):
+    # a random theorem point: the kernel's errors on whole pools, and on
+    # their class maxima, are the object route's bit for bit
+    batch_arrays = _draw_full_pool_theorem_batch(derive_stream(seed, 8), 24, n, delta, lam, gamma)
+    slow_h, slow_s = _theorem_object_route(batch_arrays, beta)
+    for scored in (batch_arrays, _class_maxima(batch_arrays)):
+        fast_h, fast_s, _ = theorem_error_pairs(*scored, beta)
+        assert np.array_equal(fast_h, slow_h)
+        assert np.array_equal(fast_s, slow_s)
+
+
 def test_theorem_errors_only_hit_disadvantaged_bests():
     # discounts only lower scores, so an advantaged best applicant never
     # loses, under either scheme: the exact per-run half of the symmetry the
@@ -937,15 +979,47 @@ def test_max_of_draws_empty_classes():
 
 
 def test_theorem_class_sizes_partition_the_pool():
-    n, size = 20, 100_000
+    n, size = 20, 200_000
     counts = theorem_class_sizes(derive_stream(56, 8), size, n)
     assert counts.shape == (size, 4) and counts.min() >= 0
     assert np.all(counts.sum(axis=1) == n)
     assert np.all(counts[:, 0] + counts[:, 1] == n // 2)  # disadvantaged
     assert np.all(counts[:, 0] + counts[:, 2] == n // 2)  # owned by evaluator 0
-    # evaluator 0's disadvantaged share: n/2 draws from n/2 + n/2
-    law = stats.hypergeom(n, n // 2, n // 2)
-    assert abs(counts[:, 0].mean() - law.mean()) <= 3.0 * law.std() / np.sqrt(size)
+    # evaluator 0's disadvantaged share: n/2 draws from n/2 + n/2; shares 0
+    # and 10, about one draw each, are pooled with their neighbours
+    observed = np.bincount(counts[:, 0], minlength=n // 2 + 1)
+    expected = size * stats.hypergeom(n, n // 2, n // 2).pmf(np.arange(n // 2 + 1))
+    observed = np.r_[observed[:2].sum(), observed[2:-2], observed[-2:].sum()]
+    expected = np.r_[expected[:2].sum(), expected[2:-2], expected[-2:].sum()]
+    assert stats.chisquare(observed, expected).pvalue > 0.001
+    # with one applicant per group the share is 0 or 1, and takes both
+    pair = theorem_class_sizes(derive_stream(56, 9), 1000, 2)
+    assert set(np.unique(pair[:, 0])) == {0, 1}
+
+
+@pytest.mark.parametrize("half", [1, 2, 3, 10, 50, 500])
+def test_dis0_table_is_the_exact_law(half):
+    # at these sizes the window is all of 0..half; the exact pmf is
+    # comb(half, k)**2 / comb(2 * half, half), in rationals
+    lo, cdf = _dis0_cdf(half)
+    assert lo == 0 and cdf.size == half + 1
+    total = math.comb(2 * half, half)
+    exact = [Fraction(math.comb(half, k) ** 2, total) for k in range(half + 1)]
+    tv = sum(abs(Fraction(p) - q) for p, q in zip(np.diff(cdf, prepend=0.0), exact)) / 2
+    assert tv <= 1e-12
+
+
+def test_dis0_table_at_a_large_pool():
+    half = 10**6
+    lo, cdf = _dis0_cdf(half)
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+    # the window drops only shares whose pmf is 0 in float64
+    law = stats.hypergeom(2 * half, half, half)
+    inside = law.pmf(np.arange(lo, lo + cdf.size))
+    tv = (np.abs(np.diff(cdf, prepend=0.0) - inside).sum() + (1.0 - inside.sum())) / 2
+    assert tv <= 1e-9
+    # about 28 * sqrt(half) entries: never a table over all of 0..half
+    assert _dis0_cdf(MAX_POOL // 2)[1].size < 10**6
 
 
 def test_tail_worker_single_draw_matches_the_full_draw():

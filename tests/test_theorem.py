@@ -132,7 +132,8 @@ def test_run_error_pairs_validation():
         {"gamma": 1.0},
         {"beta": 1.0},
         {"lambda": 1.5},
-        # the class-size draw takes groups below 10**9
+        # the class-size draw's CDF table holds about 28 * sqrt(n/2)
+        # entries, about 7 MB at the limit
         {"n": theorem.MAX_POOL + 2},
         {"n": 10**30},
     ):
@@ -257,13 +258,21 @@ def test_threshold_check_expects_a_negative_gap_at_two_applicants(delta):
 
 
 def test_each_family_judges_the_shared_evidence_by_its_own_verdict():
-    # at the benchmark's size and seed 107 the gap at delta 0.3 lies 3.03 SE
-    # below its prediction, yet 6.9 SE above 0: the sign check passes, and
-    # the formula check on the same pair fails
-    positive, _ = run_threshold_check(delta_values=(0.3, 0.9), n=1000, runs=32768, seed=107)
+    # evidence of the benchmark's size, built by hand: the gap at delta 0.3
+    # lies 3.03 SE below its prediction, yet 6.9 SE above 0, so the sign
+    # check passes and the formula check on the same pair fails
+    p_above = predicted_tail_above(500, 0.3)
+    se_diff = 0.00193
+    diff = predicted_gap(0.5, p_above) - 3.03 * se_diff
+    pair = PairEstimate(
+        err_hol=0.25, se_hol=0.0024, err_seg=0.25 - diff, se_seg=0.0023, diff=diff,
+        se_diff=se_diff, p_best_dis=0.5, se_best_dis=0.0028, runs=32768,
+    )
+    positive = theorem.ThresholdCheck(1000, 0.3, 0.5, pair, p_above)
     assert fields(theorem.ThresholdCheck) == fields(theorem.FormulaCheck)
     formula = theorem.FormulaCheck(*(getattr(positive, f.name) for f in fields(positive)))
     assert positive.pair.diff - positive.predicted < -3.0 * positive.pair.se_diff
+    assert positive.pair.diff > 6.9 * positive.pair.se_diff
     assert positive.expect_positive is formula.expect_positive is True
     assert positive.signed and positive.passed
     assert not formula.matches and not formula.passed
