@@ -25,8 +25,10 @@ settle build further estimates, since discounted estimates can tie there,
 and only for the discounted rows whose totals reach the best's estimate:
 no other row can tie or beat it.  The theorem scorer,
 ``theorem_error_pairs``, takes the bias scorer's arguments at ``d = 2``, as
-``draw_theorem_batch`` returns them, and runs the same committee core
-(``_score_schemes``).
+``draw_theorem_batch`` returns them, and scores the same committees with
+its own class-major core: it builds every row's estimate, which gives the
+bias scorer's bits only because each run's best is unique, and reduces over
+the short class axis of ``(n, B)`` arrays.
 
 The two extreme correlations skip the Gaussian copula:
 ``draw_correlated_values`` draws plain uniforms at ``sigma = 0`` and one
@@ -390,28 +392,6 @@ def _decide_then_score(values, total, best, hit, factor):
     return acc
 
 
-def _score_schemes(
-    values, total, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1, beta
-):
-    """The true best of each run and its ``(holistic, segmented)`` accuracies.
-
-    The committee core behind ``bias_scheme_accuracies`` and
-    ``theorem_error_pairs``; ``total (B, n)`` holds the row totals.
-    """
-    best = np.argmax(total, axis=1)
-    # holistic: a row's owner reports every attribute of that row
-    row_coin = (hol_rows0 & coin0[:, None]) | (~hol_rows0 & coin1[:, None])
-    acc_h = _decide_then_score(
-        values, total, best, disadvantaged & row_coin, np.where(protected, beta, 1.0)
-    )
-    # segmented: a column's owner reports that attribute for every row
-    col_coin = (seg_cols0 & coin0[:, None]) | (~seg_cols0 & coin1[:, None])
-    acc_s = _decide_then_score(
-        values, total, best, disadvantaged, np.where(protected & col_coin, beta, 1.0)
-    )
-    return best, acc_h, acc_s
-
-
 def bias_scheme_accuracies(
     values: np.ndarray,
     disadvantaged: np.ndarray,
@@ -450,8 +430,16 @@ def bias_scheme_accuracies(
     """
     if total is None:
         total = np.broadcast_to(values, disadvantaged.shape + protected.shape[1:]).sum(axis=2)
-    _, acc_h, acc_s = _score_schemes(
-        values, total, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1, beta
+    best = np.argmax(total, axis=1)
+    # holistic: a row's owner reports every attribute of that row
+    row_coin = (hol_rows0 & coin0[:, None]) | (~hol_rows0 & coin1[:, None])
+    acc_h = _decide_then_score(
+        values, total, best, disadvantaged & row_coin, np.where(protected, beta, 1.0)
+    )
+    # segmented: a column's owner reports that attribute for every row
+    col_coin = (seg_cols0 & coin0[:, None]) | (~seg_cols0 & coin1[:, None])
+    acc_s = _decide_then_score(
+        values, total, best, disadvantaged, np.where(protected & col_coin, beta, 1.0)
     )
     return acc_h, acc_s
 
@@ -574,6 +562,30 @@ _CLASS_DISADVANTAGED = np.array([True, True, False, False])
 _CLASS_OWNER0 = np.array([True, False, True, False])
 
 
+def _columns_best_is_tied(values: np.ndarray) -> np.ndarray:
+    """``_best_is_tied`` of ``values (batch, n)``, reduced over a ``(n, batch)`` copy.
+
+    Over rows only a few values wide, numpy's reductions pay per row; on the
+    transposed copy each reduction is a few elementwise passes over the batch.
+    """
+    cols = np.ascontiguousarray(values.T)
+    return np.count_nonzero(cols == cols.max(axis=0), axis=0) > 1
+
+
+def _committee_errors(v, total, is_best, hit, factor):
+    """One scheme's errors over class-major ``(n, B)`` arrays.
+
+    ``hit`` marks the discounted rows and ``factor (2, B)`` holds each
+    column's factor in them; a hit row's estimate is ``v * f0 + v * f1``,
+    the object layer's two-term row sum, and every other row reports its
+    total.  A run errs by the chance that a uniform pick among the top
+    estimates misses its best row, ``is_best``.
+    """
+    est = np.where(hit, v * factor[0] + v * factor[1], total)
+    at_top = est == est.max(axis=0)
+    return 1.0 - (at_top & is_best).any(axis=0) / np.count_nonzero(at_top, axis=0)
+
+
 def theorem_error_pairs(
     values: np.ndarray,
     disadvantaged: np.ndarray,
@@ -590,19 +602,34 @@ def theorem_error_pairs(
     ``values (B, n)`` is the single value shared by both attributes of each
     applicant (sigma = 1).  Returns ``(err_hol, err_seg, best_is_dis)``.
 
-    This is the bias scorer's committee core on ``values`` as one broadcast
-    column, whose two-column row total is ``values + values``.  Each run's
-    best value must be unique, as ``draw_theorem_batch`` makes it.  The
-    columns may be whole pools or the four class maxima of
-    ``draw_theorem_batch``: an estimate is a per-class positive constant
-    times the value, so only a class's best applicant can be picked.
+    The committees are the bias scorer's, on ``values`` as one broadcast
+    column whose two-column row total is ``values + values``.  Each run's
+    best value must be unique, as ``draw_theorem_batch`` makes it.  Then
+    every row's estimate can be built, not only those ``_decide_then_score``
+    looks at: a hit row's estimate is never above its total, so a row that
+    scorer leaves at its total stays below the best's estimate either way,
+    and the top estimates, their count and whether the best is among them
+    are the same.  So the errors are the bias scorer's, bit for bit.  The
+    arrays are transposed once to ``(n, B)`` and reduced over axis 0: the
+    rows are as narrow as four, and a reduction along so short an axis
+    costs numpy far more than the arithmetic.  The columns may be whole
+    pools or the four class maxima of ``draw_theorem_batch``: an estimate is
+    a per-class positive constant times the value, so only a class's best
+    applicant can be picked.
     """
-    best, acc_h, acc_s = _score_schemes(
-        values[..., None], values + values, disadvantaged, protected2,
-        hol_rows0, seg_cols0, coin0, coin1, beta,
+    v, dis, owner0, protected, cols0 = (
+        np.ascontiguousarray(a.T)
+        for a in (values, disadvantaged, hol_rows0, protected2, seg_cols0)
     )
-    best_is_dis = disadvantaged[np.arange(best.size), best]
-    return 1.0 - acc_h, 1.0 - acc_s, best_is_dis
+    total = v + v
+    is_best = total == total.max(axis=0)
+    # holistic: a row's owner reports every attribute of that row
+    row_coin = (owner0 & coin0) | (~owner0 & coin1)
+    err_h = _committee_errors(v, total, is_best, dis & row_coin, np.where(protected, beta, 1.0))
+    # segmented: a column's owner reports that attribute for every row
+    col_coin = (cols0 & coin0) | (~cols0 & coin1)
+    err_s = _committee_errors(v, total, is_best, dis, np.where(protected & col_coin, beta, 1.0))
+    return err_h, err_s, (dis & is_best).any(axis=0)
 
 
 def max_of_draws(rng: np.random.Generator, counts, delta: float) -> np.ndarray:
@@ -683,7 +710,7 @@ def draw_theorem_batch(
         return max_of_draws(rng, theorem_class_sizes(rng, k, n), delta)
 
     values = draw(size)
-    _redraw_tied_rows(values, draw, (delta,))
+    _redraw_tied_rows(values, draw, (delta,), _columns_best_is_tied)
     disadvantaged = np.broadcast_to(_CLASS_DISADVANTAGED, values.shape)
     hol_rows0 = np.broadcast_to(_CLASS_OWNER0, values.shape)
     protected2 = random_subset_mask(rng, size, 2, round_half_up(lam * 2))

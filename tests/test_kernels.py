@@ -37,6 +37,7 @@ from evalsim.experiments import kernels
 from evalsim.experiments.kernels import (
     MAX_TIE_REDRAWS,
     _best_is_tied,
+    _columns_best_is_tied,
     _dis0_cdf,
     _redraw_tied_rows,
     bias_scheme_accuracies,
@@ -240,13 +241,16 @@ _TIE_PRONE = st.one_of(
 @given(data=st.data(), width=st.sampled_from([1, 2, 4, 20, 200]), runs=st.integers(1, 8))
 def test_best_is_tied_counts_the_row_maximum(data, width, runs):
     # the top found by argmax flags the same runs as the top found by max,
-    # with signed zeros and infinities among the values and ties planted
+    # with signed zeros and infinities among the values and ties planted;
+    # at the theorem draw's widths, so does its tie check on the transpose
     total = data.draw(arrays(np.float64, (runs, width), elements=_TIE_PRONE))
     plant = np.flatnonzero(data.draw(arrays(bool, runs)))
     cols = data.draw(arrays(np.intp, runs, elements=st.integers(0, width - 1)))
     total[plant, cols[plant]] = total[plant].max(axis=1)
     want = (total == total.max(axis=1)[:, None]).sum(axis=1) > 1
     assert np.array_equal(_best_is_tied(total), want)
+    if width <= 4:
+        assert np.array_equal(_columns_best_is_tied(total), want)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +306,28 @@ def test_grouped_efficiency_worker_matches_object_route(sigma):
     )
     out = efficiency_worker(members, derive_stream(45, 9), 64)
     values, rows0 = draw_efficiency_batch(derive_stream(45, 9), 64, 10, sigma, 1.0)
+    for tau, scores in zip(taus, out):
+        assert np.array_equal(scores["holistic"], _efficiency_object_route(values, rows0, tau))
+
+
+_LOG_UNIFORM_DELTA = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 20).map(lambda k: 2 * k),
+    sigma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+    delta=_LOG_UNIFORM_DELTA,
+    taus=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=5, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_efficiency_worker_matches_object_route_at_random_points(n, sigma, delta, taus, seed):
+    # a random draw group of taus: every member's scores are the object
+    # route's on the shared draw, bit for bit
+    size = 24
+    members = tuple({"n": n, "sigma": sigma, "delta": delta, "tau": tau} for tau in taus)
+    out = efficiency_worker(members, derive_stream(seed, 8), size)
+    values, rows0 = draw_efficiency_batch(derive_stream(seed, 8), size, n, sigma, delta)
     for tau, scores in zip(taus, out):
         assert np.array_equal(scores["holistic"], _efficiency_object_route(values, rows0, tau))
 
@@ -522,7 +548,7 @@ def test_bias_worker_at_extreme_correlations_matches_object_route(sigma, shared)
 _EVEN_SIZE = st.sampled_from([2, 4, 6, 8, 10])
 _SHARE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
 _BIAS_MEMBERS = st.lists(
-    st.tuples(st.floats(math.log(0.05), math.log(20.0)).map(math.exp), st.floats(0.0, 0.999)),
+    st.tuples(_LOG_UNIFORM_DELTA, st.floats(0.0, 0.999)),
     min_size=1,
     max_size=4,
     unique=True,
@@ -898,7 +924,7 @@ def test_theorem_kernel_matches_object_route(beta, lam):
     lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
     gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     beta=st.floats(0.0, 1.0, exclude_max=True),
-    delta=st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+    delta=_LOG_UNIFORM_DELTA,
     seed=st.integers(0, 2**32 - 1),
 )
 def test_theorem_kernel_matches_object_route_at_random_points(n, lam, gamma, beta, delta, seed):

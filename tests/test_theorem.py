@@ -82,6 +82,40 @@ def test_quadrature_at_a_huge_group(delta):
     assert abs(p - tail_above_limit(delta)) <= 1e-12
 
 
+# delta*(n), where the predicted gap changes sign: P(above) = 1/4 at n // 2
+CRITICAL_DELTA = {
+    4: 0.2555, 10: 0.4449, 20: 0.5138, 100: 0.5706, 1000: 0.5835, 10**4: 0.58482, 10**6: 0.584961,
+}
+
+
+def _critical_delta(n, lo=1e-6, hi=2.0):
+    """The root of ``predicted_tail_above(n // 2, delta) = 1/4`` by bisection, or None.
+
+    The tail probability falls as delta grows, so the root is bracketed when
+    it lies above 1/4 at ``lo`` and below it at ``hi``.
+    """
+    def above(delta):
+        return predicted_tail_above(n // 2, delta) > 0.25
+
+    if not above(lo) or above(hi):
+        return None
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_critical_delta_rises_toward_its_limit():
+    # with one applicant per group P(above) = 2**-(2 + delta) < 1/4: no root
+    assert _critical_delta(2) is None
+    roots = [_critical_delta(n) for n in sorted(CRITICAL_DELTA)]
+    for n, root in zip(sorted(CRITICAL_DELTA), roots):
+        assert root == pytest.approx(CRITICAL_DELTA[n], abs=5e-5), n
+    limit = math.log2(3.0) - 1.0
+    assert all(a < b for a, b in zip(roots, roots[1:]))
+    assert roots[-1] < limit and limit - roots[-1] < 1e-5
+
+
 def test_predicted_gap_values():
     assert predicted_gap(0.5, 0.125) == -0.0625
     assert predicted_gap(0.5, 0.25) == 0.0
