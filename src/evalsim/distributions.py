@@ -49,7 +49,8 @@ def log_survival(u, out=None):
     most 0.  ``out`` is as in ``power_law_inv_cdf``.
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    # fmin and fmax skip NaN, as the comparisons do; min and max would not
+    if arr.size and (np.fmin.reduce(arr, axis=None) < 0.0 or np.fmax.reduce(arr, axis=None) >= 1.0):
         raise ValueError("u must lie in [0, 1)")
     ls = np.subtract(1.0, arr, out=np.empty_like(arr) if out is None else out)
     np.log(ls, out=ls)

@@ -67,9 +67,12 @@ delta.  The other workers call ``power_law_inv_cdf``, the same bits in one
 call.  ``calibration_worker`` draws percentiles and reads no delta.
 
 Sweeps run millions of pools on one core, so everything is vectorized over
-the batch axis.  A chunk's large arrays live in a per-process workspace
-(``_workspace``): one buffer per name, reused by every chunk the process
-runs, so a chunk writes into memory that is already mapped.  There are two:
+the batch axis.  A chunk's temporaries under 32 MiB reuse heap memory that
+the last chunk freed, by the allocator thresholds that ``parallel`` sets.
+Its largest arrays live in a per-process workspace (``_workspace``): one
+buffer per name, reused by every chunk the process runs, so a chunk writes
+into memory it already holds even at 32 MiB or more, where the allocator
+maps a fresh block on every request.  There are two:
 ``copula``, which a chunk's copula draw fills with normals, then uniforms,
 then (in ``bias_worker``) their log-survivals, each in place; and
 ``values``, into which ``bias_worker`` maps the log-survivals at each delta

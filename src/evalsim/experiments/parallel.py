@@ -17,6 +17,21 @@ sequentially or on a process pool of any size.
 Chunk size is part of the stream layout: changing it regroups the draws and
 therefore changes individual estimates (never their distribution).  Keep it
 fixed when exact reproducibility across runs matters.
+
+Every process that runs chunks first sets two of the C allocator's
+thresholds, process-wide, through glibc's ``mallopt``: blocks under 32 MiB
+come from the heap (``M_MMAP_THRESHOLD``), and freed heap memory goes back
+to the kernel only when 256 MiB lie unused at its top
+(``M_TRIM_THRESHOLD``).  A chunk's temporaries then reuse the memory the
+last chunk freed instead of being mapped and faulted in again.  32 MiB is
+the ceiling of glibc's own dynamic threshold, which otherwise rises toward
+it only as mapped blocks are freed, so every size that rule could keep on
+the heap is kept there from the first chunk.  The largest heap measured
+under the setting (glibc 2.36's ``mallinfo2``, x86-64) is about 200 MB,
+for ``calibration`` at n = 1000 and 4096 runs a chunk; the benchmark's
+chunk shapes grow 8 to 26 MB.  The setting is glibc-only: elsewhere it is
+skipped.  It moves where memory comes from, never what is computed, so it
+changes no result.
 """
 
 from __future__ import annotations
@@ -42,6 +57,30 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# glibc's mallopt(3) parameters, and the values every chunk process sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Set this process's allocator thresholds for chunks (see the module docstring).
+
+    Does nothing where the C library has no ``mallopt`` or refuses the value.
+    """
+    import ctypes  # here, not at module import: only chunk processes need it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt (macOS), or no C library to open (Windows)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _run_one(task):
@@ -75,6 +114,11 @@ def run_points(
     such as ``(STREAM_BIAS_GRID,)``.  Returns one dict per point, in point
     order, mapping each array name to ``(sum, sumsq, runs)`` over all
     chunks, ready for ``mean_and_se(*moments)``.
+
+    With ``workers=1`` the chunks run in the calling process, which keeps
+    the allocator thresholds of the module docstring for the rest of its
+    life: glibc's dynamic thresholds stay off, and up to 256 MiB of freed
+    heap stays with the process instead of going back to the kernel.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -93,9 +137,11 @@ def run_points(
     # tasks or the CPUs this process may run on
     workers = min(workers, len(tasks), _cpu_count())
     if workers <= 1:
+        _keep_freed_memory()
         outputs = map(_run_one, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # an initializer, not inheritance, so any start method sets it
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory) as pool:
             outputs = list(pool.map(_run_one, tasks, chunksize=1))
 
     # both maps yield in task order, so each point's chunks arrive in order

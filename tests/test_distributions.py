@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
 from evalsim.distributions import (
@@ -93,6 +94,27 @@ def test_power_law_inv_cdf_checks_u_like_the_comparisons(u, bad):
                 power_law_inv_cdf(u, 1.0, out=out)
         else:
             power_law_inv_cdf(u, 1.0, out=out)
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        elements=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([-0.0, -5e-324, 0.5, _BELOW_ONE, 1.0]),
+        ),
+        fill=st.nothing(),  # draw every element, so NaN mixes with the rest
+    )
+)
+def test_log_survival_rejects_exactly_what_the_comparisons_reject(u):
+    # the check reduces u with fmin and fmax instead of building two bool
+    # arrays; NaN, 0-d and empty u must get the comparisons' verdict
+    if np.any(u < 0.0) or np.any(u >= 1.0):
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+            log_survival(u)
+    else:
+        log_survival(u)
 
 
 @pytest.mark.parametrize("delta", [0.001, 0.3, 0.5, 0.9, 1.0, 2.0, 7.0])

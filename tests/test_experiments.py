@@ -76,7 +76,7 @@ def pool_sizes(monkeypatch):
     asked = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             asked.append(max_workers)
 
         def __enter__(self):

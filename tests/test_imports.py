@@ -92,7 +92,7 @@ from evalsim.experiments.results import GridSpec
 class RecordingPool:
     # records whether the parent has scipy.special when a pool would fork;
     # maps serially and starts no process
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         print("scipy.special" in sys.modules)
 
     def __enter__(self):
