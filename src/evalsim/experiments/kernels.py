@@ -32,25 +32,26 @@ the short class axis of ``(n, B)`` arrays.
 
 The two extreme correlations skip the Gaussian copula:
 ``draw_correlated_values`` draws plain uniforms at ``sigma = 0`` and one
-value per applicant at ``sigma = 1``.  In a fully correlated pool an
+uniform per applicant at ``sigma = 1``.  In a fully correlated pool an
 estimate is a per-class constant times the value, so only each class's best
 applicant can be picked.  ``draw_theorem_batch`` therefore samples just the
 best value in each of four classes; its scorer is unchanged, and on the
 class maxima of a full pool it returns that pool's results bit for bit.
-``bias_worker`` at ``sigma = 1`` scores the pool itself, its one value per
-applicant broadcast against the ``d`` columns.
+``bias_worker`` and ``efficiency_worker`` at ``sigma = 1`` score the pool
+itself, its one value per applicant broadcast against the ``d`` columns.
 
 ``draw_correlated_values`` is the package's one copula sampler, and
 ``_redraw_tied_rows`` its one tie policy: ``build_pool``, which draws the
 object layer's single pool for ``pool-dump``, takes both from here.
 Its normal CDF, ``ndtr``, is the package's one use of SciPy, and
 ``scipy.special`` is imported at its first call rather than with this
-module: importing it is most of the CLI's start-up, and ``calibration`` and
-``theorem-verify`` never draw the copula.  ``run_bias_grid`` and
-``run_efficiency_sweep`` make that import themselves, through ``load_ndtr``,
-before they run their points, so that forked pool workers inherit it: a
-sweep makes its own pool, so a worker that imported it would import it
-again in every sweep.
+module: importing it is most of the CLI's start-up, and ``calibration``,
+``theorem-verify`` and every point at ``sigma`` 0 or 1 never call it.
+``run_bias_grid`` and ``run_efficiency_sweep`` make that import themselves,
+through ``load_ndtr``, before they run their points when some point has
+``0 < sigma < 1``, so that forked pool workers inherit it: a sweep makes
+its own pool, so a worker that imported it would import it again in every
+sweep.
 
 A worker takes the params of one draw group (see ``parallel.run_points``)
 and returns one dict of per-run arrays per member.  Efficiency points that
@@ -73,12 +74,13 @@ Its largest arrays live in a per-process workspace (``_workspace``): one
 buffer per name, reused by every chunk the process runs, so a chunk writes
 into memory it already holds even at 32 MiB or more, where the allocator
 maps a fresh block on every request.  There are two:
-``copula``, which a chunk's copula draw fills with normals, then uniforms,
-then (in ``bias_worker``) their log-survivals, each in place; and
-``values``, into which ``bias_worker`` maps the log-survivals at each delta
-with one multiply and one ``exp``.  A buffer is never returned, and no
-returned array is a view of one.  A process must therefore run one chunk at
-a time, as ``parallel.run_points`` does.
+``copula``, which a chunk's copula draw fills with normals, then uniforms
+(at ``sigma`` 0 and 1 with uniforms directly), then (in ``bias_worker``)
+their log-survivals, each in place; and ``values``, into which
+``bias_worker`` maps the log-survivals at each delta with one multiply and
+one ``exp``.  A buffer is never returned, and no returned array is a view
+of one.  A process must therefore run one chunk at a time, as
+``parallel.run_points`` does.
 """
 
 from __future__ import annotations
@@ -116,12 +118,12 @@ def ndtr(x, out=None):
 
 
 def load_ndtr(points) -> None:
-    """Import ``ndtr`` now if any point's copula calls it (``sigma > 0``).
+    """Import ``ndtr`` now if any point's copula calls it (``0 < sigma < 1``).
 
     A driver calls this before ``parallel.run_points``, so that the pool
     workers it forks inherit the import.
     """
-    if any(point["sigma"] > 0.0 for point in points):
+    if any(0.0 < point["sigma"] < 1.0 for point in points):
         ndtr(0.0)
 
 
@@ -181,11 +183,12 @@ def draw_correlated_values(
     the uniforms the values, each in place, and ``out`` is returned.  The
     values are the same either way.
 
-    The two extreme correlations take exact shortcuts.  At ``sigma = 0`` the
-    copula's uniforms are independent, so they are drawn directly.  At
-    ``sigma = 1`` every attribute of an applicant is the same number, so one
-    normal is drawn per applicant and its value copied into the ``d``
-    columns.
+    The two extreme correlations take exact shortcuts, with no normal and no
+    ``ndtr``.  At ``sigma = 0`` the copula's uniforms are independent, so
+    they are drawn directly.  At ``sigma = 1`` every attribute of an
+    applicant is the same number, and the normal CDF of a standard normal is
+    Uniform(0, 1), so one uniform is drawn per applicant and its value
+    copied into the ``d`` columns.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
@@ -194,14 +197,13 @@ def draw_correlated_values(
         out = np.empty((batch, n, d))
     if sigma == 0.0:
         u = rng.random(out=out)
+    elif sigma == 1.0:
+        u = rng.random(out=out if d == 1 else np.empty((batch, n, 1)))
     else:
-        if sigma == 1.0:
-            z = rng.standard_normal(out=out if d == 1 else np.empty((batch, n, 1)))
-        else:
-            common = rng.standard_normal((batch, n))
-            z = rng.standard_normal(out=out)
-            z *= math.sqrt(1.0 - sigma)
-            z += math.sqrt(sigma) * common[..., None]
+        common = rng.standard_normal((batch, n))
+        z = rng.standard_normal(out=out)
+        z *= math.sqrt(1.0 - sigma)
+        z += math.sqrt(sigma) * common[..., None]
         u = ndtr(z, out=z)
         np.minimum(u, _U_BELOW_ONE, out=u)
     values = u if delta is None else power_law_inv_cdf(u, delta, out=u)
@@ -330,18 +332,23 @@ def draw_efficiency_batch(
 ):
     """Draw pools (redrawing any run whose true best is tied) and ownership.
 
-    The pools are drawn into ``out``, as ``draw_correlated_values`` takes it.
+    The pools are drawn into ``out``, as ``draw_correlated_values`` takes it:
+    ``(size, n, 2)``, or ``(size, n, 1)`` at ``sigma = 1``, where both
+    attributes of an applicant are the same value.  The values returned are
+    a read-only ``(size, n, 2)`` view of the pools, which at ``sigma = 1``
+    broadcasts the one column against both attributes.
     """
-    values = draw_correlated_values(rng, size, n, 2, sigma, delta, out=out)
+    d = 1 if sigma == 1.0 else 2
+    values = draw_correlated_values(rng, size, n, d, sigma, delta, out=out)
     _redraw_tied_rows(
         values,
-        lambda k: draw_correlated_values(rng, k, n, 2, sigma, delta),
+        lambda k: draw_correlated_values(rng, k, n, d, sigma, delta),
         (delta,),
         # a + b is the row total's bits, and much faster than sum(axis=2)
-        lambda v: _best_is_tied(v[..., 0] + v[..., 1]),
+        lambda v: _best_is_tied(v[..., 0] + v[..., -1]),
     )
     rows0 = random_subset_mask(rng, size, n, n // 2)
-    return values, rows0
+    return np.broadcast_to(values, (size, n, 2)), rows0
 
 
 def efficiency_draw_key(params: dict):
@@ -354,7 +361,7 @@ def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
     n = int(shared["n"])
     check_params({"n": n})
     sigma, delta = float(shared["sigma"]), float(shared["delta"])
-    out = _workspace("copula", (size, n, 2))
+    out = _workspace("copula", (size, n, 1 if sigma == 1.0 else 2))
     values, rows0 = draw_efficiency_batch(rng, size, n, sigma, delta, out=out)
     taus = [float(params["tau"]) for params in members]
     return [{"holistic": acc} for acc in efficiency_accuracies(values, rows0, taus)]

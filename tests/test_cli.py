@@ -700,7 +700,7 @@ def test_bias_grid_rejects_an_odd_count(capsys, tmp_path):
     [
         (
             ("--axis1", "delta=0.5,2", "--axis2", "sigma=0,0.5,1"),
-            "2cf2437c714136a087beddde6a753ccc780fefbaa7d436e11a60ab84d81bdac8",
+            "37872f14ac49e667075d48d466aaa8e004622494e32242937dddc11d5de1ea91",
         ),
         (
             ("--gamma", "0.4", "--axis1", "beta=0.3,0.9", "--axis2", "lambda=0.4,0.75"),
@@ -709,13 +709,13 @@ def test_bias_grid_rejects_an_odd_count(capsys, tmp_path):
         (
             # alpha = 1 discounts every segmented row
             ("--axis1", "alpha=0.5,1", "--axis2", "sigma=0.5,1"),
-            "169087df37890ffdb1f140e42e53b180e3f22b1efb9192ffd44773e08d8bfc74",
+            "be1c4c5164253043b2bf7d911a52d8e67dfe2699eceda735bfc1e98e49dc1158",
         ),
         (
             # at alpha = 1 with both coins biased every estimate is 0, so all
             # n applicants tie for the top pick
             ("--gamma", "0.5", "--axis1", "alpha=0.5,1", "--axis2", "sigma=0.9,1"),
-            "bee063badc2d0635aa1f9f738addcfad3434d07e644bc21fa0057b0958aa2193",
+            "77441546b4217bb76505e8ff4a88c964101e7dcd768aeb47836595fc5bde1a2d",
         ),
     ],
     ids=["delta-sigma", "gamma-beta-lambda", "alpha-sigma", "gamma-alpha-sigma"],
@@ -1057,6 +1057,16 @@ def test_pool_dump_bytes_are_pinned(capsys, tmp_path, args, plan_sha256):
         assert not (tmp_path / "plan.csv").exists()
     else:
         assert sha256("plan.csv") == plan_sha256
+
+
+def test_pool_dump_at_full_correlation_is_pinned(capsys, tmp_path):
+    # sigma = 1 takes the copula's shortcut draw, one uniform per applicant,
+    # which the default sigma = 0.5 does not reach
+    assert run_cli("pool-dump", "--seed", "0", "--sigma", "1", "--outdir", str(tmp_path)) == 0
+    pool = (tmp_path / "pool.csv").read_bytes()
+    assert hashlib.sha256(pool).hexdigest() == (
+        "4b11fb677d6c4a4daf20b626b107ff7a766f31de73b8506e8142a542dd468380"
+    )
 
 
 def test_pool_dump_constant_marginal_exits(tmp_path):

@@ -5,7 +5,7 @@ an imported name must appear as a name in the module's code or be listed in
 its ``__all__``.  SciPy is loaded only for the Gaussian copula's normal CDF:
 importing the CLI, calibration and the theorem checks load none of it, and
 the pooled copula drivers load ``scipy.special`` in the parent, before a
-pool forks.
+pool forks, and only when some point has ``0 < sigma < 1``.
 """
 
 import ast
@@ -47,11 +47,14 @@ def test_every_import_is_used(path):
     assert _imported(tree) - used - _exported(tree) == set()
 
 
-def _fresh_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports this checkout; return its stdout."""
+def _fresh_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout; return its stdout.
+
+    ``args`` become the interpreter's ``sys.argv[1:]``.
+    """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
@@ -79,6 +82,27 @@ def test_the_cli_calibration_and_theorem_load_no_scipy():
     # importing scipy.special is most of the CLI's start-up, and only the
     # copula's ndtr needs it; the tail rule is numpy's Gauss-Laguerre
     assert _fresh_python(_NUMPY_ONLY) == "0.1990404170722907"
+
+
+_EXTREME_CORRELATIONS = """
+import sys
+import evalsim.cli
+outdir = sys.argv[1]
+for argv in (
+    ["bias-grid", "--runs", "40", "--axis1", "delta=1", "--axis2", "sigma=0,1"],
+    ["efficiency", "--runs", "40", "--n", "10", "--sigma", "0,1"],
+    ["pool-dump", "--sigma", "1"],
+):
+    assert evalsim.cli.main([*argv, "--seed", "1", "--outdir", f"{outdir}/{argv[0]}"]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"loaded {loaded}"
+"""
+
+
+def test_copula_commands_at_extreme_correlations_load_no_scipy(tmp_path):
+    # sigma 0 and 1 draw their uniforms directly, so only 0 < sigma < 1
+    # needs the copula's ndtr
+    _fresh_python(_EXTREME_CORRELATIONS, str(tmp_path))
 
 
 _POOL_SEES_SCIPY = """

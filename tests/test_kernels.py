@@ -397,6 +397,45 @@ def test_efficiency_tie_check_sums_the_two_columns(monkeypatch):
     assert rows0.shape == (2, 4) and (rows0.sum(axis=1) == 2).all()
 
 
+def test_efficiency_tie_redraw_at_full_correlation_writes_the_one_column(monkeypatch):
+    # at sigma = 1 the pools are (k, n, 1) and the scorer gets a read-only
+    # two-column view; a redraw writes the one column under it.  The first
+    # draw ties applicants 0 and 2 of run 1, and the redraw gives a unique best
+    tied = np.array([[[2.0], [1.0], [1.5], [1.0]],
+                     [[3.0], [1.0], [3.0], [2.0]]])
+    fresh = np.array([[[1.0], [4.0], [2.0], [3.0]]])
+    draws = iter([tied, fresh])
+    calls = []
+
+    def stub(rng, batch, n, d, sigma, delta, out=None):
+        calls.append((batch, d))
+        return next(draws).copy()
+
+    monkeypatch.setattr(kernels, "draw_correlated_values", stub)
+    values, rows0 = draw_efficiency_batch(derive_stream(47, 10), 2, 4, 1.0, 1.0)
+    assert calls == [(2, 1), (1, 1)]
+    assert values.shape == (2, 4, 2) and not values.flags.writeable
+    assert np.array_equal(values[..., 0], [tied[0, :, 0], fresh[0, :, 0]])
+    assert np.array_equal(values[..., 0], values[..., 1])
+    assert rows0.shape == (2, 4) and (rows0.sum(axis=1) == 2).all()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_extreme_correlations_never_call_ndtr(monkeypatch, sigma):
+    # sigma 0 and 1 draw their uniforms directly; only 0 < sigma < 1 needs
+    # the normal CDF, and with it SciPy
+    def no_ndtr(x, out=None):
+        raise AssertionError("ndtr called")
+
+    monkeypatch.setattr(kernels, "ndtr", no_ndtr)
+    rng = derive_stream(48, 8)
+    bias_worker(({**BIAS_POINT, "sigma": sigma},), rng, 16)
+    efficiency_worker(({"n": 6, "sigma": sigma, "tau": 0.5, "delta": 1.0},), rng, 16)
+    kernels.build_pool(6, 4, sigma, 0.5, 0.5, 1.0, rng)
+    with pytest.raises(AssertionError, match="ndtr called"):
+        draw_correlated_values(rng, 2, 3, 2, 0.5, 1.0)
+
+
 def test_efficiency_cells_counts_reports():
     assert efficiency_cells(20, 0.1) == 20 + 2 * screening_cutoff(0.1, 10)
     assert efficiency_cells(20, 1.0) == 40
