@@ -69,18 +69,8 @@ call.  ``calibration_worker`` draws percentiles and reads no delta.
 
 Sweeps run millions of pools on one core, so everything is vectorized over
 the batch axis.  A chunk's temporaries under 32 MiB reuse heap memory that
-the last chunk freed, by the allocator thresholds that ``parallel`` sets.
-Its largest arrays live in a per-process workspace (``_workspace``): one
-buffer per name, reused by every chunk the process runs, so a chunk writes
-into memory it already holds even at 32 MiB or more, where the allocator
-maps a fresh block on every request.  There are two:
-``copula``, which a chunk's copula draw fills with normals, then uniforms
-(at ``sigma`` 0 and 1 with uniforms directly), then (in ``bias_worker``)
-their log-survivals, each in place; and ``values``, into which
-``bias_worker`` maps the log-survivals at each delta with one multiply and
-one ``exp``.  A buffer is never returned, and no returned array is a view
-of one.  A process must therefore run one chunk at a time, as
-``parallel.run_points`` does.
+the last chunk freed, by the allocator thresholds that ``parallel`` sets;
+larger ones are mapped afresh on every chunk.
 """
 
 from __future__ import annotations
@@ -106,9 +96,6 @@ from .results import check_params
 # is numerically constant, as a power law with a huge delta is.
 MAX_TIE_REDRAWS = 10
 
-# name -> flat float64 buffer; see ``_workspace``
-_WORKSPACE = {}
-
 
 def ndtr(x, out=None):
     """The standard normal CDF: ``scipy.special.ndtr``, imported at the first call."""
@@ -125,21 +112,6 @@ def load_ndtr(points) -> None:
     """
     if any(0.0 < point["sigma"] < 1.0 for point in points):
         ndtr(0.0)
-
-
-def _workspace(name: str, shape: tuple) -> np.ndarray:
-    """A C-contiguous float64 array of ``shape`` over this process's buffer ``name``.
-
-    The buffer is made anew only when a chunk needs more than it holds, so
-    chunks of alternating shapes reuse it too.  Its contents are undefined:
-    the caller fills the array before reading it, and returns neither the
-    array nor a view of it.
-    """
-    size = math.prod(shape)
-    buf = _WORKSPACE.get(name)
-    if buf is None or buf.size < size:
-        buf = _WORKSPACE[name] = np.empty(size)
-    return buf[:size].reshape(shape)
 
 
 def random_subset_mask(
@@ -168,7 +140,7 @@ def random_subset_mask(
 
 
 def draw_correlated_values(
-    rng: np.random.Generator, batch: int, n: int, d: int, sigma: float, delta, out=None
+    rng: np.random.Generator, batch: int, n: int, d: int, sigma: float, delta
 ) -> np.ndarray:
     """Draw ``batch`` pools of attribute values, ``(batch, n, d)``.
 
@@ -178,10 +150,8 @@ def draw_correlated_values(
     covariance exactly; each is mapped through the normal CDF and then the
     power law's inverse CDF at ``delta``.  With ``delta`` None it returns the
     copula's uniforms, which a caller can map at several deltas.  The normals
-    are drawn into ``out``, a C-contiguous float64 array of shape ``(batch,
-    n, d)``, or into a fresh one without it; they become the uniforms and
-    the uniforms the values, each in place, and ``out`` is returned.  The
-    values are the same either way.
+    become the uniforms and the uniforms the values, each in place, in the
+    one array the call draws.
 
     The two extreme correlations take exact shortcuts, with no normal and no
     ``ndtr``.  At ``sigma = 0`` the copula's uniforms are independent, so
@@ -193,23 +163,19 @@ def draw_correlated_values(
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     check_params({"sigma": sigma})
-    if out is None:
-        out = np.empty((batch, n, d))
     if sigma == 0.0:
-        u = rng.random(out=out)
+        u = rng.random((batch, n, d))
     elif sigma == 1.0:
-        u = rng.random(out=out if d == 1 else np.empty((batch, n, 1)))
+        u = rng.random((batch, n, 1))
     else:
         common = rng.standard_normal((batch, n))
-        z = rng.standard_normal(out=out)
+        z = rng.standard_normal((batch, n, d))
         z *= math.sqrt(1.0 - sigma)
         z += math.sqrt(sigma) * common[..., None]
         u = ndtr(z, out=z)
         np.minimum(u, _U_BELOW_ONE, out=u)
     values = u if delta is None else power_law_inv_cdf(u, delta, out=u)
-    if values is not out:
-        out[...] = values
-    return out
+    return np.repeat(values, d, axis=2) if values.shape[2] != d else values
 
 
 def _best_is_tied(values: np.ndarray) -> np.ndarray:
@@ -286,9 +252,11 @@ def calibration_worker(members, rng: np.random.Generator, size: int) -> list:
     n = int(params["n"])
     num_bins = int(params["num_bins"])
 
-    u = rng.random((size, n))  # the percentiles F(x): ranks and bins read nothing else
-    ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1) + 1
-    local = -(-num_bins * ranks // n)
+    u = rng.random((size, n))  # the percentiles F(x): the bins read nothing else
+    # a run's error is a mean of small integers, exact in any order, so the
+    # row is sorted and its r-th smallest percentile takes local bin ceil(K r / n)
+    u.sort(axis=1)
+    local = -(-num_bins * np.arange(1, n + 1) // n)
     truth = percentile_bin(u, num_bins)
     return [{"binner": np.abs(local - truth).mean(axis=1)}]
 
@@ -328,18 +296,17 @@ def efficiency_cells(n: int, tau: float) -> int:
 
 
 def draw_efficiency_batch(
-    rng: np.random.Generator, size: int, n: int, sigma: float, delta: float, out=None
+    rng: np.random.Generator, size: int, n: int, sigma: float, delta: float
 ):
     """Draw pools (redrawing any run whose true best is tied) and ownership.
 
-    The pools are drawn into ``out``, as ``draw_correlated_values`` takes it:
-    ``(size, n, 2)``, or ``(size, n, 1)`` at ``sigma = 1``, where both
-    attributes of an applicant are the same value.  The values returned are
-    a read-only ``(size, n, 2)`` view of the pools, which at ``sigma = 1``
-    broadcasts the one column against both attributes.
+    The pools are ``(size, n, 2)``, or ``(size, n, 1)`` at ``sigma = 1``,
+    where both attributes of an applicant are the same value.  The values
+    returned are a read-only ``(size, n, 2)`` view of the pools, which at
+    ``sigma = 1`` broadcasts the one column against both attributes.
     """
     d = 1 if sigma == 1.0 else 2
-    values = draw_correlated_values(rng, size, n, d, sigma, delta, out=out)
+    values = draw_correlated_values(rng, size, n, d, sigma, delta)
     _redraw_tied_rows(
         values,
         lambda k: draw_correlated_values(rng, k, n, d, sigma, delta),
@@ -361,8 +328,7 @@ def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
     n = int(shared["n"])
     check_params({"n": n})
     sigma, delta = float(shared["sigma"]), float(shared["delta"])
-    out = _workspace("copula", (size, n, 1 if sigma == 1.0 else 2))
-    values, rows0 = draw_efficiency_batch(rng, size, n, sigma, delta, out=out)
+    values, rows0 = draw_efficiency_batch(rng, size, n, sigma, delta)
     taus = [float(params["tau"]) for params in members]
     return [{"holistic": acc} for acc in efficiency_accuracies(values, rows0, taus)]
 
@@ -463,7 +429,6 @@ def draw_bias_batch(
     alpha: float,
     lam: float,
     gamma: float | None,
-    out=None,
 ):
     """Draw what one bias-grid chunk shares across its draw group, in a fixed order.
 
@@ -474,11 +439,10 @@ def draw_bias_batch(
     column, ``(size, n, 1)``.  With ``gamma`` None the committee is the
     fixed one-biased, one-unbiased pair (evaluator 0 biased); otherwise each
     evaluator's coin is an independent Bernoulli(gamma).  Ties depend on the
-    members' deltas, so ``bias_worker`` redraws them.  ``u`` is drawn into
-    ``out``, as ``draw_correlated_values`` takes it.
+    members' deltas, so ``bias_worker`` redraws them.
     """
     check_params({"n": n, "d": d})
-    u = draw_correlated_values(rng, size, n, 1 if sigma == 1.0 else d, sigma, None, out=out)
+    u = draw_correlated_values(rng, size, n, 1 if sigma == 1.0 else d, sigma, None)
     disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
     protected = random_subset_mask(rng, size, d, round_half_up(lam * d))
     hol_rows0 = random_subset_mask(rng, size, n, n // 2)
@@ -500,15 +464,14 @@ def bias_draw_key(params: dict):
 def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     """Score every member of a draw group on one shared draw.
 
-    The uniforms are drawn into the process's ``copula`` workspace and turned
-    there, in place, into their log-survivals ``log(1 - u)``: the one range
-    check, subtraction and ``log`` of the chunk.  Each distinct ``delta``'s
-    values, ``power_law_inv_cdf(u, delta)`` bit for bit, then cost one
-    multiply and one ``exp`` into the ``values`` workspace that every delta
-    reuses, and are scored at the beta of every member that has it; no score
-    is a view of either buffer.  A run whose best applicant ties under any
-    member's values gets fresh uniforms, whose log-survivals replace its
-    rows, and every member is scored again.
+    The uniforms are turned, in place, into their log-survivals ``log(1 -
+    u)``: the one range check, subtraction and ``log`` of the chunk.  Each
+    distinct ``delta``'s values, ``power_law_inv_cdf(u, delta)`` bit for bit,
+    then cost one multiply and one ``exp`` into one buffer that every delta
+    of a scoring pass reuses, and are scored at the beta of every member that
+    has it; no score is a view of that buffer.  A run whose best applicant
+    ties under any member's values gets fresh uniforms, whose log-survivals
+    replace its rows, and every member is scored again.
 
     At ``sigma = 1`` the values are ``(size, n, 1)``, one per applicant, and
     broadcast against the ``d`` columns in the row totals and the scorer.
@@ -527,7 +490,6 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
         float(shared["alpha"]),
         float(shared["lambda"]),
         None if gamma is None else float(gamma),
-        out=_workspace("copula", (size, n, 1 if sigma == 1.0 else d)),
     )
     log_surv = log_survival(u, out=u)
     by_delta = {}
@@ -537,7 +499,7 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
 
     def score_all(log_surv):
         tied = np.zeros(size, dtype=bool)
-        values = _workspace("values", log_surv.shape)
+        values = np.empty_like(log_surv)
         for delta, indices in by_delta.items():
             power_law_from_log_survival(log_surv, delta, out=values)
             total = np.broadcast_to(values, (size, n, d)).sum(axis=2)

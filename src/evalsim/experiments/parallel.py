@@ -27,7 +27,7 @@ last chunk freed instead of being mapped and faulted in again.  32 MiB is
 the ceiling of glibc's own dynamic threshold, which otherwise rises toward
 it only as mapped blocks are freed, so every size that rule could keep on
 the heap is kept there from the first chunk.  The largest heap measured
-under the setting (glibc 2.36's ``mallinfo2``, x86-64) is about 200 MB,
+under the setting (glibc 2.36's ``mallinfo2``, x86-64) is about 140 MB,
 for ``calibration`` at n = 1000 and 4096 runs a chunk; the benchmark's
 chunk shapes grow 8 to 26 MB.  The setting is glibc-only: elsewhere it is
 skipped.  It moves where memory comes from, never what is computed, so it

@@ -257,17 +257,35 @@ def test_best_is_tied_counts_the_row_maximum(data, width, runs):
 # calibration kernel
 
 
+class _CoarseRng:
+    """Percentiles on a 16-point grid that misses every fifth and quarter
+    edge, so rows repeat values and ``cdf(inv_cdf(u))`` keeps each bin."""
+
+    def __init__(self, index):
+        self._rng = derive_stream(44, index)
+
+    def random(self, shape):
+        return (np.floor(self._rng.random(shape) * 16) + 0.5) / 16
+
+
 def test_calibration_worker_matches_object_route():
     # the worker bins the percentiles it draws; the object route bins the
-    # values those percentiles map to, under marginals from heavy to light
-    (out,) = calibration_worker(({"n": 7, "num_bins": 5},), derive_stream(44, 8), 200)
-    u = derive_stream(44, 8).random((200, 7))
-    for delta in (0.3, 1.0, 3.0):
-        law = PowerLaw(delta)
-        errors = np.array(
-            [mean_bin_error(local_quantile_bins(row, 5), law.cdf(row), 5) for row in law.inv_cdf(u)]
-        )
-        assert np.array_equal(out["binner"], errors), delta
+    # values those percentiles map to, under marginals from heavy to light,
+    # with and without tied percentiles and at n that num_bins does not divide
+    for n, num_bins, coarse, index in [(7, 5, False, 8), (10, 5, True, 9), (23, 4, True, 10)]:
+        make_rng = _CoarseRng if coarse else lambda index: derive_stream(44, index)
+        (out,) = calibration_worker(({"n": n, "num_bins": num_bins},), make_rng(index), 200)
+        u = make_rng(index).random((200, n))
+        assert (np.diff(np.sort(u, axis=1), axis=1) == 0).any() == coarse
+        for delta in (0.3, 1.0, 3.0):
+            law = PowerLaw(delta)
+            errors = np.array(
+                [
+                    mean_bin_error(local_quantile_bins(row, num_bins), law.cdf(row), num_bins)
+                    for row in law.inv_cdf(u)
+                ]
+            )
+            assert np.array_equal(out["binner"], errors), (n, num_bins, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +404,7 @@ def test_efficiency_tie_check_sums_the_two_columns(monkeypatch):
     draws = iter([tied, fresh])
     calls = []
 
-    def stub(rng, batch, n, d, sigma, delta, out=None):
+    def stub(rng, batch, n, d, sigma, delta):
         calls.append(batch)
         return next(draws).copy()
 
@@ -407,7 +425,7 @@ def test_efficiency_tie_redraw_at_full_correlation_writes_the_one_column(monkeyp
     draws = iter([tied, fresh])
     calls = []
 
-    def stub(rng, batch, n, d, sigma, delta, out=None):
+    def stub(rng, batch, n, d, sigma, delta):
         calls.append((batch, d))
         return next(draws).copy()
 
@@ -648,9 +666,9 @@ def test_bias_worker_scores_own_their_memory(sigma):
 
 
 # Worker groups run one after another in one process, as a pool worker runs
-# its chunks: the workspace changes shape back and forth, sigma = 1 draws one
-# column, and chunk sizes differ.  (worker, members, chunk size, stream index)
-_WORKSPACE_SEQUENCE = (
+# its chunks: array shapes change back and forth, sigma = 1 draws one column,
+# and chunk sizes differ.  (worker, members, chunk size, stream index)
+_CHUNK_SEQUENCE = (
     ("bias", (BIAS_POINT, {**BIAS_POINT, "delta": 2.0, "beta": 0.3}), 48, 1),
     ("bias", ({**BIAS_POINT, "sigma": 1.0, "beta": 0.3, "gamma": 0.5},), 64, 2),
     ("efficiency", ({"n": 10, "sigma": 0.5, "delta": 1.0, "tau": 0.3},), 80, 3),
@@ -671,11 +689,11 @@ print(json.dumps([{name: x.tolist() for name, x in scores.items()} for scores in
 """
 
 
-def test_workers_reuse_the_workspace_without_moving_a_bit():
+def test_workers_carry_no_state_between_chunks():
     # each distinct group, run first in a fresh interpreter, against the
     # same group run here after the others
     env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[2])}
-    distinct = list(dict.fromkeys(json.dumps(group) for group in _WORKSPACE_SEQUENCE))
+    distinct = list(dict.fromkeys(json.dumps(group) for group in _CHUNK_SEQUENCE))
     procs = {
         key: subprocess.Popen(
             [sys.executable, "-c", _RUN_FIRST, key], stdout=subprocess.PIPE, text=True, env=env
@@ -688,7 +706,7 @@ def test_workers_reuse_the_workspace_without_moving_a_bit():
         assert proc.returncode == 0
         fresh[key] = json.loads(stdout)
 
-    for group in _WORKSPACE_SEQUENCE:
+    for group in _CHUNK_SEQUENCE:
         kind, members, size, index = group
         worker = bias_worker if kind == "bias" else efficiency_worker
         out = worker(members, derive_stream(52, index), size)
@@ -697,9 +715,6 @@ def test_workers_reuse_the_workspace_without_moving_a_bit():
             assert scores.keys() == want.keys()
             for name, x in scores.items():
                 assert x.tolist() == want[name], (group, name)
-                for buf in kernels._WORKSPACE.values():
-                    assert not np.shares_memory(x, buf), (group, name)
-    assert set(kernels._WORKSPACE) == {"copula", "values"}
 
 
 def test_bias_worker_scores_the_redrawn_values(monkeypatch):
@@ -711,7 +726,7 @@ def test_bias_worker_scores_the_redrawn_values(monkeypatch):
     fresh = np.array([[[0.2, 0.3], [0.1, 0.1], [0.4, 0.5], [0.95, 0.3]]])
     calls = []
 
-    def stub(rng, batch, n, d, sigma, delta, out=None):
+    def stub(rng, batch, n, d, sigma, delta):
         calls.append(batch)
         return (tied if len(calls) % 2 else fresh).copy()
 
