@@ -30,6 +30,11 @@ its own class-major core: it builds every row's estimate, which gives the
 bias scorer's bits only because each run's best is unique, and reduces over
 the short class axis of ``(n, B)`` arrays.
 
+The committee scorers fix the split: evaluator 0 owns the first half of the
+applicants (holistic) or attributes (segmented).  Applicants are i.i.d. and
+attributes exchangeable, so no draw spends numbers on the random halves of
+the object layer's plans: a fixed half has their law.
+
 The two extreme correlations skip the Gaussian copula:
 ``draw_correlated_values`` draws plain uniforms at ``sigma = 0`` and one
 uniform per applicant at ``sigma = 1``.  In a fully correlated pool an
@@ -168,8 +173,9 @@ def draw_correlated_values(
     elif sigma == 1.0:
         u = rng.random((batch, n, 1))
     else:
+        z = np.empty((batch, n, d))  # before common, so freeing it leaves no heap hole under z
         common = rng.standard_normal((batch, n))
-        z = rng.standard_normal((batch, n, d))
+        rng.standard_normal(out=z)
         z *= math.sqrt(1.0 - sigma)
         z += math.sqrt(sigma) * common[..., None]
         u = ndtr(z, out=z)
@@ -192,9 +198,9 @@ def _redraw_tied_rows(draws: np.ndarray, draw, deltas, tied=_best_is_tied) -> No
     """Redraw, in place, every run whose true best applicant is tied.
 
     ``tied(draws)`` flags those runs; by default ``draws`` are the values
-    themselves.  ``draw(k)`` returns ``k`` fresh runs, and the power law's
-    ``deltas`` are named if the ties persist.  Only the tied runs are
-    redrawn, at most ``MAX_TIE_REDRAWS`` times.
+    themselves.  ``draw(k)`` returns ``k`` fresh runs.  If the ties persist,
+    the power law's ``deltas`` are named, read after the last ``tied`` call.
+    Only the tied runs are redrawn, at most ``MAX_TIE_REDRAWS`` times.
     """
     for attempt in range(MAX_TIE_REDRAWS + 1):
         flags = tied(draws)
@@ -265,13 +271,14 @@ def calibration_worker(members, rng: np.random.Generator, size: int) -> list:
 # screening efficiency: two holistic screeners, two attributes
 
 
-def efficiency_accuracies(values: np.ndarray, rows0: np.ndarray, taus) -> list:
+def efficiency_accuracies(values: np.ndarray, taus) -> list:
     """Top-choice accuracy per run for the two-screener committee, per tau.
 
-    ``values`` is ``(batch, n, 2)``; ``rows0`` marks the n/2 applicants owned
-    by evaluator 0.  Each evaluator ranks its half by the first attribute and
-    evaluates the second only for its top ``ceil(tau * n/2)``; an applicant
-    missing the second attribute is ineligible for the top pick.
+    ``values`` is ``(batch, n, 2)``, or ``(batch, n, 1)`` when an applicant's
+    two attributes are equal; evaluator 0 owns applicants ``0 ... n/2 - 1``.
+    Each evaluator ranks its half by the first attribute and evaluates the
+    second only for its top ``ceil(tau * n/2)``; an applicant missing the
+    second attribute is ineligible for the top pick.
 
     Each run's best row total must be unique, as ``draw_efficiency_batch``
     makes it.  Then the committee picks the true best ``b`` exactly when
@@ -282,10 +289,10 @@ def efficiency_accuracies(values: np.ndarray, rows0: np.ndarray, taus) -> list:
     """
     n = values.shape[1]
     first = values[:, :, 0]
-    best = np.argmax(first + values[:, :, 1], axis=1)[:, None]
+    best = np.argmax(first + values[:, :, -1], axis=1)[:, None]
     first_b = np.take_along_axis(first, best, axis=1)
     ahead = (first > first_b) | ((first == first_b) & (np.arange(n) < best))
-    ahead &= rows0 == np.take_along_axis(rows0, best, axis=1)
+    ahead &= (np.arange(n) < n // 2) == (best < n // 2)
     place = np.count_nonzero(ahead, axis=1)
     return [(place < screening_cutoff(tau, n // 2)).astype(float) for tau in taus]
 
@@ -298,12 +305,11 @@ def efficiency_cells(n: int, tau: float) -> int:
 def draw_efficiency_batch(
     rng: np.random.Generator, size: int, n: int, sigma: float, delta: float
 ):
-    """Draw pools (redrawing any run whose true best is tied) and ownership.
+    """Draw pools, redrawing any run whose true best is tied.
 
     The pools are ``(size, n, 2)``, or ``(size, n, 1)`` at ``sigma = 1``,
-    where both attributes of an applicant are the same value.  The values
-    returned are a read-only ``(size, n, 2)`` view of the pools, which at
-    ``sigma = 1`` broadcasts the one column against both attributes.
+    where both attributes of an applicant are the same value.  No ownership
+    is drawn: evaluator 0 owns the first half.
     """
     d = 1 if sigma == 1.0 else 2
     values = draw_correlated_values(rng, size, n, d, sigma, delta)
@@ -314,8 +320,7 @@ def draw_efficiency_batch(
         # a + b is the row total's bits, and much faster than sum(axis=2)
         lambda v: _best_is_tied(v[..., 0] + v[..., -1]),
     )
-    rows0 = random_subset_mask(rng, size, n, n // 2)
-    return np.broadcast_to(values, (size, n, 2)), rows0
+    return values
 
 
 def efficiency_draw_key(params: dict):
@@ -328,9 +333,9 @@ def efficiency_worker(members, rng: np.random.Generator, size: int) -> list:
     n = int(shared["n"])
     check_params({"n": n})
     sigma, delta = float(shared["sigma"]), float(shared["delta"])
-    values, rows0 = draw_efficiency_batch(rng, size, n, sigma, delta)
+    values = draw_efficiency_batch(rng, size, n, sigma, delta)
     taus = [float(params["tau"]) for params in members]
-    return [{"holistic": acc} for acc in efficiency_accuracies(values, rows0, taus)]
+    return [{"holistic": acc} for acc in efficiency_accuracies(values, taus)]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +377,6 @@ def bias_scheme_accuracies(
     values: np.ndarray,
     disadvantaged: np.ndarray,
     protected: np.ndarray,
-    hol_rows0: np.ndarray,
-    seg_cols0: np.ndarray,
     coin0: np.ndarray,
     coin1: np.ndarray,
     beta: float,
@@ -382,9 +385,9 @@ def bias_scheme_accuracies(
     """Paired top-choice accuracies ``(holistic, segmented)`` per run.
 
     Shapes: ``values (B, n, d)``, ``disadvantaged (B, n)``, ``protected
-    (B, d)``, ``hol_rows0 (B, n)`` and ``seg_cols0 (B, d)`` mark evaluator
-    0's share under each scheme, ``coin0`` and ``coin1`` are the realized
-    bias coins.  Both schemes score the same pools (common random numbers),
+    (B, d)``; ``coin0`` and ``coin1`` are the realized bias coins, and
+    evaluator 0 owns the first half of the rows (holistic) or the columns
+    (segmented).  Both schemes score the same pools (common random numbers),
     so the per-run difference is a low-variance paired estimate.  ``values``
     may be ``(B, n, 1)`` when its d columns are equal, and ``total (B, n)``
     passes row totals already summed.  Each run's best row total must be
@@ -408,12 +411,14 @@ def bias_scheme_accuracies(
         total = np.broadcast_to(values, disadvantaged.shape + protected.shape[1:]).sum(axis=2)
     best = np.argmax(total, axis=1)
     # holistic: a row's owner reports every attribute of that row
-    row_coin = (hol_rows0 & coin0[:, None]) | (~hol_rows0 & coin1[:, None])
+    half = np.arange(disadvantaged.shape[1]) < disadvantaged.shape[1] // 2
+    row_coin = (half & coin0[:, None]) | (~half & coin1[:, None])
     acc_h = _decide_then_score(
         values, total, best, disadvantaged & row_coin, np.where(protected, beta, 1.0)
     )
     # segmented: a column's owner reports that attribute for every row
-    col_coin = (seg_cols0 & coin0[:, None]) | (~seg_cols0 & coin1[:, None])
+    half = np.arange(protected.shape[1]) < protected.shape[1] // 2
+    col_coin = (half & coin0[:, None]) | (~half & coin1[:, None])
     acc_s = _decide_then_score(
         values, total, best, disadvantaged, np.where(protected & col_coin, beta, 1.0)
     )
@@ -433,8 +438,9 @@ def draw_bias_batch(
     """Draw what one bias-grid chunk shares across its draw group, in a fixed order.
 
     Returns the copula uniforms ``u (size, n, d)``, of which a member's
-    values are ``power_law_inv_cdf(u, delta)``, then the masks and coins that
-    ``bias_scheme_accuracies`` takes after the values.  At ``sigma = 1``
+    values are ``power_law_inv_cdf(u, delta)``, then the random labels and
+    the coins that ``bias_scheme_accuracies`` takes after the values; no
+    ownership is drawn, as evaluator 0 owns the first half.  At ``sigma = 1``
     every attribute of an applicant is the same value, so ``u`` has one
     column, ``(size, n, 1)``.  With ``gamma`` None the committee is the
     fixed one-biased, one-unbiased pair (evaluator 0 biased); otherwise each
@@ -445,15 +451,13 @@ def draw_bias_batch(
     u = draw_correlated_values(rng, size, n, 1 if sigma == 1.0 else d, sigma, None)
     disadvantaged = random_subset_mask(rng, size, n, round_half_up(alpha * n))
     protected = random_subset_mask(rng, size, d, round_half_up(lam * d))
-    hol_rows0 = random_subset_mask(rng, size, n, n // 2)
-    seg_cols0 = random_subset_mask(rng, size, d, d // 2)
     if gamma is None:
         coin0 = np.ones(size, dtype=bool)
         coin1 = np.zeros(size, dtype=bool)
     else:
         coin0 = rng.random(size) < gamma
         coin1 = rng.random(size) < gamma
-    return u, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1
+    return u, disadvantaged, protected, coin0, coin1
 
 
 def bias_draw_key(params: dict):
@@ -496,14 +500,15 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
     for index, params in enumerate(members):
         by_delta.setdefault(float(params["delta"]), []).append(index)
     scores = [None] * len(members)
+    tied_deltas = []  # those whose values tie in the last scoring pass
 
     def score_all(log_surv):
-        tied = np.zeros(size, dtype=bool)
+        tied = {}
         values = np.empty_like(log_surv)
         for delta, indices in by_delta.items():
             power_law_from_log_survival(log_surv, delta, out=values)
             total = np.broadcast_to(values, (size, n, d)).sum(axis=2)
-            tied |= _best_is_tied(total)
+            tied[delta] = _best_is_tied(total)
             for index in indices:
                 beta = float(members[index]["beta"])
                 acc_h, acc_s = bias_scheme_accuracies(values, *labels, beta, total)
@@ -512,13 +517,14 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
                     "segmented": acc_s,
                     "difference": acc_s - acc_h,
                 }
-        return tied
+        tied_deltas[:] = [delta for delta, flags in tied.items() if flags.any()]
+        return np.any(list(tied.values()), axis=0)
 
     def draw(k):
         fresh = draw_correlated_values(rng, k, n, log_surv.shape[2], sigma, None)
         return log_survival(fresh, out=fresh)
 
-    _redraw_tied_rows(log_surv, draw, tuple(by_delta), score_all)
+    _redraw_tied_rows(log_surv, draw, tied_deltas, score_all)
     return scores
 
 
@@ -526,12 +532,11 @@ def bias_worker(members, rng: np.random.Generator, size: int) -> list:
 # theorem setting: two attributes, sigma = 1, committee of two
 
 
-# Class patterns of a fully correlated pool's four classes, in which an
-# estimate is a per-class constant times the value: (disadvantaged, owner 0),
-# (disadvantaged, owner 1), (advantaged, owner 0), (advantaged, owner 1).
-# The theorem draw scores one column per class.
-_CLASS_DISADVANTAGED = np.array([True, True, False, False])
-_CLASS_OWNER0 = np.array([True, False, True, False])
+# A fully correlated pool's four classes, in which an estimate is a per-class
+# constant times the value: (disadvantaged, owner 0), (advantaged, owner 0),
+# (disadvantaged, owner 1), (advantaged, owner 1).  The theorem draw scores
+# one column per class, and evaluator 0 owns the first half.
+_CLASS_DISADVANTAGED = np.array([True, False, True, False])
 
 
 def _columns_best_is_tied(values: np.ndarray) -> np.ndarray:
@@ -562,8 +567,6 @@ def theorem_error_pairs(
     values: np.ndarray,
     disadvantaged: np.ndarray,
     protected2: np.ndarray,
-    hol_rows0: np.ndarray,
-    seg_cols0: np.ndarray,
     coin0: np.ndarray,
     coin1: np.ndarray,
     beta: float,
@@ -572,7 +575,8 @@ def theorem_error_pairs(
 
     Takes ``bias_scheme_accuracies``' arguments at ``d = 2``, except that
     ``values (B, n)`` is the single value shared by both attributes of each
-    applicant (sigma = 1).  Returns ``(err_hol, err_seg, best_is_dis)``.
+    applicant (sigma = 1), and evaluator 0 takes column 0 under segmented
+    allocation.  Returns ``(err_hol, err_seg, best_is_dis)``.
 
     The committees are the bias scorer's, on ``values`` as one broadcast
     column whose two-column row total is ``values + values``.  Each run's
@@ -589,18 +593,15 @@ def theorem_error_pairs(
     a per-class positive constant times the value, so only a class's best
     applicant can be picked.
     """
-    v, dis, owner0, protected, cols0 = (
-        np.ascontiguousarray(a.T)
-        for a in (values, disadvantaged, hol_rows0, protected2, seg_cols0)
-    )
+    v, dis, protected = (np.ascontiguousarray(a.T) for a in (values, disadvantaged, protected2))
     total = v + v
     is_best = total == total.max(axis=0)
+    coins = np.stack([coin0, coin1])  # evaluator e's coin in row e
     # holistic: a row's owner reports every attribute of that row
-    row_coin = (owner0 & coin0) | (~owner0 & coin1)
+    row_coin = np.repeat(coins, v.shape[0] // 2, axis=0)
     err_h = _committee_errors(v, total, is_best, dis & row_coin, np.where(protected, beta, 1.0))
     # segmented: a column's owner reports that attribute for every row
-    col_coin = (cols0 & coin0) | (~cols0 & coin1)
-    err_s = _committee_errors(v, total, is_best, dis, np.where(protected & col_coin, beta, 1.0))
+    err_s = _committee_errors(v, total, is_best, dis, np.where(protected & coins, beta, 1.0))
     return err_h, err_s, (dis & is_best).any(axis=0)
 
 
@@ -644,17 +645,17 @@ def _dis0_cdf(half: int) -> tuple:
 
 
 def theorem_class_sizes(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
-    """Applicants per class, ``(size, 4)``, in the order of the class patterns.
+    """Applicants per class, ``(size, 4)``, in the order of the theorem's classes.
 
-    Half of the ``n`` applicants are disadvantaged and evaluator 0 owns a
-    uniformly random half, so its disadvantaged share ``dis0`` is
-    Hypergeometric(n/2, n/2, n/2).  It is drawn by inversion (Devroye,
-    *Non-Uniform Random Variate Generation*, sec. III.2), one uniform per
-    run, against the CDF table of ``_dis0_cdf``.  Against the exact law in
-    30-digit arithmetic, its total-variation distance is 7e-14 at n/2 =
-    10**6 and 2.1e-12 at ``theorem.MAX_POOL``.  The table spans about 28 *
-    sqrt(n/2) values, 7 MB at ``theorem.MAX_POOL``: its size is what bounds
-    the pool.
+    Half of the ``n`` applicants are disadvantaged; evaluator 0 owns a fixed
+    half, and the disadvantaged half is random, so evaluator 0's
+    disadvantaged share ``dis0`` is Hypergeometric(n/2, n/2, n/2).  It is
+    drawn by inversion (Devroye, *Non-Uniform Random Variate Generation*,
+    sec. III.2), one uniform per run, against the CDF table of ``_dis0_cdf``.
+    Against the exact law in 30-digit arithmetic, its total-variation
+    distance is 7e-14 at n/2 = 10**6 and 2.1e-12 at ``theorem.MAX_POOL``.
+    The table spans about 28 * sqrt(n/2) values, 7 MB at
+    ``theorem.MAX_POOL``: its size is what bounds the pool.
     """
     half = n // 2
     lo, cdf = _dis0_cdf(half)
@@ -674,7 +675,8 @@ def draw_theorem_batch(
 
     A run is drawn as its four class sizes and the best value in each class,
     so its cost does not grow with ``n``.  Returns the arrays that
-    ``theorem_error_pairs`` takes before ``beta``.
+    ``theorem_error_pairs`` takes before ``beta``; evaluator 0 owns the first
+    two classes, so no ownership is drawn.
     """
     check_params({"n": n})
 
@@ -684,13 +686,10 @@ def draw_theorem_batch(
     values = draw(size)
     _redraw_tied_rows(values, draw, (delta,), _columns_best_is_tied)
     disadvantaged = np.broadcast_to(_CLASS_DISADVANTAGED, values.shape)
-    hol_rows0 = np.broadcast_to(_CLASS_OWNER0, values.shape)
     protected2 = random_subset_mask(rng, size, 2, round_half_up(lam * 2))
-    seg_first = rng.random(size) < 0.5
-    seg_cols0 = np.stack([seg_first, ~seg_first], 1)
     coin0 = rng.random(size) < gamma
     coin1 = rng.random(size) < gamma
-    return values, disadvantaged, protected2, hol_rows0, seg_cols0, coin0, coin1
+    return values, disadvantaged, protected2, coin0, coin1
 
 
 def theorem_worker(members, rng: np.random.Generator, size: int) -> list:

@@ -547,8 +547,8 @@ def test_efficiency_rejects_a_bad_delta(capsys, tmp_path, delta):
 @pytest.mark.parametrize(
     "n, runs, csv_sha256",
     [
-        (6, 3000, "ce677167c482f42ee551f295ee434dd1b2396334f15adb279c1200ea2a86ec3e"),
-        (200, 300, "b23692e1f36bb05f40acc736cae9c6b5075ce492abe9c912967999bbc97c3d62"),
+        (6, 3000, "019dba237906e42dea077dbff132a317ababb4ec2370ebe1a56248579e491220"),
+        (200, 300, "474e060fe4daf3b7c006fd89c60e8e6a483755601f24492f839f18980414d454"),
     ],
     ids=["n6", "n200"],
 )
@@ -700,22 +700,22 @@ def test_bias_grid_rejects_an_odd_count(capsys, tmp_path):
     [
         (
             ("--axis1", "delta=0.5,2", "--axis2", "sigma=0,0.5,1"),
-            "37872f14ac49e667075d48d466aaa8e004622494e32242937dddc11d5de1ea91",
+            "9d53fa78cee94ffa44b91674bb4fb7088813207b0a36a27d3216c0b95806bc3d",
         ),
         (
             ("--gamma", "0.4", "--axis1", "beta=0.3,0.9", "--axis2", "lambda=0.4,0.75"),
-            "4b67aa3d08e2da5492fe4a73f568882ab183c1cbd8e087ad3dd29e9925afe58c",
+            "0c409064277b1eb11c8917f5f9d2d9d4bc5b5206994ea0c3b777fb55b82a8ea2",
         ),
         (
             # alpha = 1 discounts every segmented row
             ("--axis1", "alpha=0.5,1", "--axis2", "sigma=0.5,1"),
-            "be1c4c5164253043b2bf7d911a52d8e67dfe2699eceda735bfc1e98e49dc1158",
+            "ee3f42ef5ea0ef7febb11e934c229f815ff65771d22f3b721845f92d1128021d",
         ),
         (
             # at alpha = 1 with both coins biased every estimate is 0, so all
             # n applicants tie for the top pick
             ("--gamma", "0.5", "--axis1", "alpha=0.5,1", "--axis2", "sigma=0.9,1"),
-            "77441546b4217bb76505e8ff4a88c964101e7dcd768aeb47836595fc5bde1a2d",
+            "7275ebf5cc13959bfdcd944e8a9b685cdc0cb0b9d203e79f63a2e5bcd9780657",
         ),
     ],
     ids=["delta-sigma", "gamma-beta-lambda", "alpha-sigma", "gamma-alpha-sigma"],
@@ -745,13 +745,13 @@ def test_bias_grid_constant_marginal_exits(tmp_path):
 # change to the class-maxima draw, the subset masks or the scorer that moves
 # any byte fails here
 _THEOREM_SHA256 = {
-    "theorem_part_a.csv": "25037a820389cd2cb101bdd5505714b1a636cb9e2cb557ad1bbb5307d0801ec9",
-    "theorem_formula.csv": "e88df32aa587807d94561185e4fa344425f079cb2a1d89be7c756470c68fdeeb",
-    "theorem_threshold.csv": "05e6aede7e2f18a4a2305dec15345440a7bd52184a52358df9285389c7da23c3",
+    "theorem_part_a.csv": "26319f15dc1092ebf51a6b62c86b98274cf0692a25b14392b67a29f349538e98",
+    "theorem_formula.csv": "a69a469b8105fea29a0f1f2b83a6b025f8577393c7861ae314abfe415c232bc6",
+    "theorem_threshold.csv": "c68b9c5032e78e06ddafeb635f2ebcb230605b385d1c3fb6d7372e08fab85f0f",
     "theorem_tail.csv": "dc621ffb572935722f403c15e113854f80f8ab8176fae520869edd9b40ee8f47",
 }
 # sha256 of the same run's 13 summary lines (stdout without the "wrote " lines)
-_THEOREM_SUMMARY_SHA256 = "0c7d619a9b39e5ccff7c94b16c71d390ef1b541b4f2bc35c74c22fb0b508371d"
+_THEOREM_SUMMARY_SHA256 = "5ab94ffb30181210e9e08e337aa37005351869842ec307800d9a6d5eb0bff98b"
 
 
 def test_theorem_verify_reduced_scale(capsys, tmp_path):

@@ -7,6 +7,9 @@ to evaluate the same expressions in the same order.  Committee sizes use a
 power-of-two number of attributes so ranking by row sum and by row mean are
 exactly interchangeable.  The theorem kernel draws class maxima instead of
 whole pools; the full-pool draw kept here is the oracle it is checked against.
+The kernels give evaluator 0 the first half of a committee's work, and so do
+the object routes here; a law test checks the kernels against the object
+layer's plans, which draw the halves at random.
 """
 
 import itertools
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from evalsim.allocation import allocate_holistic, allocate_segmented
 from evalsim.distributions import PowerLaw, power_law_inv_cdf
 from evalsim.evaluators import (
     merge_scores,
@@ -225,11 +229,13 @@ def test_redraw_tied_rows_is_bounded():
     # a huge delta makes every power-law draw 1.0, so every run ties
     with pytest.raises(ValueError, match="delta=1e"):
         draw_theorem_batch(derive_stream(52, 8), 8, 4, 1e300, 1.0, 0.5)
-    # in a draw group a run is redrawn when it ties under any member's values
+    # in a draw group a run is redrawn when it ties under any member's values,
+    # and only the deltas whose values still tie are named
     for deltas in ((1e300,), (1.0, 1e300, 2.0)):
         members = tuple({**BIAS_POINT, "delta": de} for de in deltas)
-        with pytest.raises(ValueError, match=r"delta=1e\+300"):
+        with pytest.raises(ValueError, match=r"delta=1e\+300") as info:
             bias_worker(members, derive_stream(52, 8), 8)
+        assert "delta=1.0" not in str(info.value) and "delta=2.0" not in str(info.value)
 
 
 _TIE_PRONE = st.one_of(
@@ -292,16 +298,17 @@ def test_calibration_worker_matches_object_route():
 # screening-efficiency kernel
 
 
-def _efficiency_object_route(values, rows0, tau):
+def _efficiency_object_route(values, tau):
+    # evaluator 0 owns the first half of the applicants, as in the kernel;
+    # (batch, n, 1) values stand for both attributes
     batch, n, _ = values.shape
+    values = np.broadcast_to(values, (batch, n, 2))
     cols = np.array([0, 1])
+    halves = (np.arange(n // 2), np.arange(n // 2, n))
     acc = np.empty(batch)
     for b in range(batch):
         pool = AttributeMatrix(values[b], *_no_groups(n, 2))
-        parts = [
-            report_screened(np.flatnonzero(rows0[b]), cols, pool, tau),
-            report_screened(np.flatnonzero(~rows0[b]), cols, pool, tau),
-        ]
+        parts = [report_screened(rows, cols, pool, tau) for rows in halves]
         acc[b] = top1_accuracy(merge_scores(parts), pool)
     return acc
 
@@ -309,9 +316,9 @@ def _efficiency_object_route(values, rows0, tau):
 @pytest.mark.parametrize("tau", [0.25, 0.5, 1.0])
 def test_efficiency_kernel_matches_object_route(tau):
     rng = derive_stream(45, 8)
-    values, rows0 = draw_efficiency_batch(rng, 64, 8, 0.5, 1.0)
-    (fast,) = efficiency_accuracies(values, rows0, (tau,))
-    slow = _efficiency_object_route(values, rows0, tau)
+    values = draw_efficiency_batch(rng, 64, 8, 0.5, 1.0)
+    (fast,) = efficiency_accuracies(values, (tau,))
+    slow = _efficiency_object_route(values, tau)
     assert np.array_equal(fast, slow)
 
 
@@ -323,9 +330,9 @@ def test_grouped_efficiency_worker_matches_object_route(sigma):
         {"n": 10, "sigma": sigma, "tau": tau, "delta": 1.0} for tau in taus
     )
     out = efficiency_worker(members, derive_stream(45, 9), 64)
-    values, rows0 = draw_efficiency_batch(derive_stream(45, 9), 64, 10, sigma, 1.0)
+    values = draw_efficiency_batch(derive_stream(45, 9), 64, 10, sigma, 1.0)
     for tau, scores in zip(taus, out):
-        assert np.array_equal(scores["holistic"], _efficiency_object_route(values, rows0, tau))
+        assert np.array_equal(scores["holistic"], _efficiency_object_route(values, tau))
 
 
 _LOG_UNIFORM_DELTA = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
@@ -345,27 +352,26 @@ def test_efficiency_worker_matches_object_route_at_random_points(n, sigma, delta
     size = 24
     members = tuple({"n": n, "sigma": sigma, "delta": delta, "tau": tau} for tau in taus)
     out = efficiency_worker(members, derive_stream(seed, 8), size)
-    values, rows0 = draw_efficiency_batch(derive_stream(seed, 8), size, n, sigma, delta)
+    values = draw_efficiency_batch(derive_stream(seed, 8), size, n, sigma, delta)
     for tau, scores in zip(taus, out):
-        assert np.array_equal(scores["holistic"], _efficiency_object_route(values, rows0, tau))
+        assert np.array_equal(scores["holistic"], _efficiency_object_route(values, tau))
 
 
 def test_efficiency_first_attribute_ties_match_object_route():
     # drawn pools almost never tie on the first attribute, so these are built
-    # by hand: evaluator 0 owns the even applicants, and the best applicant 4
-    # ties applicants 0 and 6 of its own half on the first attribute while
-    # applicant 2 is ahead of all three.  Ties go to the lower index, so 4 is
+    # by hand: evaluator 0 owns applicants 0 to 3, and the best applicant 2
+    # ties applicants 0 and 3 of its own half on the first attribute while
+    # applicant 1 is ahead of all three.  Ties go to the lower index, so 2 is
     # third in its half: cutoffs 1 and 2 screen it out, 3 and 4 keep it
-    first = [5.0, 9.0, 6.0, 5.0, 5.0, 1.0, 5.0, 2.0]
-    second = [1.0, 1.0, 1.0, 2.0, 10.0, 3.0, 1.0, 4.0]
+    first = [5.0, 6.0, 5.0, 5.0, 9.0, 5.0, 1.0, 2.0]
+    second = [1.0, 1.0, 10.0, 1.0, 1.0, 2.0, 3.0, 4.0]
     values = np.array([np.column_stack([first, second])])
-    rows0 = (np.arange(8) % 2 == 0)[None, :]
     taus = (0.25, 0.5, 0.75, 1.0)
     assert [screening_cutoff(tau, 4) for tau in taus] == [1, 2, 3, 4]
-    fast = efficiency_accuracies(values, rows0, taus)
+    fast = efficiency_accuracies(values, taus)
     assert [list(acc) for acc in fast] == [[0.0], [0.0], [1.0], [1.0]]
     for tau, acc in zip(taus, fast):
-        assert np.array_equal(acc, _efficiency_object_route(values, rows0, tau))
+        assert np.array_equal(acc, _efficiency_object_route(values, tau))
 
     # first attributes from a small set of integers tie often; the seconds
     # are continuous, so each run's best row total is unique
@@ -373,18 +379,17 @@ def test_efficiency_first_attribute_ties_match_object_route():
     batch, n = 256, 12
     values = np.stack([rng.integers(1, 4, (batch, n)) * 1.0, rng.random((batch, n))], axis=2)
     assert not _best_is_tied(values).any()
-    rows0 = random_subset_mask(rng, batch, n, n // 2)
     best = np.argmax(values.sum(axis=2), axis=1)[:, None]
-    mates = (rows0 == np.take_along_axis(rows0, best, axis=1)) & (
+    mates = ((np.arange(n) < n // 2) == (best < n // 2)) & (
         values[:, :, 0] == np.take_along_axis(values[:, :, 0], best, axis=1)
     )
     below = (mates & (np.arange(n) < best)).any(axis=1)
     above = (mates & (np.arange(n) > best)).any(axis=1)
     assert (below & above).sum() > batch // 10
     taus = tuple(k / 6 for k in range(1, 7))
-    fast = efficiency_accuracies(values, rows0, taus)
+    fast = efficiency_accuracies(values, taus)
     for tau, acc in zip(taus, fast):
-        assert np.array_equal(acc, _efficiency_object_route(values, rows0, tau)), tau
+        assert np.array_equal(acc, _efficiency_object_route(values, tau)), tau
     # the cutoffs fall on both sides of the tied runs' best
     tied_runs = below & above
     assert (fast[0][tied_runs] == 0.0).any() and (fast[-2][tied_runs] == 1.0).any()
@@ -409,16 +414,15 @@ def test_efficiency_tie_check_sums_the_two_columns(monkeypatch):
         return next(draws).copy()
 
     monkeypatch.setattr(kernels, "draw_correlated_values", stub)
-    values, rows0 = draw_efficiency_batch(derive_stream(47, 9), 2, 4, 0.5, 1.0)
+    values = draw_efficiency_batch(derive_stream(47, 9), 2, 4, 0.5, 1.0)
     assert calls == [2, 1]
     assert np.array_equal(values, [fresh[0], tied[1]])
-    assert rows0.shape == (2, 4) and (rows0.sum(axis=1) == 2).all()
 
 
 def test_efficiency_tie_redraw_at_full_correlation_writes_the_one_column(monkeypatch):
-    # at sigma = 1 the pools are (k, n, 1) and the scorer gets a read-only
-    # two-column view; a redraw writes the one column under it.  The first
-    # draw ties applicants 0 and 2 of run 1, and the redraw gives a unique best
+    # at sigma = 1 the pools are (k, n, 1), and the scorer takes them so; a
+    # redraw writes the one column.  The first draw ties applicants 0 and 2
+    # of run 1, and the redraw gives a unique best
     tied = np.array([[[2.0], [1.0], [1.5], [1.0]],
                      [[3.0], [1.0], [3.0], [2.0]]])
     fresh = np.array([[[1.0], [4.0], [2.0], [3.0]]])
@@ -430,12 +434,10 @@ def test_efficiency_tie_redraw_at_full_correlation_writes_the_one_column(monkeyp
         return next(draws).copy()
 
     monkeypatch.setattr(kernels, "draw_correlated_values", stub)
-    values, rows0 = draw_efficiency_batch(derive_stream(47, 10), 2, 4, 1.0, 1.0)
+    values = draw_efficiency_batch(derive_stream(47, 10), 2, 4, 1.0, 1.0)
     assert calls == [(2, 1), (1, 1)]
-    assert values.shape == (2, 4, 2) and not values.flags.writeable
+    assert values.shape == (2, 4, 1)
     assert np.array_equal(values[..., 0], [tied[0, :, 0], fresh[0, :, 0]])
-    assert np.array_equal(values[..., 0], values[..., 1])
-    assert rows0.shape == (2, 4) and (rows0.sum(axis=1) == 2).all()
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -473,7 +475,9 @@ def test_efficiency_worker_full_budget_is_perfect():
 
 
 def _bias_object_route(batch_arrays, beta):
-    values, disadvantaged, protected, hol_rows0, seg_cols0, coin0, coin1 = batch_arrays
+    # evaluator 0 owns the first half of the rows (holistic) or of the
+    # columns (segmented), as in the kernels
+    values, disadvantaged, protected, coin0, coin1 = batch_arrays
     batch, n, d = values.shape
     all_rows = np.arange(n)
     all_cols = np.arange(d)
@@ -489,12 +493,8 @@ def _bias_object_route(batch_arrays, beta):
                 for (rows, cols), coin in zip(blocks, (coin0[b], coin1[b]))
             )
 
-        hol = committee(
-            [(np.flatnonzero(hol_rows0[b]), all_cols), (np.flatnonzero(~hol_rows0[b]), all_cols)]
-        )
-        seg = committee(
-            [(all_rows, np.flatnonzero(seg_cols0[b])), (all_rows, np.flatnonzero(~seg_cols0[b]))]
-        )
+        hol = committee([(all_rows[: n // 2], all_cols), (all_rows[n // 2 :], all_cols)])
+        seg = committee([(all_rows, all_cols[: d // 2]), (all_rows, all_cols[d // 2 :])])
         acc_h[b] = top1_accuracy(hol, pool)
         acc_s[b] = top1_accuracy(seg, pool)
     return acc_h, acc_s
@@ -746,8 +746,9 @@ def test_bias_worker_scores_the_redrawn_values(monkeypatch):
         slow_h, slow_s = _bias_object_route((PowerLaw(de).inv_cdf(redrawn), *labels), beta)
         assert np.array_equal(scores["holistic"], slow_h)
         assert np.array_equal(scores["segmented"], slow_s)
-        # the redrawn best is discounted below row 2 by the holistic scheme only
-        assert list(slow_h) == [0.0, 1.0] and list(slow_s) == [1.0, 1.0]
+        # both evaluators of run 0 are biased, so both schemes discount the
+        # redrawn best below row 2
+        assert list(slow_h) == [0.0, 1.0] and list(slow_s) == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
@@ -795,8 +796,6 @@ def _hand_run(values, disadvantaged, protected=(T, T), coins=(T, F)):
         np.array([values], dtype=float),
         np.array([disadvantaged]),
         np.array([protected]),
-        np.array([[T, T, F, F]]),
-        np.array([[T, F]]),
         np.array([coins[0]]),
         np.array([coins[1]]),
     )
@@ -880,11 +879,11 @@ def test_bias_scorer_open_runs_at_sigma_one(gamma):
     assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
 
     # a run whose best is discounted scores above 0 only when it is open
-    disadvantaged, _, hol_rows0, _, coin0, coin1 = labels
+    disadvantaged, _, coin0, coin1 = labels
     runs = np.arange(size)
     best = values.sum(axis=2).argmax(axis=1)
     best_dis = disadvantaged[runs, best]
-    owner_coin = np.where(hol_rows0[runs, best], coin0, coin1)
+    owner_coin = np.where(best < n // 2, coin0, coin1)
     for hit_b, acc in ((best_dis & owner_coin, fast[0]), (best_dis, fast[1])):
         assert (hit_b & (acc > 0.0)).sum() >= 10
         assert (hit_b & (acc == 0.0)).any()
@@ -893,8 +892,9 @@ def test_bias_scorer_open_runs_at_sigma_one(gamma):
 def test_bias_batch_fixed_committee_and_validation():
     rng = derive_stream(48, 8)
     out = draw_bias_batch(rng, 16, 4, 2, 0.0, 0.5, 0.5, None)
+    assert len(out) == 5
     assert out[0].shape == (16, 4, 2) and np.all((0.0 <= out[0]) & (out[0] < 1.0))
-    coin0, coin1 = out[5], out[6]
+    coin0, coin1 = out[3], out[4]
     assert coin0.all() and not coin1.any()
     with pytest.raises(ValueError):
         draw_bias_batch(rng, 4, 5, 2, 0.0, 0.5, 0.5, None)
@@ -909,42 +909,33 @@ def test_bias_batch_fixed_committee_and_validation():
 def _draw_full_pool_theorem_batch(rng, size, n, delta, lam, gamma):
     """Every applicant of every run: the oracle for the class-maxima draw.
 
-    Same layout as ``draw_theorem_batch`` but with ``(size, n)`` values and
-    per-applicant group and ownership masks; half the pool is disadvantaged.
+    Same layout as ``draw_theorem_batch`` but with ``(size, n)`` values and a
+    per-applicant group mask; half the pool is disadvantaged, and evaluator 0
+    owns applicants ``0 ... n/2 - 1``.
     """
     values = power_law_inv_cdf(rng.random((size, n)), delta)
     _redraw_tied_rows(values, lambda k: power_law_inv_cdf(rng.random((k, n)), delta), (delta,))
     disadvantaged = random_subset_mask(rng, size, n, n // 2)
     protected2 = random_subset_mask(rng, size, 2, round_half_up(lam * 2))
-    hol_rows0 = random_subset_mask(rng, size, n, n // 2)
-    seg_first = rng.random(size) < 0.5
-    seg_cols0 = np.stack([seg_first, ~seg_first], axis=1)
     coin0 = rng.random(size) < gamma
     coin1 = rng.random(size) < gamma
-    return values, disadvantaged, protected2, hol_rows0, seg_cols0, coin0, coin1
+    return values, disadvantaged, protected2, coin0, coin1
 
 
 def _class_maxima(batch_arrays):
     """Reduce a full-pool batch to the four class maxima ``draw_theorem_batch`` samples."""
-    values, disadvantaged, protected2, hol_rows0, seg_cols0, coin0, coin1 = batch_arrays
-    class_dis = [True, True, False, False]
-    class_owner0 = [True, False, True, False]
+    values, disadvantaged, protected2, coin0, coin1 = batch_arrays
+    owner0 = np.arange(values.shape[1]) < values.shape[1] // 2
+    class_dis = [True, False, True, False]
+    class_owner0 = [True, True, False, False]
     maxima = np.stack(
         [
-            np.where((disadvantaged == dis) & (hol_rows0 == own0), values, 0.0).max(axis=1)
+            np.where((disadvantaged == dis) & (owner0 == own0), values, 0.0).max(axis=1)
             for dis, own0 in zip(class_dis, class_owner0)
         ],
         axis=1,
     )
-    return (
-        maxima,
-        np.broadcast_to(class_dis, maxima.shape),
-        protected2,
-        np.broadcast_to(class_owner0, maxima.shape),
-        seg_cols0,
-        coin0,
-        coin1,
-    )
+    return maxima, np.broadcast_to(class_dis, maxima.shape), protected2, coin0, coin1
 
 
 def _theorem_object_route(batch_arrays, beta):
@@ -1033,12 +1024,11 @@ def test_class_maxima_score_like_the_full_pool(n, lam, beta):
     maxima = _class_maxima(full)
     for got, want in zip(theorem_error_pairs(*maxima, beta), theorem_error_pairs(*full, beta)):
         assert np.array_equal(got, want)
-    # the production draw labels its columns with the same class patterns,
-    # and hands each attribute to exactly one evaluator under segmentation
+    # the production draw labels its columns with the same classes, and
+    # returns no ownership: evaluator 0 owns the first two classes
     drawn = draw_theorem_batch(derive_stream(53, 9), 8, n, 0.5, lam, 0.5)
-    for i in (1, 3):
-        assert np.array_equal(drawn[i], maxima[i][:8])
-    assert drawn[4].shape == (8, 2) and np.all(drawn[4].sum(axis=1) == 1)
+    assert len(drawn) == 5
+    assert np.array_equal(drawn[1], maxima[1][:8])
 
 
 @pytest.mark.parametrize("k", [1, 7, 250])
@@ -1063,8 +1053,8 @@ def test_theorem_class_sizes_partition_the_pool():
     counts = theorem_class_sizes(derive_stream(56, 8), size, n)
     assert counts.shape == (size, 4) and counts.min() >= 0
     assert np.all(counts.sum(axis=1) == n)
-    assert np.all(counts[:, 0] + counts[:, 1] == n // 2)  # disadvantaged
-    assert np.all(counts[:, 0] + counts[:, 2] == n // 2)  # owned by evaluator 0
+    assert np.all(counts[:, 0] + counts[:, 2] == n // 2)  # disadvantaged
+    assert np.all(counts[:, 0] + counts[:, 1] == n // 2)  # owned by evaluator 0
     # evaluator 0's disadvantaged share: n/2 draws from n/2 + n/2; shares 0
     # and 10, about one draw each, are pooled with their neighbours
     observed = np.bincount(counts[:, 0], minlength=n // 2 + 1)
@@ -1111,3 +1101,76 @@ def test_tail_worker_single_draw_matches_the_full_draw():
     (out,) = tail_worker((params,), derive_stream(57, 8), 500)
     assert np.array_equal(out["below"], dis_best < 2.0 * adv_best)
     assert np.array_equal(max_of_draws(derive_stream(57, 8), np.ones(500, dtype=int), 0.7), dis_best)
+
+
+# ---------------------------------------------------------------------------
+# the fixed split against the object layer's random plans
+
+
+# (kernel, point): the fixed one-biased committee, bias coins at both extreme
+# correlations, one theorem point and one efficiency point
+_LAW_BIAS = {**BIAS_POINT, "n": 4, "beta": 0.3}
+_LAW_POINTS = {
+    "bias-fixed-committee": ("bias", _LAW_BIAS),
+    "bias-gamma-sigma0": ("bias", {**_LAW_BIAS, "d": 2, "sigma": 0.0, "gamma": 0.5}),
+    "bias-gamma-sigma1": ("bias", {**_LAW_BIAS, "d": 2, "sigma": 1.0, "gamma": 0.5}),
+    "theorem": ("theorem", {"n": 6, "lambda": 0.5, "gamma": 0.5, "beta": 0.3, "delta": 1.0}),
+    "efficiency": ("efficiency", {"n": 8, "sigma": 0.5, "tau": 0.25, "delta": 1.0}),
+}
+
+
+def _kernel_accuracies(kind, point, runs):
+    """Per-run accuracies of the kernel, which gives evaluator 0 the first half."""
+    worker = {"bias": bias_worker, "theorem": theorem_worker, "efficiency": efficiency_worker}[kind]
+    (out,) = worker((point,), derive_stream(60, 8), runs)
+    if kind == "theorem":
+        return {"holistic": 1.0 - out["hol"], "segmented": 1.0 - out["seg"]}
+    return {name: out[name] for name in ("holistic", "segmented") if name in out}
+
+
+def _random_plan_accuracies(kind, point, pools):
+    """Per-pool accuracies of the object layer, whose plans draw random halves."""
+    rng = derive_stream(60, 9)
+    n, d = point["n"], point.get("d", 2)
+    if kind == "efficiency":
+        labels = (point["sigma"], 0.0, 0.0)
+    else:  # the theorem pool is fully correlated and half disadvantaged
+        labels = (point.get("sigma", 1.0), point.get("alpha", 0.5), point["lambda"])
+    acc = {"holistic": [], "segmented": []}
+    owned = set()
+    for _ in range(pools):
+        pool = kernels.build_pool(n, d, *labels, point["delta"], rng)
+        plans = {"holistic": allocate_holistic(n, d, 2, rng)}
+        owned.add(tuple(plans["holistic"].blocks[0][0]))
+        if kind == "efficiency":
+            blocks = plans["holistic"].blocks
+            parts = (report_screened(rows, cols, pool, point["tau"]) for rows, cols in blocks)
+            acc["holistic"].append(top1_accuracy(merge_scores(parts), pool))
+            continue
+        plans["segmented"] = allocate_segmented(n, d, 2, rng)
+        gamma = point.get("gamma")
+        coins = (True, False) if gamma is None else rng.random(2) < gamma
+        for name, plan in plans.items():
+            parts = (
+                report_biased(rows, cols, pool, point["beta"])
+                if coin
+                else report_truthful(rows, cols, pool)
+                for (rows, cols), coin in zip(plan.blocks, coins)
+            )
+            acc[name].append(top1_accuracy(merge_scores(parts), pool))
+    assert len(owned) == math.comb(n, n // 2)  # every half of the pool was evaluator 0's
+    return {name: np.array(x) for name, x in acc.items() if x}
+
+
+@pytest.mark.parametrize("case", list(_LAW_POINTS))
+def test_fixed_split_has_the_law_of_random_plans(case):
+    # applicants are i.i.d. and attributes exchangeable, so the kernels'
+    # fixed halves give the accuracies of the object layer's random ones
+    kind, point = _LAW_POINTS[case]
+    fast = _kernel_accuracies(kind, point, 100_000)
+    slow = _random_plan_accuracies(kind, point, 3000)
+    assert fast.keys() == slow.keys()
+    for name, x in fast.items():
+        y = slow[name]
+        se = math.hypot(x.std(ddof=1) / math.sqrt(x.size), y.std(ddof=1) / math.sqrt(y.size))
+        assert abs(x.mean() - y.mean()) <= 4.0 * se, (name, x.mean(), y.mean(), se)

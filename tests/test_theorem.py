@@ -283,6 +283,19 @@ def test_threshold_check_expects_the_finite_pool_sign():
     assert check.passed
 
 
+def test_threshold_check_sign_flips_across_the_critical_delta_at_twenty():
+    # at n = 20 the predicted gap changes sign at delta*(20), not at
+    # log2(3) - 1; 0.1 below it the simulated gap is significantly positive,
+    # and 0.1 above it significantly negative
+    root = _critical_delta(20)
+    assert root == pytest.approx(0.51381, abs=1e-5)
+    below, above = run_threshold_check(
+        delta_values=(root - 0.1, root + 0.1), n=20, gamma=0.5, runs=200_000, seed=1
+    )
+    assert below.expect_positive is True and above.expect_positive is False
+    assert below.passed and above.passed
+
+
 @pytest.mark.parametrize("delta", [0.01, 0.3, math.log2(3.0) - 1.0, 1.0, 5.0])
 def test_threshold_check_expects_a_negative_gap_at_two_applicants(delta):
     # with one applicant per group p = 2**-(2 + delta) < 1/4 at every delta
