@@ -19,7 +19,8 @@ tails favor holistic review.  When only half the attributes are protected
 This module estimates the gaps by paired Monte Carlo, computes p by a fixed
 64-node Gauss-Laguerre rule (and checks it against simulated maxima), and
 packages the comparisons as checks that decide and summarise themselves: a
-check holds only its evidence, and its verdict, derived values, summary
+check holds only its evidence, and its verdict, its margin in SE
+(``margin_se``, positive on the passing side), derived values, summary
 line and result rows are all computed from that evidence.  The closed form rests on a
 symmetry with two parts.  An error needs a disadvantaged true best applicant:
 an exact per-run fact (reports never raise a disadvantaged score or touch an
@@ -50,10 +51,10 @@ THEOREM_CHUNK = 8192
 # Sub-stream tags for the individual checks.
 _PART_A, _FORMULA, _THRESHOLD, _TAIL = 1, 2, 3, 4
 
-# The class-size draw holds a CDF table of about 28 * sqrt(n/2) entries,
-# about 7 MB at MAX_POOL, and max_of_draws's U**(1/k) rounds toward 1 as k
-# grows: at 200 000 pools the simulated tail is 2.5 SE off its prediction at
-# k = 10**14, 30 SE at 10**15.
+# The class-size draw holds a CDF table and its guide table of about
+# 28 * sqrt(n/2) entries each, 14.3 MB at MAX_POOL, and max_of_draws's
+# U**(1/k) rounds toward 1 as k grows: at 200 000 pools the simulated tail
+# is 2.5 SE off its prediction at k = 10**14, 30 SE at 10**15.
 MAX_POOL = 2 * (10**9 - 1)
 MAX_TAIL_GROUP = 10**12
 
@@ -191,6 +192,13 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+def _margin_se(ok: bool, lead: float, se: float, offset: float) -> float:
+    """A gate's slack, ``lead / se + offset`` SE; at SE 0, +-inf as the gate is ``ok`` or not."""
+    if se == 0.0:
+        return np.inf if ok else -np.inf
+    return lead / se + offset
+
+
 @dataclass(frozen=True)
 class PartACheck:
     """Half-protected case: segmentation should never be worse."""
@@ -204,6 +212,10 @@ class PartACheck:
     @property
     def passed(self) -> bool:
         return self.pair.err_seg <= self.pair.err_hol + 3.0 * self.pair.se_diff
+
+    @property
+    def margin_se(self) -> float:
+        return _margin_se(self.passed, self.pair.err_hol - self.pair.err_seg, self.pair.se_diff, 3.0)
 
     def summary(self) -> str:
         return (
@@ -260,6 +272,14 @@ class FormulaCheck:
         """The formula gate and the symmetry gate."""
         return self.matches and self.symmetric
 
+    @property
+    def margin_se(self) -> float:
+        """The smaller of the formula gate's and the symmetry gate's slack, in SE."""
+        pair = self.pair
+        formula = _margin_se(self.matches, -abs(pair.diff - self.predicted), pair.se_diff, 3.0)
+        symmetry = _margin_se(self.symmetric, -abs(pair.p_best_dis - 0.5), pair.se_best_dis, 3.0)
+        return min(formula, symmetry)
+
     def verdicts(self) -> str:
         """The verdict text that ends the summary line."""
         return f"{_verdict(self.matches)} symmetry {_verdict(self.symmetric)}"
@@ -285,6 +305,11 @@ class ThresholdCheck(FormulaCheck):
     def passed(self) -> bool:
         return self.signed
 
+    @property
+    def margin_se(self) -> float:
+        side = 1.0 if self.expect_positive else -1.0
+        return _margin_se(self.signed, side * self.pair.diff, self.pair.se_diff, -3.0)
+
     def verdicts(self) -> str:
         side = "positive" if self.expect_positive else "negative"
         return f"expected {side} {_verdict(self.passed)}"
@@ -308,6 +333,10 @@ class TailCheck:
     @property
     def passed(self) -> bool:
         return abs(self.p_below - self.predicted_below) <= 3.0 * self.se
+
+    @property
+    def margin_se(self) -> float:
+        return _margin_se(self.passed, -abs(self.p_below - self.predicted_below), self.se, 3.0)
 
     def summary(self) -> str:
         return (

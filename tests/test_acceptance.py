@@ -134,7 +134,8 @@ def test_criterion_3_half_protected_inequality():
     _finish(
         "3 (half-protected inequality)",
         failures,
-        f"{len(checks)}/36 points satisfy err_seg <= err_hol + 3 se, {elapsed:.1f}s",
+        f"{len(checks)}/36 points satisfy err_seg <= err_hol + 3 se, smallest margin"
+        f" {min(c.margin_se for c in checks):+.2f} se, {elapsed:.1f}s",
     )
 
 
@@ -174,7 +175,8 @@ def test_criterion_4_formula_match():
     _finish(
         "4 (formula match)",
         failures,
-        f"all {len(checks)} points match the closed form; n=2 delta=1 diff"
+        f"all {len(checks)} points match the closed form, smallest margin"
+        f" {min(c.margin_se for c in checks):+.2f} se; n=2 delta=1 diff"
         f" {anchor.pair.diff:.6f} vs -0.0625",
     )
 
@@ -197,7 +199,8 @@ def test_criterion_5_threshold_sign_flip():
                 f" not significantly {'positive' if c.expect_positive else 'negative'}"
             )
     detail = ", ".join(
-        f"delta={c.delta}: diff {c.pair.diff:+.5f} ({c.pair.diff / c.pair.se_diff:+.1f} se)"
+        f"delta={c.delta}: diff {c.pair.diff:+.5f} ({c.pair.diff / c.pair.se_diff:+.1f} se,"
+        f" margin {c.margin_se:+.2f} se)"
         for c in checks
     )
     _finish("5 (threshold sign flip)", failures, detail)
@@ -222,7 +225,7 @@ def test_criterion_6_tail_probability():
         "6 (tail probability)",
         failures,
         f"p_below {check.p_below:.4f} vs quadrature {check.predicted_below:.4f}"
-        f" and limit {check.limit_below:.4f}",
+        f" and limit {check.limit_below:.4f}, margin {check.margin_se:+.2f} se",
     )
 
 

@@ -41,8 +41,10 @@ from evalsim.experiments import kernels
 from evalsim.experiments.kernels import (
     MAX_TIE_REDRAWS,
     _best_is_tied,
+    _U_BELOW_ONE,
     _columns_best_is_tied,
     _dis0_cdf,
+    _dis0_shares,
     _redraw_tied_rows,
     bias_scheme_accuracies,
     bias_worker,
@@ -1071,7 +1073,7 @@ def test_theorem_class_sizes_partition_the_pool():
 def test_dis0_table_is_the_exact_law(half):
     # at these sizes the window is all of 0..half; the exact pmf is
     # comb(half, k)**2 / comb(2 * half, half), in rationals
-    lo, cdf = _dis0_cdf(half)
+    lo, cdf, _ = _dis0_cdf(half)
     assert lo == 0 and cdf.size == half + 1
     total = math.comb(2 * half, half)
     exact = [Fraction(math.comb(half, k) ** 2, total) for k in range(half + 1)]
@@ -1081,7 +1083,7 @@ def test_dis0_table_is_the_exact_law(half):
 
 def test_dis0_table_at_a_large_pool():
     half = 10**6
-    lo, cdf = _dis0_cdf(half)
+    lo, cdf, _ = _dis0_cdf(half)
     assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
     # the window drops only shares whose pmf is 0 in float64
     law = stats.hypergeom(2 * half, half, half)
@@ -1090,6 +1092,82 @@ def test_dis0_table_at_a_large_pool():
     assert tv <= 1e-9
     # about 28 * sqrt(half) entries: never a table over all of 0..half
     assert _dis0_cdf(MAX_POOL // 2)[1].size < 10**6
+
+
+_GUIDE_HALVES = [1, 2, 3, 10, 500, 10**6, MAX_POOL // 2]
+
+
+def _searched_shares(half, u):
+    lo, cdf, _ = _dis0_cdf(half)
+    return lo + np.searchsorted(cdf, u, side="right")
+
+
+@pytest.mark.parametrize("half", _GUIDE_HALVES)
+def test_guided_shares_are_the_binary_search_at_planted_keys(half):
+    # every table entry and bucket edge j / M, each with its two neighbours,
+    # and both ends of [0, 1): the keys where a guided step could go wrong
+    _, cdf, guide = _dis0_cdf(half)
+    m = cdf.size
+    assert guide.shape == (m + 1,) and guide[0] == 0 and guide[-1] <= m - 1
+    edges = np.arange(m + 1) / m
+    keys = np.concatenate([
+        np.r_[0.0, np.nextafter(1.0, 0.0)],
+        *(np.nextafter(x, to) for x in (cdf, edges) for to in (0.0, x, 2.0)),
+    ])
+    u = keys[(keys >= 0.0) & (keys < 1.0)]
+    # u * M stays below M for every u < 1, so guide[j + 1] is in range
+    assert (u * m).astype(np.intp).max() < m
+    assert np.array_equal(_dis0_shares(half, u), _searched_shares(half, u))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    half=st.sampled_from(_GUIDE_HALVES),
+    u=arrays(float, st.integers(0, 64), elements=st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_guided_shares_are_the_binary_search(half, u):
+    assert np.array_equal(_dis0_shares(half, u), _searched_shares(half, u))
+
+
+def test_guided_shares_search_few_keys(monkeypatch):
+    # at n = 1000 a chunk's keys nearly all land in buckets of one entry or
+    # none, so the binary search sees at most 2% of them
+    _dis0_cdf(500)  # built before the count, with its own search
+    searched, search = [], np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    sizes = theorem_class_sizes(derive_stream(58, 8), 8192, 1000)
+    assert sizes.shape == (8192, 4) and 0 < sum(searched) <= 0.02 * 8192
+
+
+def _max_of_draws_by_where(rng, counts, delta):
+    k = np.asarray(counts)
+    u = rng.random(k.shape) ** (1.0 / np.maximum(k, 1))
+    return np.where(k > 0, power_law_inv_cdf(np.minimum(u, _U_BELOW_ONE), delta), 0.0)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.array([[0, 3], [1, 0], [0, 0]]),
+        np.full(2000, 10_000),
+        np.ones(500, dtype=int),
+        np.array(7),
+        theorem_class_sizes(derive_stream(59, 8), 4096, 6),
+        theorem_class_sizes(derive_stream(59, 9), 4096, 1000),
+    ],
+    ids=["empty-classes", "tail-groups", "single-draws", "scalar", "classes-n6", "classes-n1000"],
+)
+def test_max_of_draws_in_place_keeps_the_bits(counts, delta):
+    got = max_of_draws(derive_stream(60, 8), counts, delta)
+    want = _max_of_draws_by_where(derive_stream(60, 8), counts, delta)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_tail_worker_single_draw_matches_the_full_draw():

@@ -337,6 +337,50 @@ def test_each_family_judges_the_shared_evidence_by_its_own_verdict():
     assert not theorem.ThresholdCheck(*(getattr(level, f.name) for f in fields(level))).passed
 
 
+def _evidence(se=0.01, **fields_):
+    base = dict(
+        err_hol=0.2, se_hol=se, err_seg=0.2, se_seg=se, diff=0.0, se_diff=se,
+        p_best_dis=0.5, se_best_dis=se, runs=1000,
+    )
+    return PairEstimate(**{**base, **fields_})
+
+
+# (check, margin in SE): each gate 2.9 and 3.1 SE from its edge, on both
+# sides, beside the same evidence at SE 0, where the margin is infinite
+_P = 0.3
+_GAP = predicted_gap(0.5, _P)  # 0.025, to rounding
+_MARGIN_CASES = [
+    (theorem.PartACheck(20, 1.0, 0.3, 0.5, _evidence(err_seg=0.2 + 0.029)), 0.1),
+    (theorem.PartACheck(20, 1.0, 0.3, 0.5, _evidence(err_seg=0.2 + 0.031)), -0.1),
+    (theorem.PartACheck(20, 1.0, 0.3, 0.5, _evidence(err_seg=0.15)), 8.0),
+    (theorem.PartACheck(20, 1.0, 0.3, 0.5, _evidence(se=0.0)), math.inf),
+    (theorem.PartACheck(20, 1.0, 0.3, 0.5, _evidence(se=0.0, err_seg=0.2001)), -math.inf),
+    (theorem.FormulaCheck(20, 1.0, 0.5, _evidence(diff=_GAP - 0.029), _P), 0.1),
+    (theorem.FormulaCheck(20, 1.0, 0.5, _evidence(diff=_GAP + 0.031), _P), -0.1),
+    (theorem.FormulaCheck(20, 1.0, 0.5, _evidence(diff=_GAP, p_best_dis=0.5 + 0.029), _P), 0.1),
+    (theorem.FormulaCheck(20, 1.0, 0.5, _evidence(diff=_GAP, p_best_dis=0.5 - 0.031), _P), -0.1),
+    (theorem.FormulaCheck(20, 1.0, 0.5, _evidence(se=0.0, diff=_GAP), _P), math.inf),
+    (theorem.FormulaCheck(20, 1.0, 0.5, _evidence(se=0.0, diff=0.03), _P), -math.inf),
+    (theorem.FormulaCheck(20, 1.0, 0.5, _evidence(se=0.0, diff=_GAP, p_best_dis=1.0), _P), -math.inf),
+    (theorem.ThresholdCheck(20, 1.0, 0.5, _evidence(diff=0.031), _P), 0.1),
+    (theorem.ThresholdCheck(20, 1.0, 0.5, _evidence(diff=0.029), _P), -0.1),
+    (theorem.ThresholdCheck(20, 1.0, 0.5, _evidence(diff=-0.031), 0.2), 0.1),
+    (theorem.ThresholdCheck(20, 1.0, 0.5, _evidence(diff=0.031), 0.2), -6.1),
+    (theorem.ThresholdCheck(20, 1.0, 0.5, _evidence(se=0.0, diff=0.001), _P), math.inf),
+    (theorem.ThresholdCheck(20, 1.0, 0.5, _evidence(se=0.0, diff=0.0), _P), -math.inf),
+    (theorem.TailCheck(10, 1.0, 1000, 0.8 + 0.029, 0.01, 0.8), 0.1),
+    (theorem.TailCheck(10, 1.0, 1000, 0.8 - 0.031, 0.01, 0.8), -0.1),
+    (theorem.TailCheck(10, 1.0, 1000, 0.8, 0.0, 0.8), math.inf),
+    (theorem.TailCheck(10, 1.0, 1000, 0.9, 0.0, 0.8), -math.inf),
+]
+
+
+@pytest.mark.parametrize("check, margin", _MARGIN_CASES)
+def test_margin_in_se_is_positive_exactly_where_the_check_passes(check, margin):
+    assert (check.margin_se > 0.0) is check.passed is (margin > 0.0)
+    assert check.margin_se == pytest.approx(margin, abs=1e-9)
+
+
 def test_tail_check_small():
     (check,) = run_tail_check(delta_values=(1.0,), n_per_group=500, pools=20_000, seed=5)
     assert check.predicted_below == pytest.approx(1.0 - TAIL_ABOVE[(500, 1.0)], abs=1e-9)
